@@ -43,6 +43,7 @@ from .trainer import (
     CheckpointVersionError,
     TrainConfig,
     TrainingError,
+    _mean_rank,
     evaluate,
     load_checkpoint,
     mi_context_ids,
@@ -254,23 +255,11 @@ def cmd_eval(cfg, args) -> int:
     return 0
 
 
-def _tie_ranks(scores: np.ndarray) -> np.ndarray:
-    """Mean rank per element under descending order, ties share the mean."""
-    order = np.argsort(-scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and scores[order[j]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0  # positions i+1 .. j
-        i = j
-    return ranks
-
-
 def cmd_predict(cfg, args) -> int:
     if (args.head is None) == (args.tail is None):
         raise ConfigError("give exactly one of --head or --tail")
+    if args.top < 1:
+        raise ConfigError(f"--top must be >= 1, got {args.top}")
     kg, tables = load_data(cfg)
     model, _ = load_checkpoint(args.checkpoint, tables, kg)
 
@@ -288,28 +277,26 @@ def cmd_predict(cfg, args) -> int:
     fi = build_filter_index(kg)
 
     if args.head is not None:
-        h = entity_id(args.head)
-        scores = score_candidates(emb, theta[r], emb[h], "tail", model.cfg.norm)
-        known = fi.true_tails(h, r)
+        fixed, side = entity_id(args.head), "tail"
+        known = fi.true_tails(fixed, r)
     else:
-        t = entity_id(args.tail)
-        scores = score_candidates(emb, theta[r], emb[t], "head", model.cfg.norm)
-        known = fi.true_heads(r, t)
+        fixed, side = entity_id(args.tail), "head"
+        known = fi.true_heads(r, fixed)
+    scores = score_candidates(emb, theta[r], emb[fixed], side, model.cfg.norm)
 
     keep = np.ones(kg.n_entities, dtype=bool)
     if args.mode == "filtered" and known:
         # hide answers that are already in the graph
         keep[np.fromiter(known, dtype=np.int64)] = False
     kept_ids = np.flatnonzero(keep)
-    kept_scores = scores[kept_ids]
-    ranks = _tie_ranks(kept_scores)
-    order = np.argsort(-kept_scores, kind="stable")[:args.top]
-    for pos in order:
-        print(f"{ranks[pos]:g},{kg.entities[kept_ids[pos]]},{kept_scores[pos]:.6f}")
+    for e in kept_ids[np.argsort(-scores[kept_ids], kind="stable")[:args.top]]:
+        print(f"{_mean_rank(scores, e, keep):g},{kg.entities[e]},{scores[e]:.6f}")
     return 0
 
 
 def cmd_sample_stats(cfg, args) -> int:
+    if args.positives < 1:
+        raise ConfigError(f"--positives must be >= 1, got {args.positives}")
     kg, tables = load_data(cfg)
     model_cfg, train_cfg, sampling_cfg = section_configs(cfg)
     sampling_cfg.validate()
@@ -334,8 +321,8 @@ def cmd_sample_stats(cfg, args) -> int:
         negatives.extend(corrupt((h, r, t), sampling_cfg.negatives_per_positive,
                                  rng, fi, kg.n_entities,
                                  max_retries=sampling_cfg.max_retries))
-    scores = [score(emb[s.head], theta[s.relation], emb[s.tail], model.cfg.norm)
-              for s in negatives]
+    heads, rels, tails = np.asarray([s.triple for s in negatives], dtype=np.int64).T
+    scores = score(emb[heads], theta[rels], emb[tails], model.cfg.norm)
     annotate(negatives, scores, sampling_cfg)
     stats = sample_stats(negatives)
     stats.update({

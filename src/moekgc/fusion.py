@@ -126,7 +126,7 @@ def intra_modality_fuse(views, mi_matrix):
     views = [np.asarray(v, dtype=np.float64) for v in views]
     w = complementarity_weights(mi_matrix)
     if len(w) != len(views):
-        raise ValueError("mi matrix size does not match the number of views")
+        raise ValueError("mi matrix size does not match the number of vectors")
     fused = sum(wi * vi for wi, vi in zip(w, views))
     return fused, w
 
@@ -137,17 +137,21 @@ def inter_modality_fuse(modality_embeddings: dict, mi_matrix):
     modality_embeddings holds only the modalities present for the entity;
     mi_matrix rows follow its iteration order.
     """
-    names = list(modality_embeddings)
-    vecs = [np.asarray(modality_embeddings[m], dtype=np.float64) for m in names]
-    w = complementarity_weights(mi_matrix)
-    if len(w) != len(names):
-        raise ValueError("mi matrix size does not match the number of modalities")
-    joint = sum(wi * vi for wi, vi in zip(w, vecs))
-    return joint, dict(zip(names, w))
+    joint, w = intra_modality_fuse(list(modality_embeddings.values()), mi_matrix)
+    return joint, dict(zip(modality_embeddings, w))
 
 
-def _tensor_weights(neg_row_sums: list) -> Tensor:
-    return ad.softmax(ad.stack_scalars(neg_row_sums))
+def _pair_mi_weights(pair_mi: dict, members) -> Tensor:
+    """Complementarity weights on the tape: softmax over negated MI row sums
+    among members, with pair_mi mapping (a, b), a < b, to an MI tensor."""
+    neg_rows = []
+    for a in members:
+        total = ad.Tensor(0.0)
+        for b in members:
+            if b != a:
+                total = total + pair_mi[(min(a, b), max(a, b))]
+        neg_rows.append(-total)
+    return ad.softmax(ad.stack_scalars(neg_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +303,7 @@ class FusionModel:
                 for i in range(k):
                     for j in range(i + 1, k):
                         pair[(i, j)] = batch_mutual_information(dists[i], dists[j])
-                neg_rows = []
-                for i in range(k):
-                    total = ad.Tensor(0.0)
-                    for j in range(k):
-                        if j != i:
-                            total = total + pair[(min(i, j), max(i, j))]
-                    neg_rows.append(-total)
-                w = self._maybe_stop(_tensor_weights(neg_rows))
+                w = self._maybe_stop(_pair_mi_weights(pair, range(k)))
                 mat = np.zeros((k, k))
                 for (i, j), t in pair.items():
                     mat[i, j] = mat[j, i] = float(t.data)
@@ -361,14 +358,7 @@ class FusionModel:
             if self.cfg.inter_weighting == "uniform":
                 w = self._uniform(len(mask))
             elif estimate:
-                neg_rows = []
-                for a in mask:
-                    total = ad.Tensor(0.0)
-                    for b in mask:
-                        if b != a:
-                            total = total + inter_pair[(min(a, b), max(a, b))]
-                    neg_rows.append(-total)
-                w = self._maybe_stop(_tensor_weights(neg_rows))
+                w = self._maybe_stop(_pair_mi_weights(inter_pair, mask))
             else:
                 sub = inter_mat[np.ix_(mask, mask)]
                 w = ad.Tensor(complementarity_weights(sub))
@@ -397,13 +387,6 @@ class FusionModel:
         with ad.no_grad():
             _, cache = self.fuse(np.asarray(context_ids))
         return MIState(intra=cache["mi_intra"], inter=cache["mi_inter"])
-
-    def entity_joint_embedding(self, entity: int, batch_context) -> np.ndarray:
-        """Joint embedding of one entity under a given MI context."""
-        mi = self.mi_state(batch_context)
-        with ad.no_grad():
-            joint, _ = self.fuse(np.asarray([entity]), mi)
-        return joint.data[0]
 
     def all_joint_embeddings(self, context_ids) -> np.ndarray:
         """Joint embeddings for every entity, MI estimated over context_ids."""

@@ -77,9 +77,6 @@ class NegativeSamplingConfig:
                 stacklevel=2,
             )
 
-    def weight_of(self, difficulty: str) -> float:
-        return {EASY: self.lambda_easy, AMBIGUOUS: self.lambda_ambiguous, HARD: self.lambda_hard}[difficulty]
-
 
 @dataclass
 class NegativeSample:
@@ -133,11 +130,31 @@ def corrupt(positive, n: int, rng: np.random.Generator, filter_index, n_entities
     return out
 
 
-def binary_entropy(p: float, log_base: str = "natural") -> float:
-    """Entropy of a Bernoulli(p), clamped away from 0 and 1."""
-    p = min(max(float(p), P_CLAMP), 1.0 - P_CLAMP)
-    h = -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
-    return h / math.log(2.0) if log_base == "base2" else h
+def binary_entropy(p, log_base: str = "natural"):
+    """Entropy of a Bernoulli(p), clamped away from 0 and 1; elementwise over
+    arrays, a float for a scalar p."""
+    p = np.clip(np.asarray(p, dtype=np.float64), P_CLAMP, 1.0 - P_CLAMP)
+    h = -p * np.log(p) - (1.0 - p) * np.log(1.0 - p)
+    if log_base == "base2":
+        h = h / math.log(2.0)
+    return float(h) if h.ndim == 0 else h
+
+
+def _class_index(entropy, cfg: NegativeSamplingConfig) -> np.ndarray:
+    """Index into CLASSES per entropy value; boundaries are closed on the
+    left, and the hard test wins should delta2 <= delta1."""
+    h = np.asarray(entropy, dtype=np.float64)
+    return np.where(h >= cfg.delta2, 2, np.where(h < cfg.delta1, 0, 1))
+
+
+def _lambdas(cfg: NegativeSamplingConfig) -> np.ndarray:
+    return np.array([cfg.lambda_easy, cfg.lambda_ambiguous, cfg.lambda_hard], dtype=np.float64)
+
+
+def _probabilities(scores, cfg: NegativeSamplingConfig):
+    """Flat float64 scores and p = sigmoid(score + margin)."""
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    return scores, 1.0 / (1.0 + np.exp(-np.clip(scores + cfg.margin, -60.0, 60.0)))
 
 
 def classify(entropy: float, cfg: NegativeSamplingConfig):
@@ -146,38 +163,29 @@ def classify(entropy: float, cfg: NegativeSamplingConfig):
     Boundaries are closed on the left: entropy == delta1 is ambiguous,
     entropy == delta2 is hard.
     """
-    if entropy < cfg.delta1:
-        return EASY, cfg.lambda_easy
-    if entropy < cfg.delta2:
-        return AMBIGUOUS, cfg.lambda_ambiguous
-    return HARD, cfg.lambda_hard
+    i = int(_class_index(entropy, cfg))
+    return CLASSES[i], float(_lambdas(cfg)[i])
 
 
 def annotate(samples: list, scores, cfg: NegativeSamplingConfig) -> list:
     """Fill score, probability, entropy, class, and weight on each sample."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    scores, p = _probabilities(scores, cfg)
     if scores.size != len(samples):
         raise ValueError(f"{len(samples)} samples but {scores.size} scores")
-    for s, sc in zip(samples, scores):
-        s.score = float(sc)
-        s.probability = float(1.0 / (1.0 + math.exp(-min(max(sc + cfg.margin, -60.0), 60.0))))
-        s.entropy = binary_entropy(s.probability, cfg.log_base)
-        s.difficulty, s.weight = classify(s.entropy, cfg)
+    h = binary_entropy(p, cfg.log_base)
+    cls = _class_index(h, cfg)
+    w = _lambdas(cfg)[cls]
+    for s, sc, pi, hi, ci, wi in zip(samples, scores.tolist(), p.tolist(), h.tolist(),
+                                     cls.tolist(), w.tolist()):
+        s.score, s.probability, s.entropy = sc, pi, hi
+        s.difficulty, s.weight = CLASSES[ci], wi
     return samples
 
 
 def negative_weights(scores, cfg: NegativeSamplingConfig) -> np.ndarray:
     """Loss weights for a flat array of negative scores (no gradient path)."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    p = 1.0 / (1.0 + np.exp(-np.clip(scores + cfg.margin, -60.0, 60.0)))
-    p = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-    h = -p * np.log(p) - (1.0 - p) * np.log(1.0 - p)
-    if cfg.log_base == "base2":
-        h = h / math.log(2.0)
-    out = np.full(scores.shape, cfg.lambda_ambiguous)
-    out[h < cfg.delta1] = cfg.lambda_easy
-    out[h >= cfg.delta2] = cfg.lambda_hard
-    return out
+    _, p = _probabilities(scores, cfg)
+    return _lambdas(cfg)[_class_index(binary_entropy(p, cfg.log_base), cfg)]
 
 
 def batch_loss(pos_scores: Tensor, neg_scores: Tensor, neg_weights, cfg: NegativeSamplingConfig) -> Tensor:

@@ -37,16 +37,22 @@ def rotate(emb: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.concatenate([re * c - im * s, re * s + im * c], axis=-1)
 
 
-def score(head, theta, tail, norm: str = "l2") -> float:
-    """Score one triple from plain arrays; float64 throughout."""
+def score(head, theta, tail, norm: str = "l2"):
+    """-|| rotate(head, theta) - tail || over the last axis, in float64.
+
+    head and tail broadcast against each other: one triple gives a float,
+    rows of heads or tails give one score per row.
+    """
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}")
     diff = rotate(head, theta) - np.asarray(tail, dtype=np.float64)
     re, im = _split(diff)
     mags_sq = re * re + im * im
     if norm == "l2":
-        return float(-np.sqrt(np.sum(mags_sq)))
-    return float(-np.sum(np.sqrt(mags_sq)))
+        out = -np.sqrt(mags_sq.sum(axis=-1))
+    else:
+        out = -np.sqrt(mags_sq).sum(axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def score_candidates(candidates: np.ndarray, theta: np.ndarray, fixed: np.ndarray,
@@ -57,20 +63,11 @@ def score_candidates(candidates: np.ndarray, theta: np.ndarray, fixed: np.ndarra
     corrupt_side "head": candidates replace the head, fixed is the tail.
     Returns float64 (n_candidates,).
     """
-    if norm not in NORMS:
-        raise ValueError(f"norm must be one of {NORMS}")
-    candidates = np.asarray(candidates, dtype=np.float64)
     if corrupt_side == "tail":
-        diff = rotate(fixed, theta)[None, :] - candidates
-    elif corrupt_side == "head":
-        diff = rotate(candidates, theta) - np.asarray(fixed, dtype=np.float64)[None, :]
-    else:
-        raise ValueError(f"corrupt_side must be head or tail, got {corrupt_side!r}")
-    re, im = _split(diff)
-    mags_sq = re * re + im * im
-    if norm == "l2":
-        return -np.sqrt(mags_sq.sum(axis=1))
-    return -np.sqrt(mags_sq).sum(axis=1)
+        return score(fixed, theta, candidates, norm)
+    if corrupt_side == "head":
+        return score(candidates, theta, fixed, norm)
+    raise ValueError(f"corrupt_side must be head or tail, got {corrupt_side!r}")
 
 
 def score_batch(heads: Tensor, phases: Tensor, tails: Tensor, norm: str = "l2") -> Tensor:

@@ -22,7 +22,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -198,8 +198,35 @@ def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
 
 # ---------------------------------------------------------------- checkpoint
 
+# the model settings a checkpoint header records
+_CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig))
+
+
 def _canonical_header(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _check_header(path, header):
+    """Raise CheckpointError unless header holds every field load reads."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for key in ("blocks", "config", "counts", "modality_dims"):
+        if not isinstance(header.get(key), dict):
+            raise CheckpointError(f"{path}: header field {key!r} is missing or not an object")
+    for name, meta in header["blocks"].items():
+        if not (isinstance(meta, dict) and isinstance(meta.get("shape"), list)
+                and isinstance(meta.get("crc32"), int)):
+            raise CheckpointError(f"{path}: header entry of block {name} is malformed")
+    config, counts = header["config"], header["counts"]
+    lacking = [f"config.{k}" for k in _CONFIG_KEYS if k != "modalities" and k not in config]
+    lacking += [f"counts.{k}" for k in ("entities", "relations") if not isinstance(counts.get(k), int)]
+    if not isinstance(config.get("modalities"), list):
+        lacking.append("config.modalities (a list)")
+    else:
+        lacking += [f"modality_dims.{m}" for m in config["modalities"]
+                    if m not in header["modality_dims"]]
+    if lacking:
+        raise CheckpointError(f"{path}: header lacks {', '.join(lacking)}")
 
 
 def save_checkpoint(path, model: FusionModel, optimizer: Adam = None, extra: dict = None):
@@ -218,16 +245,7 @@ def save_checkpoint(path, model: FusionModel, optimizer: Adam = None, extra: dic
     cfg = model.cfg
     header = {
         "blocks": table,
-        "config": {
-            "embedding_dim": cfg.embedding_dim,
-            "experts": cfg.experts,
-            "mi_bins": cfg.mi_bins,
-            "modalities": list(cfg.modalities),
-            "norm": cfg.norm,
-            "grad_through_weights": cfg.grad_through_weights,
-            "intra_weighting": cfg.intra_weighting,
-            "inter_weighting": cfg.inter_weighting,
-        },
+        "config": {key: getattr(cfg, key) for key in _CONFIG_KEYS},
         "counts": {"entities": model.n_entities, "relations": model.n_relations},
         "modality_dims": {m: model.tables[m].dim for m in cfg.modalities},
         "adam_step": optimizer.t if optimizer is not None else None,
@@ -268,6 +286,7 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         # a flipped bit in the header region lands here, not in a CRC check
         raise CheckpointError(f"{path}: malformed header ({e})")
+    _check_header(path, header)
     offset = hdr_start + hdr_len
 
     arrays = {}
@@ -283,13 +302,7 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
         arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
         offset += nbytes
 
-    c = header["config"]
-    cfg = ModelConfig(
-        embedding_dim=c["embedding_dim"], experts=c["experts"], mi_bins=c["mi_bins"],
-        modalities=list(c["modalities"]), norm=c["norm"],
-        grad_through_weights=c["grad_through_weights"],
-        intra_weighting=c["intra_weighting"], inter_weighting=c["inter_weighting"],
-    )
+    cfg = ModelConfig(**{key: header["config"][key] for key in _CONFIG_KEYS})
     counts = header["counts"]
     if kg is not None:
         if kg.n_entities != counts["entities"] or kg.n_relations != counts["relations"]:

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 import yaml
 
-from moekgc.cli import load_config, main
+from moekgc.cli import load_config, load_data, main
 from moekgc.config import ConfigError
+from moekgc.fusion import FusionModel, ModelConfig
 from moekgc.sampling import UnreachableHardClassWarning
+from moekgc.scoring import score_candidates
+from moekgc.trainer import _mean_rank, mi_context_ids, save_checkpoint
 
 TRAIN = """a\tlinks\tb
 b\tlinks\tc
@@ -180,7 +183,67 @@ def test_eval_version_mismatch_exits_4(workspace, capsys):
     assert main(["eval", "--config", cfg_path, "--checkpoint", str(ckpt)]) == 4
 
 
+def test_eval_header_without_config_exits_1(workspace, capsys):
+    tmp_path, cfg_path = workspace
+    run_train(cfg_path)
+    ckpt = latest_run(tmp_path) / "checkpoint.mkgc"
+    blob = ckpt.read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + n])
+    del header["config"]
+    hdr = json.dumps(header).encode("utf-8")
+    ckpt.write_bytes(blob[:8] + len(hdr).to_bytes(8, "little") + hdr + blob[16 + n:])
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_path, "--checkpoint", str(ckpt)]) == 1
+    assert "config" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- predict
+
+def tied_checkpoint(tmp_path, cfg_path):
+    """Structure-only checkpoint on the workspace graph whose tail scores
+    for (a, links, ?) are a: 0, then b, c, d tied at -1."""
+    kg, _ = load_data(load_config(cfg_path))
+    model = FusionModel(ModelConfig(embedding_dim=4, experts=2, mi_bins=4),
+                        kg.n_entities, kg.n_relations, {}, seed=0)
+    rows = {"a": [1, 0, 0, 0], "b": [2, 0, 0, 0], "c": [0, 0, 0, 0], "d": [1, 1, 0, 0]}
+    model.params["entities"].data = np.array(
+        [rows[name] for name in kg.entities], dtype=np.float32)
+    model.params["rel_phases"].data = np.zeros_like(model.params["rel_phases"].data)
+    path = str(tmp_path / "tied.mkgc")
+    save_checkpoint(path, model)
+    return kg, model, path
+
+
+@pytest.mark.parametrize("mode,want", [("raw", [("a", 1.0), ("b", 3.0), ("c", 3.0), ("d", 3.0)]),
+                                       ("filtered", [("a", 1.0), ("d", 2.0)])])
+def test_predict_ranks_are_the_evaluator_mean_ranks_on_ties(workspace, capsys, mode, want):
+    tmp_path, cfg_path = workspace
+    kg, model, ckpt = tied_checkpoint(tmp_path, cfg_path)
+    capsys.readouterr()
+    assert main(["predict", "--config", cfg_path, "--checkpoint", ckpt, "--relation", "links",
+                 "--head", "a", "--mode", mode, "--top", "4"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()]
+    assert [(name, float(rank)) for rank, name, _ in rows] == want
+    # the same ranks trainer._mean_rank gives with the printed filter
+    emb = model.all_joint_embeddings(mi_context_ids(kg, 8))  # the workspace mi_ref_batch
+    scores = score_candidates(emb, np.zeros(2), emb[kg.entity_index["a"]], "tail")
+    keep = np.ones(kg.n_entities, dtype=bool)
+    if mode == "filtered":
+        keep[[kg.entity_index["b"], kg.entity_index["c"]]] = False
+    assert [float(rank) for rank, _, _ in rows] == [
+        _mean_rank(scores, kg.entity_index[name], keep) for _, name, _ in rows]
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_predict_rejects_top_below_one(workspace, capsys, top):
+    tmp_path, cfg_path = workspace
+    _, _, ckpt = tied_checkpoint(tmp_path, cfg_path)
+    capsys.readouterr()
+    assert main(["predict", "--config", cfg_path, "--checkpoint", ckpt, "--relation", "links",
+                 "--head", "a", "--mode", "raw", "--top", top]) == 2
+    assert capsys.readouterr().out == ""
+
 
 def test_predict_lists_ranked_candidates(workspace, capsys):
     tmp_path, cfg_path = workspace
@@ -241,6 +304,13 @@ def test_sample_stats_reports_class_counts(workspace, capsys):
     assert stats["delta1"] == 0.2 and stats["delta2"] == 0.8
     assert stats["log_base"] == "base2"
     assert 0.0 <= stats["mean_entropy"] <= 1.0
+
+
+@pytest.mark.parametrize("positives", ["0", "-5"])
+def test_sample_stats_rejects_positives_below_one(workspace, capsys, positives):
+    _, cfg_path = workspace
+    assert main(["sample-stats", "--config", cfg_path, "--positives", positives]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_sample_stats_warns_when_hard_class_unreachable(workspace, capsys):

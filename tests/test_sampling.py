@@ -222,6 +222,25 @@ def test_negative_weights_match_scalar_path():
         assert wi == want
 
 
+@pytest.mark.parametrize("log_base", ["natural", "base2"])
+def test_annotate_weights_equal_negative_weights_at_the_boundaries(log_base):
+    scores = np.linspace(-20.0, 5.0, 2001)
+    fi = make_filter([(0, 0, 1)])
+    negs = corrupt((0, 0, 1), len(scores), derived_rng(3), fi, n_entities=40)
+    annotate(negs, scores, default_cfg(margin=1.5, log_base=log_base))
+    # thresholds taken from entropies the grid produces, so some scores sit
+    # exactly on delta1 and delta2
+    seen = sorted({s.entropy for s in negs})
+    cfg = default_cfg(margin=1.5, log_base=log_base,
+                      delta1=seen[len(seen) // 4], delta2=seen[3 * len(seen) // 4])
+    annotate(negs, scores, cfg)
+    assert [s.weight for s in negs] == negative_weights(scores, cfg).tolist()
+    assert [classify(s.entropy, cfg) for s in negs] == [(s.difficulty, s.weight) for s in negs]
+    assert {s.difficulty for s in negs if s.entropy == cfg.delta1} == {AMBIGUOUS}
+    assert {s.difficulty for s in negs if s.entropy == cfg.delta2} == {HARD}
+    assert {s.difficulty for s in negs} == {EASY, AMBIGUOUS, HARD}
+
+
 def test_sample_stats_counts_match_manual_recount():
     cfg = default_cfg(log_base="base2", margin=0.0)
     fi = make_filter([(0, 0, 1)])

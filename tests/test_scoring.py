@@ -104,6 +104,29 @@ def test_candidate_scoring_matches_single_scores():
             assert heads[i] == pytest.approx(scoring.score(cand[i], theta, fixed, norm), abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [16, 256])
+def test_row_scoring_is_exactly_the_per_row_score(d):
+    # score broadcasts over rows; score_candidates dispatches onto it, so
+    # every path must give the single-triple value to the last bit
+    rng = np.random.default_rng(d)
+    H = rng.normal(size=(12, d))
+    T = rng.normal(size=(12, d))
+    P = rng.uniform(-np.pi, np.pi, (12, d // 2))
+    for norm in scoring.NORMS:
+        rows = scoring.score(H, P, T, norm)
+        assert rows.shape == (12,) and type(scoring.score(H[0], P[0], T[0], norm)) is float
+        assert rows.tolist() == [scoring.score(H[i], P[i], T[i], norm) for i in range(12)]
+        tails = scoring.score_candidates(T, P[0], H[0], "tail", norm)
+        heads = scoring.score_candidates(H, P[0], T[0], "head", norm)
+        assert tails.tolist() == [scoring.score(H[0], P[0], T[i], norm) for i in range(12)]
+        assert heads.tolist() == [scoring.score(H[i], P[0], T[0], norm) for i in range(12)]
+
+
+def test_unknown_corrupt_side_rejected():
+    with pytest.raises(ValueError, match="corrupt_side"):
+        scoring.score_candidates(np.ones((3, 2)), np.ones(1), np.ones(2), "left")
+
+
 def test_odd_dimension_rejected():
     with pytest.raises(ValueError, match="even"):
         scoring.score(np.ones(3), np.ones(1), np.ones(3))

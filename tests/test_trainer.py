@@ -1,6 +1,8 @@
 """Tests for the optimizer, the ranking evaluator, checkpoints, and train()."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -412,6 +414,41 @@ def test_bad_magic_is_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path, {})
+
+
+def rewrite_header(path, edit):
+    """Apply edit to the JSON header of the checkpoint at path, in place."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + n])
+    edit(header)
+    hdr = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(hdr)) + hdr + blob[16 + n:])
+
+
+@pytest.mark.parametrize("key", ["blocks", "config", "counts", "modality_dims"])
+def test_header_missing_or_mistyped_field_is_a_checkpoint_error(tmp_path, key):
+    kg, tables, model, _ = fitted_model_and_opt(tmp_path, with_modality=True)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    rewrite_header(path, lambda h: h.pop(key))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path, tables, kg)
+    save_checkpoint(path, model)
+    rewrite_header(path, lambda h: h.update({key: []}))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path, tables, kg)
+
+
+@pytest.mark.parametrize("section,key", [("config", "norm"), ("config", "modalities"),
+                                         ("counts", "entities"), ("modality_dims", "img")])
+def test_header_missing_nested_field_is_a_checkpoint_error(tmp_path, section, key):
+    kg, tables, model, _ = fitted_model_and_opt(tmp_path, with_modality=True)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    rewrite_header(path, lambda h: h[section].pop(key))
+    with pytest.raises(CheckpointError, match=f"{section}.{key}"):
+        load_checkpoint(path, tables, kg)
 
 
 def test_modality_dim_mismatch_names_both_dims(tmp_path):
