@@ -44,6 +44,7 @@ from .trainer import (
     TrainConfig,
     TrainingError,
     _mean_rank,
+    atomic_write,
     evaluate,
     load_checkpoint,
     mi_context_ids,
@@ -67,6 +68,19 @@ def _bool(text) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+def _int(value) -> int:
+    # YAML hands over bools and floats, which int() would silently truncate
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _str_list(text) -> list:
     if isinstance(text, list):
         return [str(x) for x in text]
@@ -83,9 +97,9 @@ SCHEMA = {
         "modalities": (_MAPPING, {}),  # modality name -> feature file path
     },
     "model": {
-        "embedding_dim": (int, 256),
-        "experts": (int, 3),
-        "mi_bins": (int, 16),
+        "embedding_dim": (_int, 256),
+        "experts": (_int, 3),
+        "mi_bins": (_int, 16),
         "modalities": (_str_list, []),
         "norm": (str, "l2"),
         "grad_through_weights": (_bool, False),
@@ -93,24 +107,24 @@ SCHEMA = {
         "inter_weighting": (str, "mi"),
     },
     "training": {
-        "learning_rate": (float, 1e-4),
-        "batch_size": (int, 1024),
-        "max_epochs": (int, 1000),
-        "eval_every": (int, 25),
-        "patience": (int, 10),
-        "seed": (int, 0),
-        "mi_ref_batch": (int, 256),
+        "learning_rate": (_float, 1e-4),
+        "batch_size": (_int, 1024),
+        "max_epochs": (_int, 1000),
+        "eval_every": (_int, 25),
+        "patience": (_int, 10),
+        "seed": (_int, 0),
+        "mi_ref_batch": (_int, 256),
     },
     "sampling": {
-        "negatives_per_positive": (int, 16),
-        "margin": (float, 6.0),
-        "delta1": (float, 0.2),
-        "delta2": (float, 0.8),
-        "lambda_easy": (float, 0.5),
-        "lambda_ambiguous": (float, 1.5),
-        "lambda_hard": (float, 1.2),
+        "negatives_per_positive": (_int, 16),
+        "margin": (_float, 6.0),
+        "delta1": (_float, 0.2),
+        "delta2": (_float, 0.8),
+        "lambda_easy": (_float, 0.5),
+        "lambda_ambiguous": (_float, 1.5),
+        "lambda_hard": (_float, 1.2),
         "log_base": (str, "natural"),
-        "max_retries": (int, 200),
+        "max_retries": (_int, 200),
     },
 }
 
@@ -160,14 +174,17 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _flag(section: str, key: str) -> str:
+    return f"--{section}-{key}".replace("_", "-")
+
+
 def add_override_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", default=None, help="YAML config file")
     for section, body in SCHEMA.items():
         for key, (conv, default) in body.items():
             if conv is _MAPPING:
                 continue
-            flag = f"--{section}-{key}".replace("_", "-")
-            parser.add_argument(flag, dest=f"{section}__{key}", type=str,
+            parser.add_argument(_flag(section, key), dest=f"{section}__{key}", type=str,
                                 default=None, metavar="V",
                                 help=f"override {section}.{key} (default {default})")
 
@@ -183,7 +200,7 @@ def apply_overrides(cfg: dict, args: argparse.Namespace):
             try:
                 cfg[section][key] = conv(value)
             except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
-                raise ConfigError(f"bad value for --{section}-{key}: {e}")
+                raise ConfigError(f"bad value for {_flag(section, key)}: {e}")
 
 
 def section_configs(cfg: dict):
@@ -220,7 +237,7 @@ def cmd_train(cfg, args) -> int:
     model_cfg, train_cfg, sampling_cfg = section_configs(cfg)
     run_dir = make_run_dir(train_cfg.seed)
     # echo the fully resolved settings before any work happens
-    with open(os.path.join(run_dir, "config.yaml"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(run_dir, "config.yaml"), "w", encoding="utf-8") as fh:
         yaml.safe_dump(cfg, fh, sort_keys=True)
     print(f"run directory: {run_dir}")
 
@@ -237,7 +254,7 @@ def cmd_train(cfg, args) -> int:
 
     ckpt = os.path.join(run_dir, "checkpoint.mkgc")
     save_checkpoint(ckpt, result.model)
-    with open(os.path.join(run_dir, "history.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(run_dir, "history.json"), "w", encoding="utf-8") as fh:
         json.dump(result.history, fh, sort_keys=True)
     summary = {"epochs": result.stopped_epoch, "checkpoint": ckpt}
     if result.best_valid_mrr is not None:

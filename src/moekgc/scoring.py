@@ -55,6 +55,58 @@ def score(head, theta, tail, norm: str = "l2"):
     return float(out) if np.ndim(out) == 0 else out
 
 
+# Error bound for ranking by squared l2 distances taken as one GEMM.
+#
+# Let q be the exact query (the head turned by theta, or the tail turned back
+# by -theta), c a candidate, M = ||q|| + ||c|| and T = ||q - c||^2 <= M^2 the
+# exact squared distance.  All arithmetic is float64, u = 2^-53, and
+# gamma_n = n u / (1 - n u) (Higham, "Accuracy and Stability of Numerical
+# Algorithms", 2nd ed., section 3.1).
+#
+# Rotation.  cos and sin are trusted to 4 ulp, an absolute error of at most
+# 8u each, so they need not form an exactly orthogonal matrix.  A rotated
+# coordinate re*cos - im*sin then carries at most
+# (8u + gamma_2 (1 + 8u)) (|re| + |im|) <= 11u (|re| + |im|) error, and over
+# the whole vector ||x^ - x|| <= 22u ||x|| =: rho ||x||.  Whichever side is
+# rotated, the error is at most rho M.
+#
+# Direct scorer.  diff = fl(x^ - y) adds relative u per entry, so the
+# computed difference is v + e with ||v||^2 = T and ||e|| <= (rho + 2u) M.  A
+# sum of non-negative squares in any order is off by at most gamma_{d+2}
+# times its value (d/2 squares of pairs, a pairwise sum of depth below d),
+# so the computed S satisfies
+#     |S - T| <= gamma_{d+2} (M + ||e||)^2 + ||e|| (2M + ||e||)
+#             <= (gamma_{d+2} + 2 rho + 5u) M^2  (to first order in u).
+#
+# GEMM form.  D = ||q^||^2 + ||c||^2 - 2 q^.c: each norm and the dot product
+# are length-d inner products, off by gamma_d |x|.|y| in any summation order
+# with or without FMA, and the two final additions add 2u, so
+# |D - ||q^ - c||^2| <= gamma_{d+2} M^2 (1 + rho)^2, and moving q^ to q costs
+# rho ||q|| (2M + rho ||q||), giving |D - T| <= (gamma_{d+2} + 2 rho) M^2.
+#
+# Rank.  The scorer returns -fl(sqrt(S)) with a correctly rounded sqrt; two S
+# apart by more than 4u of the larger can no longer round to equal scores, a
+# slack of 4u M^2 per side.  Together
+#     |D - S| + slack <= (2 gamma_{d+2} + 4 rho + 9u) M^2 ~ (2d + 101) u M^2,
+# so K = 64 (d + 16) u is a safety factor of at least 10 over it for every d.
+# A candidate whose D + E lies below the gold's D - E therefore scores
+# strictly higher in the direct scorer, and one whose D - E lies above the
+# gold's D + E strictly lower.
+#
+# Evaluating M from the computed norms, and the roundings of D +- E in the
+# comparison, are relative errors of order d u inside that factor.  Underflow
+# adds an absolute error of at most 2^-1075 per operation, a few d of them,
+# covered by the term d * tiny.  Overflow yields inf or nan, and comparisons
+# with those are false, which leaves the pair unclassified.
+def l2_error_bound(query_norm, candidate_norm, d: int):
+    """Bound on |GEMM squared distance - direct squared distance| (plus the
+    rounding of the final sqrt) for embeddings of dimension d; see the
+    derivation above.  Broadcasts over the norm arrays."""
+    k = 64.0 * (d + 16) * np.finfo(np.float64).eps / 2.0
+    total = np.add(query_norm, candidate_norm)
+    return k * (total * total + d * np.finfo(np.float64).tiny)
+
+
 def score_candidates(candidates: np.ndarray, theta: np.ndarray, fixed: np.ndarray,
                      corrupt_side: str, norm: str = "l2") -> np.ndarray:
     """Scores of every candidate entity against one partial triple.

@@ -9,6 +9,9 @@ negatives for one positive, which makes runs bit-reproducible.
 Evaluation ranks the gold entity against every candidate with mean ranks
 for ties: rank = better + (tied + 1) / 2, counting the gold itself in the
 tied block.  Filtered mode drops known-true competitors before ranking.
+With the l2 norm a GEMM per block of queries settles the candidates that
+are surely better or worse than the gold and only the rest are scored
+directly; the ranks are those of scoring every candidate directly.
 
 Checkpoints are a fixed binary layout: magic, format version, a canonical
 JSON header (sorted keys, compact separators), then the parameter blocks in
@@ -18,8 +21,10 @@ in the header.  Saving, loading, and saving again yields identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field, fields
@@ -32,7 +37,7 @@ from .config import ConfigError
 from .fusion import FusionModel, ModelConfig
 from .kgdata import KnowledgeGraph, build_filter_index
 from .sampling import NegativeSamplingConfig, batch_loss, corrupt, derived_rng, negative_weights
-from .scoring import score_batch, score_candidates
+from .scoring import l2_error_bound, rotate, score, score_batch, score_candidates
 
 CHECKPOINT_MAGIC = b"MKGC"
 CHECKPOINT_VERSION = 1
@@ -142,6 +147,66 @@ def _mean_rank(scores: np.ndarray, gold: int, allowed: np.ndarray) -> float:
     return better + (tied + 1) / 2.0
 
 
+# queries per GEMM; a block holds a few (64, n_entities) float64 arrays
+_RANK_BLOCK = 64
+
+
+def _direct_rows(emb, theta, triples, norm):
+    """(h, r, t, side, scores) per query, per triple the tail query then the
+    head query, each scored over every candidate by the direct scorer."""
+    for h, r, t in triples.tolist():
+        yield h, r, t, "tail", score_candidates(emb, theta[r], emb[h], "tail", norm)
+        yield h, r, t, "head", score_candidates(emb, theta[r], emb[t], "head", norm)
+
+
+def _l2_rows(emb, theta, triples):
+    """_direct_rows for the l2 norm, ranked exactly but scored mostly by GEMM.
+
+    Squared distances ||q||^2 + ||c||^2 - 2 q.c come from one matrix product
+    per block of queries.  A candidate that l2_error_bound proves nearer than
+    the gold gets +inf, one proved farther gets -inf, and the band in between,
+    the gold included, is scored by the direct scorer.  _mean_rank gives such
+    a row the rank the full direct scores give.
+    """
+    n_ent, d = emb.shape
+    cand_sq = np.einsum("ij,ij->i", emb, emb)
+    cand_norm = np.sqrt(cand_sq)
+    # per query: per triple the tail query, then the head query
+    h, r, t = (np.repeat(col, 2) for col in triples.T)
+    tail_query = np.tile([True, False], len(triples))
+    gold = np.where(tail_query, t, h)
+    for b0 in range(0, len(gold), _RANK_BLOCK):
+        blk = slice(b0, b0 + _RANK_BLOCK)
+        # a head query turns its tail back by -theta: rotation is an isometry
+        phase = theta[r[blk]]
+        phase[~tail_query[blk]] *= -1.0
+        q = rotate(emb[np.where(tail_query[blk], h[blk], t[blk])], phase)
+        q_sq = np.einsum("ij,ij->i", q, q)
+        dist = q_sq[:, None] + cand_sq - 2.0 * (q @ emb.T)
+        err = l2_error_bound(np.sqrt(q_sq)[:, None], cand_norm, d)
+        lo = dist - err
+        hi = np.add(dist, err, out=dist)
+        at_gold = (np.arange(len(q)), gold[blk])
+        nearer = hi < lo[at_gold][:, None]
+        band = ~(nearer | (lo > hi[at_gold][:, None]))
+        band[at_gold] = True
+        rows = np.where(nearer, np.inf, -np.inf)
+        # the band as (head, relation, tail) rows, at most n_ent rows per call
+        # so that a wide band costs no more memory than a full direct row
+        qi, ci = np.nonzero(band)
+        qs = qi + b0
+        heads = np.where(tail_query[qs], h[qs], ci)
+        tails = np.where(tail_query[qs], ci, t[qs])
+        for c in range(0, len(qs), n_ent):
+            part = slice(c, c + n_ent)
+            rows[qi[part], ci[part]] = score(emb[heads[part]], theta[r[qs[part]]],
+                                             emb[tails[part]])
+        for i in range(len(q)):
+            j = b0 + i
+            side = "tail" if tail_query[j] else "head"
+            yield int(h[j]), int(r[j]), int(t[j]), side, rows[i]
+
+
 def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
              mode: str = "filtered", mi_ref_batch: int = 256,
              filter_index=None) -> dict:
@@ -163,28 +228,28 @@ def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
     theta = np.asarray(model.relation_phases.data, dtype=np.float64)
     norm = model.cfg.norm
     n_ent = emb.shape[0]
+    if norm == "l2":
+        query_rows = _l2_rows(emb, theta, triples)
+    else:
+        query_rows = _direct_rows(emb, theta, triples, norm)
 
     rr_sum = 0.0
     hits = {1: 0, 3: 0, 10: 0}
     queries = 0
-    for h, r, t in triples:
-        h, r, t = int(h), int(r), int(t)
-        for side in ("tail", "head"):
-            if side == "tail":
-                scores = score_candidates(emb, theta[r], emb[h], "tail", norm)
-                gold, known = t, filter_index.true_tails(h, r)
-            else:
-                scores = score_candidates(emb, theta[r], emb[t], "head", norm)
-                gold, known = h, filter_index.true_heads(r, t)
-            allowed = np.ones(n_ent, dtype=bool)
-            if mode == "filtered" and known:
-                allowed[np.fromiter(known, dtype=np.int64)] = False
-                allowed[gold] = True
-            rank = _mean_rank(scores, gold, allowed)
-            rr_sum += 1.0 / rank
-            for k in hits:
-                hits[k] += 1 if rank <= k else 0
-            queries += 1
+    for h, r, t, side, scores in query_rows:
+        if side == "tail":
+            gold, known = t, filter_index.true_tails(h, r)
+        else:
+            gold, known = h, filter_index.true_heads(r, t)
+        allowed = np.ones(n_ent, dtype=bool)
+        if mode == "filtered" and known:
+            allowed[np.fromiter(known, dtype=np.int64)] = False
+            allowed[gold] = True
+        rank = _mean_rank(scores, gold, allowed)
+        rr_sum += 1.0 / rank
+        for k in hits:
+            hits[k] += 1 if rank <= k else 0
+        queries += 1
     return {
         "mrr": rr_sum / queries,
         "hits1": hits[1] / queries,
@@ -200,6 +265,24 @@ def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
 
 # the model settings a checkpoint header records
 _CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig))
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_kw):
+    """Open a temporary file next to path for writing; on a clean exit fsync
+    it and rename it over path.  If the block raises, the temporary file is
+    removed and whatever was at path is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kw) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _canonical_header(header: dict) -> bytes:
@@ -252,7 +335,7 @@ def save_checkpoint(path, model: FusionModel, optimizer: Adam = None, extra: dic
         "extra": extra or {},
     }
     hdr = _canonical_header(header)
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(hdr)))

@@ -94,6 +94,39 @@ def test_bad_flag_value_is_a_config_error(workspace):
     assert main(["train", "--config", cfg_path, "--training-seed", "abc"]) == 2
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("training", "batch_size", 16.7),
+    ("model", "embedding_dim", 64.9),
+    ("training", "seed", True),
+    ("sampling", "margin", False),
+])
+def test_yaml_values_that_would_truncate_are_config_errors(workspace, capsys, section, key, value):
+    tmp_path, cfg_path = workspace
+    cfg = yaml.safe_load((tmp_path / "config.yaml").read_text())
+    cfg[section][key] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(cfg))
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config(str(bad))
+    assert main(["train", "--config", str(bad)]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_integral_yaml_float_is_accepted(workspace):
+    tmp_path, cfg_path = workspace
+    cfg = yaml.safe_load((tmp_path / "config.yaml").read_text())
+    cfg["training"]["batch_size"] = 16.0
+    good = tmp_path / "good.yaml"
+    good.write_text(yaml.safe_dump(cfg))
+    assert load_config(str(good))["training"]["batch_size"] == 16
+
+
+def test_bad_flag_error_names_the_flag(workspace, capsys):
+    _, cfg_path = workspace
+    assert main(["train", "--config", cfg_path, "--training-batch-size", "16.7"]) == 2
+    assert "--training-batch-size" in capsys.readouterr().err
+
+
 def test_defaults_fill_unset_keys(workspace):
     _, cfg_path = workspace
     cfg = load_config(cfg_path)

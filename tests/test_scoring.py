@@ -104,7 +104,7 @@ def test_candidate_scoring_matches_single_scores():
             assert heads[i] == pytest.approx(scoring.score(cand[i], theta, fixed, norm), abs=1e-9)
 
 
-@pytest.mark.parametrize("d", [16, 256])
+@pytest.mark.parametrize("d", [6, 16, 256])
 def test_row_scoring_is_exactly_the_per_row_score(d):
     # score broadcasts over rows; score_candidates dispatches onto it, so
     # every path must give the single-triple value to the last bit
@@ -120,6 +120,42 @@ def test_row_scoring_is_exactly_the_per_row_score(d):
         heads = scoring.score_candidates(H, P[0], T[0], "head", norm)
         assert tails.tolist() == [scoring.score(H[0], P[0], T[i], norm) for i in range(12)]
         assert heads.tolist() == [scoring.score(H[i], P[0], T[0], norm) for i in range(12)]
+
+
+@pytest.mark.parametrize("side", ["tail", "head"])
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
+@pytest.mark.parametrize("d", [2, 16, 256])
+def test_l2_error_bound_covers_every_gemm_order_flip(d, scale, side):
+    # candidates crowd one point: duplicates, one-ulp neighbours, tiny
+    # offsets far below the GEMM's rounding, a zero row and random rows
+    rng = np.random.default_rng(d)
+    theta = rng.uniform(-np.pi, np.pi, d // 2)
+    fixed = rng.normal(size=d) * scale
+    if side == "tail":
+        q = scoring.rotate(fixed, theta)
+    else:
+        q = scoring.rotate(fixed, -theta)
+    cand = np.concatenate([
+        np.tile(q, (4, 1)),
+        np.nextafter(q, np.where(rng.random((40, d)) < 0.5, -np.inf, np.inf)),
+        q + rng.normal(size=(40, d)) * scale * 1e-9,
+        np.zeros((1, d)),
+        rng.normal(size=(15, d)) * scale,
+    ])
+    direct = scoring.score_candidates(cand, theta, fixed, side)
+    c_sq = np.einsum("ij,ij->i", cand, cand)
+    gemm = q @ q + c_sq - 2.0 * (cand @ q)
+    err = scoring.l2_error_bound(np.sqrt(q @ q), np.sqrt(c_sq), d)
+    assert np.all(np.abs(gemm - direct * direct) <= err)
+    flips = 0
+    for g in range(len(cand)):
+        nearer = np.sign(gemm[g] - gemm)  # +1 where the GEMM puts c nearer
+        higher = np.sign(direct - direct[g])
+        flipped = nearer != higher
+        flips += int(flipped.sum())
+        band = np.abs(gemm - gemm[g]) <= err + err[g]
+        assert np.all(band[flipped]), g
+    assert flips > 0  # the fixture does reorder some pairs
 
 
 def test_unknown_corrupt_side_rejected():

@@ -2,23 +2,27 @@
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
 import moekgc.autodiff as ad
+import moekgc.trainer as trainer
 from moekgc.config import ConfigError
 from moekgc.fusion import FusionModel, ModelConfig
 from moekgc.kgdata import KnowledgeGraph, ModalityFeatureTable, build_filter_index
 from moekgc.sampling import NegativeSamplingConfig
-from moekgc.scoring import score
+from moekgc.scoring import score, score_candidates
 from moekgc.trainer import (
     Adam,
     CheckpointError,
     CheckpointVersionError,
     TrainConfig,
     TrainingError,
+    _mean_rank,
+    atomic_write,
     evaluate,
     load_checkpoint,
     mi_context_ids,
@@ -220,6 +224,100 @@ def test_filtered_ranks_are_never_worse_than_raw():
         assert filt["mrr"] >= raw["mrr"] - 1e-12
 
 
+def near_tie_graph(norm, dtype, scale):
+    """40 entities in near-tied groups and 40 test triples (two rank blocks).
+
+    Entity 1 duplicates entity 0, entities 2 and 3 sit one ulp above and
+    below it in every coordinate, entity 4 is zero, 5-9 repeat one row; the
+    rest are random.  Relation 0 has zero phases, so a head and its own
+    candidates tie exactly there.
+    """
+    rng = np.random.default_rng(11)
+    n, dim = 40, 8
+    emb = (rng.normal(size=(n, dim)) * scale).astype(dtype)
+    emb[1] = emb[0]
+    emb[2] = np.nextafter(emb[0], dtype(np.inf))
+    emb[3] = np.nextafter(emb[0], dtype(-np.inf))
+    emb[4] = 0.0
+    emb[5:10] = emb[5]
+    triples = [(int(rng.integers(n)), int(rng.integers(3)), int(rng.integers(n)))
+               for _ in range(40)]
+    test = triples[:33] + [(0, 0, 0), (1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 0, 4),
+                           (5, 0, 9), (6, 0, 10)]
+    train = triples[33:] + [(0, 0, 1), (2, 0, 3), (5, 1, 6), (7, 1, 5), (4, 2, 0)]
+    kg = make_kg(train, test=test, n_entities=n, n_relations=3)
+    with ad.using_dtype(dtype):
+        model = structure_model(kg, dim=dim, seed=5, norm=norm)
+    phases = model.params["rel_phases"].data.copy()
+    phases[0] = 0.0
+    model.params["rel_phases"].data = phases
+    model.params["entities"].data = emb
+    return kg, model
+
+
+def record_rank_calls(monkeypatch):
+    """Capture (scores, gold, allowed, rank) of every _mean_rank call."""
+    calls = []
+
+    def recording(scores, gold, allowed):
+        rank = _mean_rank(scores, gold, allowed)
+        calls.append((scores.copy(), gold, allowed.copy(), rank))
+        return rank
+
+    monkeypatch.setattr(trainer, "_mean_rank", recording)
+    return calls
+
+
+def direct_queries(model, kg, mode):
+    """(gold, allowed, direct rank) per query in evaluate's order, scored over
+    every candidate by score_candidates."""
+    fi = build_filter_index(kg)
+    emb = model.all_joint_embeddings(mi_context_ids(kg, 256))
+    theta = np.asarray(model.relation_phases.data, dtype=np.float64)
+    out = []
+    for h, r, t in kg.test.tolist():
+        for side, fixed, gold, known in (("tail", h, t, fi.true_tails(h, r)),
+                                         ("head", t, h, fi.true_heads(r, t))):
+            scores = score_candidates(emb, theta[r], emb[fixed], side, model.cfg.norm)
+            allowed = np.ones(kg.n_entities, dtype=bool)
+            if mode == "filtered":
+                allowed[list(known)] = False
+                allowed[gold] = True
+            out.append((gold, allowed, _mean_rank(scores, gold, allowed)))
+    return out
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("norm", ["l2", "l1"])
+@pytest.mark.parametrize("mode", ["filtered", "raw"])
+def test_evaluate_ranks_equal_direct_ranks_on_near_ties(monkeypatch, mode, norm, dtype, scale):
+    # the l2 path ranks from GEMM distances plus an exactly rescored band;
+    # every per-query rank must equal the full direct scorer's
+    kg, model = near_tie_graph(norm, dtype, scale)
+    want = direct_queries(model, kg, mode)
+    calls = record_rank_calls(monkeypatch)
+    evaluate(model, kg, "test", mode)
+    assert [c[3] for c in calls] == [w[2] for w in want]
+    # the fixture does tie: some gold shares its score with another candidate
+    assert any(rank % 1 for rank in (w[2] for w in want))
+
+
+def test_evaluate_calls_mean_rank_once_per_query_in_order(monkeypatch):
+    # perfbench reads every rank through trainer._mean_rank: one call per
+    # query, tail then head per triple, each the full filtered rank
+    kg, model = near_tie_graph("l2", np.float32, 1.0)
+    want = direct_queries(model, kg, "filtered")
+    calls = record_rank_calls(monkeypatch)
+    report = evaluate(model, kg, "test", "filtered")
+    assert len(calls) == report["queries"] == 2 * len(kg.test)
+    assert [c[1] for c in calls] == [g for h, _, t in kg.test.tolist() for g in (t, h)]
+    for (scores, gold, allowed, rank), (w_gold, w_allowed, w_rank) in zip(calls, want):
+        assert scores.shape == (kg.n_entities,)
+        np.testing.assert_array_equal(allowed, w_allowed)
+        assert (gold, rank) == (w_gold, w_rank)
+
+
 def test_evaluate_rejects_bad_mode_and_empty_split():
     kg = make_kg([(0, 0, 1)], n_entities=3)
     model = structure_model(kg)
@@ -357,6 +455,27 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     opt2.load_state({"step": state["adam_step"], "m": state["adam_m"], "v": state["adam_v"]})
     save_checkpoint(p2, loaded, opt2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_interrupted_write_keeps_the_earlier_file_and_no_temp(tmp_path, monkeypatch):
+    kg, tables, model, opt = fitted_model_and_opt(tmp_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, opt)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write(before[:10])
+            raise RuntimeError("interrupted mid-write")
+    assert path.read_bytes() == before
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model)  # no optimizer: different bytes
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_without_optimizer_loads_with_no_adam_state(tmp_path):
