@@ -14,7 +14,7 @@ float32 noise.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -199,11 +199,12 @@ def _accumulate(t: Tensor, g):
 
 
 def backward(loss: Tensor):
-    """Propagate d(loss)/d(x) into .grad of every reachable tensor.
+    """Propagate d(loss)/d(x) into .grad of every reachable leaf.
 
-    Each call contributes exactly one pass worth of gradient; .grad
-    accumulates across calls until zeroed, so running backward twice on the
-    same graph doubles it.
+    Leaves are the tensors no tape node produced (parameters, inputs);
+    interior tensors keep .grad None.  Each call contributes exactly one pass
+    worth of gradient; .grad accumulates across calls until zeroed, so
+    running backward twice on the same graph doubles it.
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
@@ -213,7 +214,8 @@ def backward(loss: Tensor):
     flow: dict[int, list] = {id(loss): [loss, np.ones_like(loss.data)]}
     # reverse construction order is a valid topological order
     for node in reversed(_TAPE):
-        entry = flow.get(id(node.out))
+        # no node processed later reads this output, so its gradient is done
+        entry = flow.pop(id(node.out), None)
         if entry is None:
             continue
         grads = node.grad_fn(entry[1])
@@ -223,8 +225,9 @@ def backward(loss: Tensor):
             key = id(parent)
             held = flow.get(key)
             if held is None:
-                flow[key] = [parent, np.array(g, dtype=parent.data.dtype, copy=True)]
+                flow[key] = [parent, np.asarray(g, dtype=parent.data.dtype)]
             else:
+                # out of place: g may alias another entry or a node's data
                 held[1] = held[1] + g
     for tensor, g in flow.values():
         _accumulate(tensor, g)
@@ -505,32 +508,3 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
         return (buf,)
 
     return _make(out, (a,), grad_fn, "slice_cols")
-
-
-def element(a, index: int) -> Tensor:
-    """Pick one element of a 1-d tensor as a scalar tensor."""
-    a = ensure_tensor(a)
-    if a.ndim != 1:
-        raise ValueError("element expects a 1-d tensor")
-    out = np.asarray(a.data[index])
-
-    def grad_fn(g):
-        buf = np.zeros_like(a.data)
-        buf[index] = g
-        return (buf,)
-
-    return _make(out, (a,), grad_fn, "element")
-
-
-def stack_scalars(parts: Iterable[Tensor]) -> Tensor:
-    """Stack scalar tensors into a 1-d vector."""
-    parts = [ensure_tensor(p) for p in parts]
-    for p in parts:
-        if p.data.size != 1:
-            raise ValueError("stack_scalars expects scalar tensors")
-    out = np.array([float(p.data) for p in parts], dtype=_DTYPE)
-
-    def grad_fn(g):
-        return tuple(np.asarray(g[i], dtype=p.data.dtype).reshape(p.data.shape) for i, p in enumerate(parts))
-
-    return _make(out, tuple(parts), grad_fn, "stack_scalars")

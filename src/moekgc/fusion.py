@@ -30,6 +30,8 @@ from .kgdata import STRUCTURE_MODALITY, ModalityFeatureTable
 
 # joint-table entries below this threshold contribute nothing to the estimate
 MI_EPS = 1e-12
+# softmax logit of an absent source: exp underflows to exactly 0
+ABSENT_LOGIT = -1e30
 
 
 @dataclass
@@ -141,21 +143,61 @@ def inter_modality_fuse(modality_embeddings: dict, mi_matrix):
     return joint, dict(zip(modality_embeddings, w))
 
 
-def _pair_mi_weights(pair_mi: dict, members) -> Tensor:
-    """Complementarity weights on the tape: softmax over negated MI row sums
-    among members, with pair_mi mapping (a, b), a < b, to an MI tensor."""
-    neg_rows = []
-    for a in members:
-        total = ad.Tensor(0.0)
-        for b in members:
-            if b != a:
-                total = total + pair_mi[(min(a, b), max(a, b))]
-        neg_rows.append(-total)
-    return ad.softmax(ad.stack_scalars(neg_rows))
+def _mi_weights(pair_mi: dict, present) -> Tensor:
+    """Complementarity weights on the tape, one softmax per row of present.
+
+    pair_mi maps (a, b), a < b, to an MI tensor; present is a 0/1 array of
+    shape (rows, n) marking the sources each row has.  A pair adds its MI to
+    the row sum of each member where the other member is present, pairs in
+    key order; absent sources get logit -1e30 and so weight exactly 0.  An
+    empty map gives uniform weights over the present sources.
+    """
+    present = np.asarray(present)
+    total = None
+    for (a, b), mi in pair_mi.items():
+        link = np.zeros(present.shape)
+        link[:, a] = present[:, b]
+        link[:, b] = present[:, a]
+        term = mi * ad.Tensor(link)
+        total = term if total is None else total + term
+    logits = ad.Tensor(ABSENT_LOGIT * (1.0 - present))
+    if total is not None:
+        logits = logits - total
+    return ad.softmax(logits, axis=-1)
+
+
+def _weighted_sum(w: Tensor, parts) -> Tensor:
+    """Sum of w[:, a] * parts[a] over the parts that are not None."""
+    out = None
+    for a, part in enumerate(parts):
+        if part is not None:
+            term = ad.slice_cols(w, a, a + 1) * part
+            out = term if out is None else out + term
+    return out
+
+
+def _pair_matrix(pair_mi: dict, n: int) -> np.ndarray:
+    """Symmetric (n, n) float64 matrix of the pair MI values; zero elsewhere."""
+    mat = np.zeros((n, n))
+    for (a, b), mi in pair_mi.items():
+        mat[a, b] = mat[b, a] = float(mi.data)
+    return mat
 
 
 # ---------------------------------------------------------------------------
 # the model
+
+
+def _row_lookup(table: ModalityFeatureTable, n_entities: int) -> np.ndarray:
+    """(n_entities,) feature row per entity id, -1 where the table has none."""
+    ids = np.fromiter(table.rows.keys(), dtype=np.int64, count=len(table.rows))
+    rows = np.fromiter(table.rows.values(), dtype=np.int64, count=len(table.rows))
+    if ids.size and (ids.min() < 0 or ids.max() >= n_entities):
+        raise ConfigError(f"modality {table.modality!r} has features for an entity "
+                          f"outside [0, {n_entities})")
+    lookup = np.full(n_entities, -1, dtype=np.int64)
+    lookup[ids] = rows
+    return lookup
 
 
 @dataclass
@@ -182,6 +224,8 @@ class FusionModel:
         self.tables = {m: tables[m] for m in cfg.modalities}
         # structure first, then feature modalities in config order
         self.source_order = [STRUCTURE_MODALITY] + list(cfg.modalities)
+        # entity id -> row in the modality's feature table, -1 where absent
+        self.feature_rows = {m: _row_lookup(self.tables[m], n_entities) for m in cfg.modalities}
         self.params: dict = {}
         self._init_params(seed)
 
@@ -250,9 +294,6 @@ class FusionModel:
     def _maybe_stop(self, w: Tensor) -> Tensor:
         return w if self.cfg.grad_through_weights else w.detach()
 
-    def _uniform(self, n: int) -> Tensor:
-        return ad.Tensor(np.full(n, 1.0 / n))
-
     # -- fusion
 
     def fuse(self, entity_ids, mi: MIState = None):
@@ -267,117 +308,75 @@ class FusionModel:
         entity_ids = np.asarray(entity_ids, dtype=np.int64)
         if entity_ids.ndim != 1 or entity_ids.size == 0:
             raise ValueError("fuse expects a non-empty 1-d array of entity indices")
-        B = entity_ids.size
-        k = self.cfg.experts
+        if entity_ids.min() < 0 or entity_ids.max() >= self.n_entities:
+            raise ValueError(f"entity indices must lie in [0, {self.n_entities})")
+        B, k = entity_ids.size, self.cfg.experts
         estimate = mi is None
+        n_src = len(self.source_order)
 
-        # positions in the batch covered by each source; structure covers all
-        rows: dict = {STRUCTURE_MODALITY: np.arange(B)}
-        row_of: dict = {STRUCTURE_MODALITY: {p: p for p in range(B)}}
-        for m in self.cfg.modalities:
-            table = self.tables[m]
-            pos = [p for p, e in enumerate(entity_ids) if table.has(int(e))]
-            rows[m] = np.asarray(pos, dtype=np.int64)
-            row_of[m] = {p: j for j, p in enumerate(pos)}
+        # (n_src, B): each position's row in each source, -1 where absent;
+        # a position's row within its source block counts the present ones
+        feat_rows = np.stack([entity_ids] + [self.feature_rows[m][entity_ids]
+                                             for m in self.cfg.modalities])
+        has = feat_rows >= 0
+        block_row = np.cumsum(has, axis=1) - 1
 
-        fused_by_source: dict = {STRUCTURE_MODALITY: ad.gather_rows(self.params["entities"], entity_ids)}
+        # one fused block per source: structure covers every position
+        blocks = [ad.gather_rows(self.params["entities"], entity_ids)]
         mi_intra_np: dict = {}
         intra_w_np: dict = {}
-
-        for m in self.cfg.modalities:
-            if rows[m].size == 0:
+        for s, m in enumerate(self.cfg.modalities, start=1):
+            if not has[s].any():
                 mi_intra_np[m] = np.zeros((k, k))
                 intra_w_np[m] = np.full(k, 1.0 / k)
+                blocks.append(None)
                 continue
-            feats = np.stack([self.tables[m].row(int(entity_ids[p])) for p in rows[m]])
-            v = self._project(m, ad.Tensor(feats))
+            v = self._project(m, ad.Tensor(self.tables[m].features[feat_rows[s, has[s]]]))
             views = [self._expert(m, i, v) for i in range(k)]
-
+            pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
             if self.cfg.intra_weighting == "uniform" or k == 1:
-                # no MI needed when every view gets the same weight
-                w = self._uniform(k)
-                mi_intra_np[m] = np.zeros((k, k))
+                pair_mi = {}
             elif estimate:
                 dists = [self._view_dist(m, i, views[i]) for i in range(k)]
-                pair = {}
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        pair[(i, j)] = batch_mutual_information(dists[i], dists[j])
-                w = self._maybe_stop(_pair_mi_weights(pair, range(k)))
-                mat = np.zeros((k, k))
-                for (i, j), t in pair.items():
-                    mat[i, j] = mat[j, i] = float(t.data)
-                mi_intra_np[m] = mat
+                pair_mi = {(i, j): batch_mutual_information(dists[i], dists[j]) for i, j in pairs}
             else:
-                mat = np.asarray(mi.intra[m], dtype=np.float64)
-                mi_intra_np[m] = mat
-                w = ad.Tensor(complementarity_weights(mat))
+                pair_mi = {(i, j): ad.Tensor(mi.intra[m][i, j]) for i, j in pairs}
+            w = self._maybe_stop(_mi_weights(pair_mi, np.ones((1, k))))
+            mi_intra_np[m] = _pair_matrix(pair_mi, k)
+            intra_w_np[m] = np.array(w.data[0], dtype=np.float64)
+            blocks.append(_weighted_sum(w, views))
 
-            intra_w_np[m] = np.asarray(w.data, dtype=np.float64).copy()
-            fused = ad.element(w, 0) * views[0]
-            for i in range(1, k):
-                fused = fused + ad.element(w, i) * views[i]
-            fused_by_source[m] = fused
-
-        # distributions over the fused per-source vectors, for the inter MI
-        n_src = len(self.source_order)
-        if estimate:
-            inter_mat = np.zeros((n_src, n_src))
-            inter_pair: dict = {}
-            modal_dists: dict = {}
-            for m in self.source_order:
-                if rows[m].size > 0 and m in fused_by_source:
-                    modal_dists[m] = self._modal_dist(m, fused_by_source[m])
-            for a in range(n_src):
-                for b in range(a + 1, n_src):
-                    ma, mb = self.source_order[a], self.source_order[b]
-                    if ma not in modal_dists or mb not in modal_dists:
-                        inter_pair[(a, b)] = ad.Tensor(0.0)
-                        continue
-                    shared = [p for p in range(B) if p in row_of[ma] and p in row_of[mb]]
-                    if not shared:
-                        inter_pair[(a, b)] = ad.Tensor(0.0)
-                        continue
-                    xa = ad.gather_rows(modal_dists[ma], [row_of[ma][p] for p in shared])
-                    xb = ad.gather_rows(modal_dists[mb], [row_of[mb][p] for p in shared])
-                    inter_pair[(a, b)] = batch_mutual_information(xa, xb)
-                    inter_mat[a, b] = inter_mat[b, a] = float(inter_pair[(a, b)].data)
+        pairs = [(a, b) for a in range(n_src) for b in range(a + 1, n_src)]
+        if self.cfg.inter_weighting == "uniform":
+            inter_pair = {}
+        elif estimate:
+            # MI over the positions that have both sources of a pair
+            dists = [None if x is None else self._modal_dist(m, x)
+                     for m, x in zip(self.source_order, blocks)]
+            inter_pair = {}
+            for a, b in pairs:
+                shared = has[a] & has[b]
+                if shared.any():
+                    inter_pair[(a, b)] = batch_mutual_information(
+                        ad.gather_rows(dists[a], block_row[a, shared]),
+                        ad.gather_rows(dists[b], block_row[b, shared]))
         else:
-            inter_mat = np.asarray(mi.inter, dtype=np.float64)
-            inter_pair = None
+            inter_pair = {(a, b): ad.Tensor(mi.inter[a, b]) for a, b in pairs}
+        w = self._maybe_stop(_mi_weights(inter_pair, has.T))
+        # a generator, so each placed block can be freed once it is summed
+        placed = (x if s == 0 or x is None else ad.scatter_rows(x, np.flatnonzero(has[s]), B)
+                  for s, x in enumerate(blocks))
+        joint = _weighted_sum(w, placed)
 
-        # group batch positions by which sources they actually have
-        groups: dict = {}
-        for p in range(B):
-            mask = tuple(a for a, m in enumerate(self.source_order) if p in row_of[m])
-            groups.setdefault(mask, []).append(p)
-
-        inter_w_np: dict = {}
-        joint = None
-        for mask, positions in groups.items():
-            if self.cfg.inter_weighting == "uniform":
-                w = self._uniform(len(mask))
-            elif estimate:
-                w = self._maybe_stop(_pair_mi_weights(inter_pair, mask))
-            else:
-                sub = inter_mat[np.ix_(mask, mask)]
-                w = ad.Tensor(complementarity_weights(sub))
-            inter_w_np[mask] = np.asarray(w.data, dtype=np.float64).copy()
-
-            part = None
-            for k_i, a in enumerate(mask):
-                m = self.source_order[a]
-                sel = ad.gather_rows(fused_by_source[m], [row_of[m][p] for p in positions])
-                term = ad.element(w, k_i) * sel
-                part = term if part is None else part + term
-            placed = ad.scatter_rows(part, positions, B)
-            joint = placed if joint is None else joint + placed
-
+        # every position with the same sources has the same inter weights
+        masks, first = np.unique(has.T, axis=0, return_index=True)
         cache = {
             "mi_intra": mi_intra_np,
-            "mi_inter": inter_mat,
+            "mi_inter": _pair_matrix(inter_pair, n_src),
             "intra_weights": intra_w_np,
-            "inter_weights": inter_w_np,
+            "inter_weights": {tuple(np.flatnonzero(mask).tolist()):
+                              np.array(w.data[p, mask], dtype=np.float64)
+                              for mask, p in zip(masks, first)},
             "source_order": list(self.source_order),
         }
         return joint, cache

@@ -469,8 +469,10 @@ def train(kg: KnowledgeGraph, tables: dict, model_cfg: ModelConfig,
             for orig in rows:
                 h, r, t = (int(x) for x in kg.train[orig])
                 rng = derived_rng(train_cfg.seed, epoch, int(orig))
-                negatives.extend(corrupt((h, r, t), n_neg, rng, fi, kg.n_entities,
-                                         max_retries=sampling_cfg.max_retries))
+                negatives.extend((neg.head, neg.relation, neg.tail)
+                                 for neg in corrupt((h, r, t), n_neg, rng, fi, kg.n_entities,
+                                                  max_retries=sampling_cfg.max_retries))
+            negatives = np.asarray(negatives, dtype=np.int64)
             try:
                 loss_value = _batch_step(model, opt, positives, negatives, sampling_cfg)
             except (FiniteError, TrainingError) as e:
@@ -507,36 +509,29 @@ def train(kg: KnowledgeGraph, tables: dict, model_cfg: ModelConfig,
 
 def _batch_step(model: FusionModel, opt: Adam, positives, negatives,
                 sampling_cfg: NegativeSamplingConfig) -> float:
-    """Forward, backward, and one Adam step for one batch; returns the loss."""
-    touched = set()
-    for h, _, t in positives:
-        touched.add(int(h))
-        touched.add(int(t))
-    for s in negatives:
-        touched.add(s.head)
-        touched.add(s.tail)
-    uniq = np.asarray(sorted(touched), dtype=np.int64)
-    pos_of = {e: i for i, e in enumerate(uniq)}
+    """Forward, backward, and one Adam step for one batch; returns the loss.
+
+    positives and negatives are (n, 3) arrays of (head, relation, tail).
+    Every entity they touch is fused once, in sorted id order.
+    """
+    ends = np.concatenate([positives[:, [0, 2]], negatives[:, [0, 2]]])
+    uniq, inverse = np.unique(ends, return_inverse=True)
+    pos_of = inverse.reshape(ends.shape)
+    n_pos = len(positives)
 
     ad.reset_tape()
     joint, _ = model.fuse(uniq)
 
-    ph = np.asarray([pos_of[int(h)] for h, _, _ in positives])
-    pt = np.asarray([pos_of[int(t)] for _, _, t in positives])
-    pr = np.asarray([int(r) for _, r, _ in positives])
     pos_scores = score_batch(
-        ad.gather_rows(joint, ph),
-        ad.gather_rows(model.relation_phases, pr),
-        ad.gather_rows(joint, pt),
+        ad.gather_rows(joint, pos_of[:n_pos, 0]),
+        ad.gather_rows(model.relation_phases, positives[:, 1]),
+        ad.gather_rows(joint, pos_of[:n_pos, 1]),
         model.cfg.norm,
     )
-    nh = np.asarray([pos_of[s.head] for s in negatives])
-    nt = np.asarray([pos_of[s.tail] for s in negatives])
-    nr = np.asarray([s.relation for s in negatives])
     neg_scores = score_batch(
-        ad.gather_rows(joint, nh),
-        ad.gather_rows(model.relation_phases, nr),
-        ad.gather_rows(joint, nt),
+        ad.gather_rows(joint, pos_of[n_pos:, 0]),
+        ad.gather_rows(model.relation_phases, negatives[:, 1]),
+        ad.gather_rows(joint, pos_of[n_pos:, 1]),
         model.cfg.norm,
     )
     weights = negative_weights(neg_scores.data, sampling_cfg)

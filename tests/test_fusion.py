@@ -326,14 +326,57 @@ def reference_joint(model, entity_ids):
     return out
 
 
-@pytest.mark.parametrize("covered", [None, [[0, 1, 2, 4], [1, 2, 3]]])
-def test_joint_matches_independent_reference(covered):
+_PARTIAL = [[0, 1, 2, 4], [1, 2, 3]]
+
+
+@pytest.mark.parametrize("covered, ids, cfg_kw", [
+    pytest.param(None, None, {}, id="None"),
+    pytest.param(_PARTIAL, None, {}, id="covered1"),
+    pytest.param(_PARTIAL, None, {"k": 3}, id="three-experts"),
+    pytest.param(_PARTIAL, None, {"k": 3, "intra_weighting": "uniform"}, id="intra-uniform"),
+    pytest.param(_PARTIAL, None, {"inter_weighting": "uniform"}, id="inter-uniform"),
+    pytest.param(_PARTIAL, None, {"k": 1}, id="one-expert"),
+    # txt covers neither entity 0 nor 4
+    pytest.param(_PARTIAL, [0, 4], {}, id="modality-absent-from-batch"),
+    pytest.param(_PARTIAL, [1, 4, 1, 3, 4, 0], {"k": 3}, id="repeated-ids-partial"),
+])
+def test_joint_matches_independent_reference(covered, ids, cfg_kw):
     with ad.using_dtype(np.float64):
-        model = small_model(covered=covered, n_entities=5, seed=3)
-        ids = np.arange(5)
+        model = small_model(covered=covered, n_entities=5, seed=3, **cfg_kw)
+        ids = np.arange(5) if ids is None else np.array(ids)
         joint, _ = model.fuse(ids)
         want = reference_joint(model, ids)
     np.testing.assert_allclose(joint.data, want, atol=1e-9)
+
+
+def test_uniform_inter_weighting_estimates_no_source_mi(monkeypatch):
+    calls = []
+    real = fusion.batch_mutual_information
+
+    def counting(x, y):
+        calls.append(x.shape)
+        return real(x, y)
+
+    monkeypatch.setattr(fusion, "batch_mutual_information", counting)
+    # three expert pairs in each of two modalities, then three source pairs
+    _, cache = small_model(n_entities=6, k=3).fuse(np.arange(6))
+    assert len(calls) == 2 * 3 + 3
+    assert np.any(cache["mi_inter"] != 0)
+    calls.clear()
+    _, cache = small_model(n_entities=6, k=3, inter_weighting="uniform").fuse(np.arange(6))
+    assert len(calls) == 2 * 3
+    np.testing.assert_array_equal(cache["mi_inter"], np.zeros((3, 3)))
+
+
+def test_feature_rows_outside_the_entity_range_are_rejected():
+    rng = np.random.default_rng(0)
+    tables = {"img": make_table("img", 4, 3, rng, covered=[0, 4])}
+    with pytest.raises(ConfigError, match="outside"):
+        FusionModel(ModelConfig(embedding_dim=4, modalities=["img"]), 4, 2, tables)
+    model = small_model(n_entities=4)
+    for bad in ([4], [-1, 0]):
+        with pytest.raises(ValueError, match="entity indices"):
+            model.fuse(bad)
 
 
 def test_duplicate_entities_in_reference_ids():
