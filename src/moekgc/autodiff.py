@@ -14,6 +14,7 @@ float32 noise.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Sequence
 
 import numpy as np
@@ -275,9 +276,10 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def grad_fn(g):
+        # a constant operand's gradient would be dropped by backward: skip it
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return _make(out, (a, b), grad_fn, "mul")
@@ -369,18 +371,12 @@ def sin(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = ensure_tensor(a)
-    mask = a.data > 0  # subgradient 0 at exactly 0
-
-    def grad_fn(g):
-        return (g * mask,)
-
-    return _make(np.where(mask, a.data, 0.0).astype(a.data.dtype), (a,), grad_fn, "relu")
+    return clamp_min(a, 0.0)
 
 
 def clamp_min(a, floor: float) -> Tensor:
     a = ensure_tensor(a)
-    mask = a.data > floor
+    mask = a.data > floor  # subgradient 0 at exactly the floor
 
     def grad_fn(g):
         return (g * mask,)
@@ -435,7 +431,9 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        # a constant operand's gradient would be dropped by backward: skip it
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _make(out, (a, b), grad_fn, "matmul")
 
@@ -474,8 +472,12 @@ def gather_rows(table, indices) -> Tensor:
     out = table.data[idx]
 
     def grad_fn(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, idx, g)
+        # one flat scatter: each table element still sums its gradients in
+        # index order, as a row-wise np.add.at would, at half the cost
+        width = math.prod(table.data.shape[1:])
+        flat = idx.reshape(-1, 1) * width + np.arange(width)
+        buf = np.zeros(table.data.shape, dtype=table.data.dtype)  # C order: a view below
+        np.add.at(buf.reshape(-1), flat.reshape(-1), g.reshape(-1))
         return (buf,)
 
     return _make(out, (table,), grad_fn, "gather_rows")

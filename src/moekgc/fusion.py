@@ -32,6 +32,11 @@ from .kgdata import STRUCTURE_MODALITY, ModalityFeatureTable
 MI_EPS = 1e-12
 # softmax logit of an absent source: exp underflows to exactly 0
 ABSENT_LOGIT = -1e30
+# entities per fuse call in all_joint_embeddings: at d=256 each float32
+# intermediate of a block (projection, expert hiddens and views) is 2 MB, near
+# a core's cache, where one call over 15k entities walks 15 MB arrays and
+# holds over a hundred MB of them at once
+_EMBED_BLOCK = 2048
 
 
 @dataclass
@@ -388,8 +393,16 @@ class FusionModel:
         return MIState(intra=cache["mi_intra"], inter=cache["mi_inter"])
 
     def all_joint_embeddings(self, context_ids) -> np.ndarray:
-        """Joint embeddings for every entity, MI estimated over context_ids."""
+        """Joint embeddings for every entity, MI estimated over context_ids.
+
+        Under the pinned MI state each row depends only on its own entity,
+        so fusing in blocks of _EMBED_BLOCK rows gives the rows of one
+        fuse call over every entity, bit for bit.
+        """
         mi = self.mi_state(context_ids)
+        out = np.empty((self.n_entities, self.cfg.embedding_dim), dtype=np.float64)
         with ad.no_grad():
-            joint, _ = self.fuse(np.arange(self.n_entities), mi)
-        return np.asarray(joint.data, dtype=np.float64)
+            for b0 in range(0, self.n_entities, _EMBED_BLOCK):
+                b1 = min(b0 + _EMBED_BLOCK, self.n_entities)
+                out[b0:b1] = self.fuse(np.arange(b0, b1), mi)[0].data
+        return out

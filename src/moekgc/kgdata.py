@@ -114,8 +114,8 @@ def load_graph(train_path, valid_path, test_path, allow_unseen: bool = False) ->
     """Load the three splits and assign vocab indices by first appearance.
 
     valid_path and test_path may be None for graphs without those splits.
-    Unless allow_unseen is set, every entity and relation in valid/test must
-    also appear in train.
+    No valid or test triple may also be a train triple.  Unless allow_unseen
+    is set, every entity and relation in valid/test must also appear in train.
     """
     raw = {
         "train": _read_triple_lines(train_path),
@@ -138,6 +138,7 @@ def load_graph(train_path, valid_path, test_path, allow_unseen: bool = False) ->
         return idx
 
     splits = {}
+    in_train = set()
     for split in ("train", "valid", "test"):
         seen = set()
         rows = np.empty((len(raw[split]), 3), dtype=np.int64)
@@ -145,11 +146,16 @@ def load_graph(train_path, valid_path, test_path, allow_unseen: bool = False) ->
             key = (h, r, t)
             if key in seen:
                 raise DataError(f"{paths[split]}:{lineno}: duplicate triple {key!r}")
+            if key in in_train:
+                # a held-out triple seen in training leaks the answer
+                raise DataError(f"{paths[split]}:{lineno}: {split} triple {key!r} is also in train")
             seen.add(key)
             rows[i, 0] = intern(h, entity_index, entities)
             rows[i, 1] = intern(r, relation_index, relations)
             rows[i, 2] = intern(t, entity_index, entities)
         splits[split] = rows
+        if split == "train":
+            in_train = seen
 
     if not allow_unseen:
         train_ents = {h for _, h, _, t in raw["train"]} | {t for _, h, _, t in raw["train"]}

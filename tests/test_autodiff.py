@@ -185,17 +185,45 @@ def test_gather_rows_accumulates_repeated_indices():
     np.testing.assert_array_equal(t.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7,), (7, 5)])
+def test_gather_rows_grad_matches_row_scatter(shape, dtype):
+    # the oracle: a dense table scatter-added one row per index, in order
+    def row_scatter(table, idx, g):
+        buf = np.zeros_like(table)
+        np.add.at(buf, idx, g)
+        return buf
+
+    rng = np.random.default_rng(8)
+    idx = np.array([4, 0, 4, 6, 1, 4, 0, 2, 6, 6])  # unsorted, repeated
+    with ad.using_dtype(dtype):
+        table = ad.parameter(rng.normal(size=shape))
+        picked = ad.gather_rows(table, idx)
+        node = ad._TAPE[-1]
+        # a float64 upstream gradient into a float32 table included
+        for g in (rng.normal(size=picked.shape).astype(dtype), rng.normal(size=picked.shape)):
+            got = node.grad_fn(g)[0]
+            want = row_scatter(table.data, idx, g)
+            assert got.dtype == want.dtype == table.data.dtype
+            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+        g = rng.normal(size=picked.shape).astype(dtype)
+        ad.backward((picked * ad.Tensor(g)).sum())
+    np.testing.assert_array_equal(table.grad.view(np.uint8),
+                                  row_scatter(table.data, idx, g).view(np.uint8))
+
+
 def test_scatter_rows_rejects_duplicate_indices():
     src = ad.Tensor(np.ones((2, 3), dtype=np.float32))
     with pytest.raises(ValueError):
         ad.scatter_rows(src, [1, 1], 4)
 
 
-def _fd_case(name, build, n_params, shapes, low=-2.0, high=2.0, positive=False):
-    return (name, build, n_params, shapes, low, high, positive)
+def _fd_case(name, build, n_params, shapes, low=-2.0, high=2.0, positive=False, const=()):
+    return (name, build, n_params, shapes, low, high, positive, const)
 
 
-# each case: scalar loss built from parameter tensors; checked against FD
+# each case: scalar loss built from parameter tensors; checked against FD.
+# Operands listed in const are plain Tensors: they must get no .grad
 _GRAD_CASES = [
     _fd_case("add_broadcast", lambda p: (p[0] + p[1]).sum(), 2, [(3, 4), (4,)]),
     _fd_case("sub", lambda p: (p[0] - p[1]).square().sum(), 2, [(3, 4), (3, 4)]),
@@ -216,6 +244,14 @@ _GRAD_CASES = [
         [(3, 5)],
     ),
     _fd_case("matmul_chain", lambda p: ad.relu(p[0] @ p[1]).sum(), 2, [(3, 4), (4, 2)]),
+    _fd_case("matmul_const_left", lambda p: (p[0] @ p[1]).square().sum(), 2, [(3, 4), (4, 2)],
+             const=(0,)),
+    _fd_case("matmul_const_right", lambda p: (p[0] @ p[1]).square().sum(), 2, [(3, 4), (4, 2)],
+             const=(1,)),
+    _fd_case("mul_const_left", lambda p: (p[0] * p[1]).square().sum(), 2, [(3, 1), (3, 4)],
+             const=(0,)),
+    _fd_case("mul_const_right", lambda p: (p[0] * p[1]).square().sum(), 2, [(3, 4), (3, 4)],
+             const=(1,)),
     _fd_case("transpose", lambda p: (ad.transpose(p[0]) @ p[1]).sum(), 2, [(3, 4), (3, 2)]),
     _fd_case("clamp_min", lambda p: ad.clamp_min(p[0], 0.5).sum(), 1, [(6,)], low=0.6, high=2.0),
     _fd_case("gather", lambda p: ad.gather_rows(p[0], [0, 2, 2, 1]).square().sum(), 1, [(4, 3)]),
@@ -227,27 +263,29 @@ _GRAD_CASES = [
 @pytest.mark.parametrize("case", _GRAD_CASES, ids=[c[0] for c in _GRAD_CASES])
 def test_gradients_match_finite_differences(case):
     """Analytic gradients within 1e-3 relative of central differences (step 1e-3)."""
-    name, build, n_params, shapes, low, high, positive = case
+    name, build, n_params, shapes, low, high, positive, const = case
     rng = np.random.default_rng(42)
     with ad.using_dtype(np.float64):
         for _ in range(3):
             params = []
-            for shape in shapes:
+            for i, shape in enumerate(shapes):
                 x = rng.uniform(low, high, shape)
                 if not positive:
                     # keep relu/abs-style kinks farther than the probe step
                     x = np.where(np.abs(x) < 2e-2, x + 5e-2, x)
-                params.append(ad.parameter(x))
+                params.append(ad.Tensor(x) if i in const else ad.parameter(x))
             ad.reset_tape()
             loss = build(params)
             ad.backward(loss)
-            analytic = [p.grad.copy() for p in params]
+            assert all(params[i].grad is None for i in const), name
+            trained = [p for i, p in enumerate(params) if i not in const]
+            analytic = [p.grad.copy() for p in trained]
 
             def f():
                 ad.reset_tape()
                 with ad.no_grad():
                     return float(build(params).data)
 
-            numeric = finite_difference_grads(f, [p.data for p in params])
+            numeric = finite_difference_grads(f, [p.data for p in trained])
             for a, n in zip(analytic, numeric):
                 assert relative_block_error(a, n) < 1e-3, name

@@ -89,6 +89,15 @@ def test_missing_data_file_is_a_data_error(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize("split", ["valid", "test"])
+def test_held_out_triple_in_train_is_a_data_error(workspace, split, capsys):
+    tmp_path, cfg_path = workspace
+    (tmp_path / f"{split}.tsv").write_text("c\tlinks\td\n")  # line 3 of TRAIN
+    assert main(["train", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert f"{split}.tsv:1: {split} triple ('c', 'links', 'd') is also in train" in err
+
+
 def test_bad_flag_value_is_a_config_error(workspace):
     _, cfg_path = workspace
     assert main(["train", "--config", cfg_path, "--training-seed", "abc"]) == 2

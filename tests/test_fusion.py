@@ -418,6 +418,23 @@ def test_entity_joint_embedding_single():
     np.testing.assert_allclose(one.data[0], batch.data[1], atol=1e-6)
 
 
+def test_all_joint_embeddings_in_blocks_match_one_fuse_call():
+    # two full blocks and a remainder; txt stops inside the first block, so
+    # later blocks run without it, and the last entity has no features
+    n = 2 * fusion._EMBED_BLOCK + 37
+    rng = np.random.default_rng(3)
+    img = np.flatnonzero(rng.random(n - 1) < 0.7)
+    txt = np.flatnonzero(rng.random(fusion._EMBED_BLOCK - 5) < 0.5)
+    model = small_model(rng, n_entities=n, k=3, covered=[img, txt], seed=4)
+    context = rng.choice(n, 64, replace=False)
+    with ad.no_grad():
+        oracle, _ = model.fuse(np.arange(n), model.mi_state(context))
+    got = model.all_joint_embeddings(context)
+    assert got.dtype == np.float64
+    want = np.asarray(oracle.data, dtype=np.float64)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_stop_gradient_keeps_distribution_heads_frozen():
     model = small_model(n_entities=6)
     joint, _ = model.fuse(np.arange(6))

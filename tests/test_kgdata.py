@@ -16,9 +16,10 @@ def write(path, lines):
 
 
 def make_graph(tmp_path, train, valid=None, test=None, allow_unseen=False):
+    # a split left as None has no file
     t = write(tmp_path / "train.tsv", train)
-    v = write(tmp_path / "valid.tsv", valid if valid is not None else train[:1])
-    s = write(tmp_path / "test.tsv", test if test is not None else train[:1])
+    v = None if valid is None else write(tmp_path / "valid.tsv", valid)
+    s = None if test is None else write(tmp_path / "test.tsv", test)
     return load_graph(t, v, s, allow_unseen=allow_unseen)
 
 
@@ -84,6 +85,15 @@ def test_unseen_test_entity_rejected_unless_allowed(tmp_path):
         make_graph(tmp_path, train, test=["a\tr\tzzz"])
     kg = make_graph(tmp_path, train, test=["a\tr\tzzz"], allow_unseen=True)
     assert "zzz" in kg.entity_index
+
+
+@pytest.mark.parametrize("split", ["valid", "test"])
+def test_held_out_triple_in_train_names_file_line_and_triple(tmp_path, split):
+    train = ["a\tr\tb", "b\tr\tc", "c\tr\ta"]
+    held_out = {split: ["a\tr\tc", "c\tr\ta"]}  # line 2 leaks a train triple
+    leak = rf"{split}\.tsv:2: {split} triple \('c', 'r', 'a'\) is also in train"
+    with pytest.raises(DataError, match=leak):
+        make_graph(tmp_path, train, **held_out)
 
 
 def test_modality_table_loads(tmp_path):
