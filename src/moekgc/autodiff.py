@@ -177,7 +177,7 @@ def ensure_tensor(x) -> Tensor:
 
 
 def _check_finite(arr, op: str):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FiniteError(f"{op} produced a non-finite value")
 
 

@@ -34,7 +34,6 @@ from .sampling import (
     SamplingError,
     annotate,
     corrupt,
-    derived_rng,
     sample_stats,
 )
 from .scoring import score, score_candidates
@@ -316,6 +315,7 @@ def cmd_sample_stats(cfg, args) -> int:
         raise ConfigError(f"--positives must be >= 1, got {args.positives}")
     kg, tables = load_data(cfg)
     model_cfg, train_cfg, sampling_cfg = section_configs(cfg)
+    train_cfg.validate()
     sampling_cfg.validate()
     if args.checkpoint is not None:
         model, _ = load_checkpoint(args.checkpoint, tables, kg)
@@ -331,17 +331,13 @@ def cmd_sample_stats(cfg, args) -> int:
     n_pos = min(args.positives, len(kg.train))
     if n_pos == 0:
         raise DataError("no training triples to sample from")
-    negatives = []
-    for i in range(n_pos):
-        h, r, t = (int(x) for x in kg.train[i])
-        rng = derived_rng(train_cfg.seed, 0, i)
-        negatives.extend(corrupt((h, r, t), sampling_cfg.negatives_per_positive,
-                                 rng, fi, kg.n_entities,
-                                 max_retries=sampling_cfg.max_retries))
-    heads, rels, tails = np.asarray([s.triple for s in negatives], dtype=np.int64).T
+    # rows 0..n_pos-1 at epoch 0: the negatives training draws for them first
+    negatives = corrupt(kg.train[:n_pos], sampling_cfg.negatives_per_positive, fi,
+                        kg.n_entities, train_cfg.seed, epoch=0,
+                        max_retries=sampling_cfg.max_retries)
+    heads, rels, tails = negatives.T
     scores = score(emb[heads], theta[rels], emb[tails], model.cfg.norm)
-    annotate(negatives, scores, sampling_cfg)
-    stats = sample_stats(negatives)
+    stats = sample_stats(annotate(negatives, scores, sampling_cfg))
     stats.update({
         "positives": n_pos,
         "delta1": sampling_cfg.delta1,

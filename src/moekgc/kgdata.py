@@ -63,19 +63,36 @@ class ModalityFeatureTable:
 
 
 class FilterIndex:
-    """All known-true triples over every split, keyed both ways.
+    """All known-true triples over every split.
 
-    Backs filtered evaluation and negative-sample rejection.
+    Membership runs on sorted int64 keys (h*R + r)*E + t, with E and R one
+    past the largest entity and relation id indexed; the per-side sets back
+    filtered evaluation.
     """
 
     def __init__(self, triples: np.ndarray):
+        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        if triples.min(initial=0) < 0:
+            raise DataError("triple ids must be non-negative")
+        self._n_ent = int(triples[:, [0, 2]].max(initial=-1)) + 1
+        self._n_rel = int(triples[:, 1].max(initial=-1)) + 1
+        if self._n_ent * self._n_ent * self._n_rel > np.iinfo(np.int64).max:
+            raise DataError(
+                f"{self._n_ent} entities and {self._n_rel} relations overflow int64 triple keys"
+            )
+        # the int64 maximum closes the sorted keys: no key or in-range probe
+        # reaches it, so every searchsorted position is a valid index
+        self._keys = np.append(np.unique(self._key(*triples.T)), np.iinfo(np.int64).max)
         tails: dict = {}
         heads: dict = {}
-        for h, r, t in triples:
-            tails.setdefault((int(h), int(r)), set()).add(int(t))
-            heads.setdefault((int(r), int(t)), set()).add(int(h))
+        for h, r, t in triples.tolist():
+            tails.setdefault((h, r), set()).add(t)
+            heads.setdefault((r, t), set()).add(h)
         self._tails = {k: frozenset(v) for k, v in tails.items()}
         self._heads = {k: frozenset(v) for k, v in heads.items()}
+
+    def _key(self, h, r, t):
+        return (h * self._n_rel + r) * self._n_ent + t
 
     def true_tails(self, head: int, relation: int) -> frozenset:
         return self._tails.get((head, relation), frozenset())
@@ -83,8 +100,21 @@ class FilterIndex:
     def true_heads(self, relation: int, tail: int) -> frozenset:
         return self._heads.get((relation, tail), frozenset())
 
-    def contains(self, head: int, relation: int, tail: int) -> bool:
-        return tail in self._tails.get((head, relation), ())
+    def contains(self, head, relation, tail):
+        """Whether each (head, relation, tail) is known true.
+
+        Takes scalars (returns a bool) or broadcastable arrays (returns a
+        bool array).  An id outside the indexed range is never a member.
+        """
+        h, r, t = (np.asarray(x, dtype=np.int64) for x in (head, relation, tail))
+        # as uint64 a negative id is huge, so unsigned comparisons bound ids
+        # from both sides
+        inside = ((np.maximum(h.view(np.uint64), t.view(np.uint64)) < self._n_ent)
+                  & (r.view(np.uint64) < self._n_rel))
+        # ids outside the range are zeroed so that no key overflows or aliases
+        key = self._key(h * inside, r * inside, t * inside)
+        hit = inside & (self._keys[np.searchsorted(self._keys, key)] == key)
+        return bool(hit) if hit.ndim == 0 else hit
 
 
 def _read_triple_lines(path):

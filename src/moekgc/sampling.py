@@ -2,10 +2,12 @@
 
 Negatives are drawn by corrupting one side of a positive triple with a
 uniformly sampled entity, rejecting corruptions that land on a known-true
-triple.  Each negative's score maps to a probability p = sigmoid(score +
-margin); the binary entropy of p sorts negatives into easy, ambiguous, and
-hard classes, and each class contributes to the loss with its own constant
-multiplier.  No gradient flows through the class assignment.
+triple.  Draws are keyed hashes of (seed, epoch, train row, slot, attempt),
+computed for a whole batch at once.  Each negative's score maps to a
+probability p = sigmoid(score + margin); the binary entropy of p sorts
+negatives into easy, ambiguous, and hard classes, and each class contributes
+to the loss with its own constant multiplier.  No gradient flows through the
+class assignment.
 
 Entropy uses the natural logarithm by default, so the maximum reachable
 entropy is ln 2 (about 0.693).  A hard threshold above that maximum makes
@@ -78,56 +80,81 @@ class NegativeSamplingConfig:
             )
 
 
-@dataclass
-class NegativeSample:
-    head: int
-    relation: int
-    tail: int
-    corrupted_side: str  # head | tail
-    score: float = None
-    probability: float = None
-    entropy: float = None
-    difficulty: str = None
-    weight: float = None
-
-    @property
-    def triple(self):
-        return (self.head, self.relation, self.tail)
-
-
 def derived_rng(*key) -> np.random.Generator:
     """Deterministic generator derived from a tuple of integers."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
-def corrupt(positive, n: int, rng: np.random.Generator, filter_index, n_entities: int,
-            side: str = None, max_retries: int = 200) -> list:
-    """Draw n corrupted triples for one positive, never a known-true triple.
+# splitmix64 constants (Steele, Lea and Flood, "Fast splittable pseudorandom
+# number generators", OOPSLA 2014)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31, _S32, _S63 = (np.uint64(k) for k in (27, 30, 31, 32, 63))
 
-    The corrupted side is chosen uniformly per negative unless side pins it.
-    Raises SamplingError when a draw cannot escape the filter within
-    max_retries attempts.
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer on a uint64 array (arithmetic wraps mod 2**64)."""
+    z = (z ^ (z >> _S30)) * _MUL1
+    z = (z ^ (z >> _S27)) * _MUL2
+    return z ^ (z >> _S31)
+
+
+def _chain(h: np.ndarray, part) -> np.ndarray:
+    """Fold one key part into the uint64 hashes h: mix((h + gamma) ^ part)."""
+    return _mix((h + _GAMMA) ^ np.asarray(part, dtype=np.uint64))
+
+
+def corrupt(positives, n: int, filter_index, n_entities: int, seed: int, epoch: int = 0,
+            rows=None, side: str = None, max_retries: int = 200) -> np.ndarray:
+    """Draw n corrupted triples per positive, never a known-true triple.
+
+    positives is an (n_pos, 3) array of (head, relation, tail) and rows their
+    train row numbers (0..n_pos-1 when omitted).  Returns an (n_pos * n, 3)
+    int64 array ordered by positive, then by negative slot.
+
+    Each draw is keyed, not streamed: the hash of (seed, epoch, row, slot)
+    picks the corrupted side, unless side pins it, and the hash of that and
+    the attempt number picks the entity by multiply-shift (Lemire, TOMACS
+    2019).  So (seed, epoch, row) fixes a row's negatives whatever else is in
+    its batch.  A draw that hits filter_index is redrawn with the next
+    attempt number; SamplingError when max_retries attempts all hit.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    h, r, t = (int(x) for x in positive)
-    out = []
-    for _ in range(n):
-        pick = side if side is not None else ("head" if rng.integers(2) == 0 else "tail")
-        if pick not in ("head", "tail"):
-            raise ValueError(f"side must be head or tail, got {pick!r}")
-        for _ in range(max_retries):
-            e = int(rng.integers(n_entities))
-            cand = (e, r, t) if pick == "head" else (h, r, e)
-            if not filter_index.contains(*cand):
-                out.append(NegativeSample(cand[0], cand[1], cand[2], corrupted_side=pick))
-                break
-        else:
-            raise SamplingError(
-                f"no valid {pick} corruption for positive ({h}, {r}, {t}) "
-                f"after {max_retries} attempts"
-            )
-    return out
+    if side not in (None, "head", "tail"):
+        raise ValueError(f"side must be head or tail, got {side!r}")
+    if not 0 <= seed < 2 ** 63 or not 0 <= epoch < 2 ** 63:
+        raise ValueError(f"seed and epoch must be in [0, 2**63), got {seed}, {epoch}")
+    if not 0 < n_entities <= 2 ** 32:
+        raise ValueError(f"n_entities must be in [1, 2**32], got {n_entities}")
+    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
+    rows = np.arange(len(positives)) if rows is None else np.asarray(rows, dtype=np.int64)
+    if rows.shape != (len(positives),):
+        raise ValueError(f"need one row number per positive, got {rows.shape} for {len(positives)}")
+
+    row_hash = _chain(_chain(np.full(1, seed, dtype=np.uint64), epoch), rows)
+    base = _chain(row_hash[:, None], np.arange(n)).reshape(-1)
+    if side is None:
+        column = np.where(base >> _S63 == 0, 0, 2)
+    else:
+        column = np.full(len(base), 0 if side == "head" else 2)
+    out = np.repeat(positives, n, axis=0)
+    cell = out.reshape(-1)  # a view: writing a cell writes out
+    cell_of = np.arange(len(out)) * 3 + column
+    todo = np.arange(len(out))
+    for attempt in range(max_retries):
+        x = _chain(base[todo], attempt)
+        cell[cell_of[todo]] = ((x >> _S32) * np.uint64(n_entities)) >> _S32
+        todo = todo[filter_index.contains(*out[todo].T)]
+        if len(todo) == 0:
+            return out
+    i = todo[0]
+    h, r, t = positives[i // n].tolist()
+    raise SamplingError(
+        f"no valid {'head' if column[i] == 0 else 'tail'} corruption for positive "
+        f"({h}, {r}, {t}) after {max_retries} attempts"
+    )
 
 
 def binary_entropy(p, log_base: str = "natural"):
@@ -167,19 +194,18 @@ def classify(entropy: float, cfg: NegativeSamplingConfig):
     return CLASSES[i], float(_lambdas(cfg)[i])
 
 
-def annotate(samples: list, scores, cfg: NegativeSamplingConfig) -> list:
-    """Fill score, probability, entropy, class, and weight on each sample."""
+def annotate(negatives, scores, cfg: NegativeSamplingConfig) -> dict:
+    """Per-negative arrays for an (n, 3) negatives array and its n scores:
+    triples, score, probability, entropy, difficulty (an index into CLASSES)
+    and weight."""
+    negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
     scores, p = _probabilities(scores, cfg)
-    if scores.size != len(samples):
-        raise ValueError(f"{len(samples)} samples but {scores.size} scores")
+    if scores.size != len(negatives):
+        raise ValueError(f"{len(negatives)} negatives but {scores.size} scores")
     h = binary_entropy(p, cfg.log_base)
     cls = _class_index(h, cfg)
-    w = _lambdas(cfg)[cls]
-    for s, sc, pi, hi, ci, wi in zip(samples, scores.tolist(), p.tolist(), h.tolist(),
-                                     cls.tolist(), w.tolist()):
-        s.score, s.probability, s.entropy = sc, pi, hi
-        s.difficulty, s.weight = CLASSES[ci], wi
-    return samples
+    return {"triples": negatives, "score": scores, "probability": p, "entropy": h,
+            "difficulty": cls, "weight": _lambdas(cfg)[cls]}
 
 
 def negative_weights(scores, cfg: NegativeSamplingConfig) -> np.ndarray:
@@ -209,19 +235,11 @@ def loss(positive_score: Tensor, negative_scores: Tensor, cfg: NegativeSamplingC
     return batch_loss(positive_score, negative_scores, w, cfg)
 
 
-def sample_stats(samples: list) -> dict:
-    """Class counts and mean entropy over annotated samples."""
-    counts = {c: 0 for c in CLASSES}
-    total_h = 0.0
-    for s in samples:
-        if s.difficulty is None:
-            raise ValueError("samples must be annotated first")
-        counts[s.difficulty] += 1
-        total_h += s.entropy
-    return {
-        "total": len(samples),
-        "easy": counts[EASY],
-        "ambiguous": counts[AMBIGUOUS],
-        "hard": counts[HARD],
-        "mean_entropy": total_h / len(samples) if samples else 0.0,
-    }
+def sample_stats(annotated: dict) -> dict:
+    """Class counts and mean entropy over the output of annotate."""
+    if not isinstance(annotated, dict):
+        raise ValueError("annotate the negatives first")
+    counts = np.bincount(annotated["difficulty"], minlength=len(CLASSES)).tolist()
+    h = annotated["entropy"]
+    return {"total": int(h.size), **dict(zip(CLASSES, counts)),
+            "mean_entropy": float(h.mean()) if h.size else 0.0}

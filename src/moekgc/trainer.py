@@ -78,6 +78,8 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.mi_ref_batch < 1:
             raise ConfigError(f"mi_ref_batch must be >= 1, got {self.mi_ref_batch}")
+        if not 0 <= self.seed < 2 ** 63:
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
 
 
 class Adam:
@@ -465,14 +467,8 @@ def train(kg: KnowledgeGraph, tables: dict, model_cfg: ModelConfig,
         for batch_no, b0 in enumerate(range(0, n_train, train_cfg.batch_size)):
             rows = perm[b0:b0 + train_cfg.batch_size]
             positives = kg.train[rows]
-            negatives = []
-            for orig in rows:
-                h, r, t = (int(x) for x in kg.train[orig])
-                rng = derived_rng(train_cfg.seed, epoch, int(orig))
-                negatives.extend((neg.head, neg.relation, neg.tail)
-                                 for neg in corrupt((h, r, t), n_neg, rng, fi, kg.n_entities,
-                                                  max_retries=sampling_cfg.max_retries))
-            negatives = np.asarray(negatives, dtype=np.int64)
+            negatives = corrupt(positives, n_neg, fi, kg.n_entities, train_cfg.seed, epoch,
+                                rows=rows, max_retries=sampling_cfg.max_retries)
             try:
                 loss_value = _batch_step(model, opt, positives, negatives, sampling_cfg)
             except (FiniteError, TrainingError) as e:
@@ -538,7 +534,7 @@ def _batch_step(model: FusionModel, opt: Adam, positives, negatives,
     loss = batch_loss(pos_scores, neg_scores, weights, sampling_cfg)
     ad.backward(loss)
     for name, p in model.params.items():
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+        if p.grad is not None and not np.isfinite(p.grad).all():
             raise TrainingError(f"non-finite gradient in block {name}")
     value = loss.item()
     opt.step()

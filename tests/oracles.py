@@ -58,3 +58,45 @@ def binary_entropy(p, base_e=True):
     p = min(max(p, 1e-7), 1.0 - 1e-7)
     h = -p * np.log(p) - (1.0 - p) * np.log(1.0 - p)
     return float(h if base_e else h / np.log(2.0))
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(z: int) -> int:
+    """The splitmix64 finalizer on one Python int, masked to 64 bits."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def keyed_hash(*parts) -> int:
+    """Fold key parts left to right: h = parts[0], then h = mix((h + gamma) ^ part)."""
+    h = parts[0]
+    for part in parts[1:]:
+        h = splitmix64(((h + 0x9E3779B97F4A7C15) & _MASK64) ^ part)
+    return h
+
+
+def keyed_negatives(positives, rows, n, known, n_entities, seed, epoch, max_retries, side=None):
+    """The keyed negative draw one slot and one attempt at a time.
+
+    known is a Python set of (h, r, t) tuples.  Returns a list of (h, r, t)
+    tuples ordered by positive, then slot, or None where a slot exhausts
+    max_retries.  Also returns how many attempts each slot took.
+    """
+    out, attempts = [], []
+    for (h, r, t), row in zip(positives, rows):
+        for slot in range(n):
+            base = keyed_hash(seed, epoch, row, slot)
+            pick = side or ("head" if base >> 63 == 0 else "tail")
+            got = None
+            for attempt in range(max_retries):
+                e = ((keyed_hash(base, attempt) >> 32) * n_entities) >> 32
+                cand = (e, r, t) if pick == "head" else (h, r, e)
+                if cand not in known:
+                    got = cand
+                    break
+            out.append(got)
+            attempts.append(attempt + 1)
+    return out, attempts

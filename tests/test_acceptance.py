@@ -34,7 +34,6 @@ from moekgc.sampling import (
     binary_entropy,
     classify,
     corrupt,
-    derived_rng,
     negative_weights,
 )
 from moekgc.scoring import rotate, score, score_candidates
@@ -108,19 +107,11 @@ def test_c01_full_loss_gradient_check():
 
         positives = np.array(
             [(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 4), (4, 0, 0)], dtype=np.int64)
-        fi = FilterIndex(positives)
-        negatives = []
-        srng = derived_rng(71)
-        for p in positives:
-            negatives.extend(corrupt(tuple(p), 2, srng, fi, n_entities=5))
+        negatives = corrupt(positives, 2, FilterIndex(positives), 5, seed=71)
 
         ids = np.arange(5)
-        ph = np.array([h for h, _, _ in positives])
-        pr = np.array([r for _, r, _ in positives])
-        pt = np.array([t for _, _, t in positives])
-        nh = np.array([s.head for s in negatives])
-        nr = np.array([s.relation for s in negatives])
-        nt = np.array([s.tail for s in negatives])
+        ph, pr, pt = positives.T
+        nh, nr, nt = negatives.T
         scfg = NegativeSamplingConfig(negatives_per_positive=2, margin=2.0)
 
         from moekgc.scoring import score_batch
@@ -540,11 +531,13 @@ def test_c11_sampled_negatives_never_hit_known_triples():
         triples = np.stack([rng.integers(0, n_ent, n_tr),
                             rng.integers(0, n_rel, n_tr),
                             rng.integers(0, n_ent, n_tr)], axis=1).astype(np.int64)
-        fi = FilterIndex(triples)
-        srng = derived_rng(trial, 5)
-        for row in triples:
-            for s in corrupt(tuple(int(x) for x in row), 30, srng, fi, n_ent):
-                assert not fi.contains(s.head, s.relation, s.tail), s.triple
-                emitted += 1
+        # an independent record of the known triples; fi.contains is the
+        # membership test under test
+        known = set(map(tuple, triples.tolist()))
+        negatives = corrupt(triples, 30, FilterIndex(triples), n_ent, seed=trial, epoch=5)
+        assert negatives.shape == (30 * n_tr, 3)
+        for neg in negatives.tolist():
+            assert tuple(neg) not in known, neg
+            emitted += 1
     assert emitted >= 10_000
     _ok(11, f"{emitted} sampled negatives, zero filter leaks")

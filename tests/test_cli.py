@@ -364,6 +364,46 @@ def test_sample_stats_warns_when_hard_class_unreachable(workspace, capsys):
     assert stats["hard"] == 0
 
 
+@pytest.mark.parametrize("command", ["train", "sample-stats"])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 63)])
+def test_seed_outside_the_key_range_is_a_config_error(workspace, capsys, command, seed):
+    _, cfg_path = workspace
+    assert main([command, "--config", cfg_path, "--training-seed", seed]) == 2
+    assert "seed must be in [0, 2**63)" in capsys.readouterr().err
+
+
+def test_sample_stats_draws_the_epoch_zero_training_negatives(workspace, capsys, monkeypatch):
+    import moekgc.cli as cli
+    import moekgc.trainer as trainer
+
+    _, cfg_path = workspace
+    drawn = {"train": {}, "stats": []}
+    real = trainer.corrupt
+
+    def record_train(positives, n, fi, n_entities, seed, epoch, rows, **kw):
+        out = real(positives, n, fi, n_entities, seed, epoch, rows=rows, **kw)
+        if epoch == 0:
+            for row, negs in zip(rows.tolist(), out.reshape(len(rows), n, 3)):
+                drawn["train"][row] = negs
+        return out
+
+    def record_stats(*args, **kw):
+        out = real(*args, **kw)
+        drawn["stats"].append(out)
+        return out
+
+    # batch size 2 puts the rows in several shuffled batches
+    monkeypatch.setattr(trainer, "corrupt", record_train)
+    assert main(["train", "--config", cfg_path, "--training-batch-size", "2"]) == 0
+    monkeypatch.setattr(cli, "corrupt", record_stats)
+    assert main(["sample-stats", "--config", cfg_path, "--positives", "5"]) == 0
+    capsys.readouterr()
+    (stats_negs,) = drawn["stats"]
+    assert stats_negs.shape == (5 * 2, 3)
+    np.testing.assert_array_equal(stats_negs.reshape(5, 2, 3),
+                                  np.stack([drawn["train"][i] for i in range(5)]))
+
+
 # ---------------------------------------------------------------- vocab
 
 def test_vocab_dump_round_trips_names(workspace, capsys, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from moekgc.kgdata import (
     DataError,
+    FilterIndex,
     build_filter_index,
     dump_vocab,
     load_graph,
@@ -175,6 +176,54 @@ def test_filter_index_matches_linear_scan(tmp_path):
                 assert set(fi.true_tails(h, r)) == expect_tails
                 for t in range(kg.n_entities):
                     assert fi.contains(h, r, t) == ((h, r, t) in all_triples)
+
+
+def test_filter_index_array_probes_match_a_python_set():
+    rng = np.random.default_rng(19)
+    for trial in range(8):
+        n_e, n_r = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        n = int(rng.integers(1, 3 * n_e))
+        triples = np.stack([rng.integers(0, n_e, n), rng.integers(0, n_r, n),
+                            rng.integers(0, n_e, n)], axis=1)
+        known = set(map(tuple, triples.tolist()))
+        fi = FilterIndex(triples)
+        # probe ids from below zero to past the largest indexed id, plus the
+        # known triples themselves
+        top_e, top_r = int(triples[:, [0, 2]].max()), int(triples[:, 1].max())
+        probes = np.concatenate([
+            np.stack([rng.integers(-2, top_e + 3, 4000), rng.integers(-2, top_r + 3, 4000),
+                      rng.integers(-2, top_e + 3, 4000)], axis=1),
+            triples,
+        ])
+        got = fi.contains(probes[:, 0], probes[:, 1], probes[:, 2])
+        want = [tuple(p) in known for p in probes.tolist()]
+        assert got.dtype == bool and got.tolist() == want
+        assert got[len(probes) - len(triples):].all()
+        for p in probes[:50].tolist():
+            assert fi.contains(*p) is (tuple(p) in known)
+        # out-of-range ids whose raw key (h*R + r)*E + t equals a known key
+        n_ent, n_rel = top_e + 1, top_r + 1
+        aliases = [(h, r - 1, t + n_ent) for h, r, t in known if r > 0]
+        aliases += [(h - 1, r + n_rel, t) for h, r, t in known if h > 0]
+        aliases += [(h, r + 1, t - n_ent) for h, r, t in known]
+        assert not fi.contains(*np.array(aliases).T).any()
+
+
+def test_filter_index_broadcasts_scalars_against_arrays():
+    fi = FilterIndex(np.array([[0, 0, 1], [0, 0, 3], [2, 1, 3]]))
+    assert fi.contains(0, 0, np.arange(5)).tolist() == [False, True, False, True, False]
+    assert fi.contains(np.array([[0], [2]]), 1, 3).tolist() == [[False], [True]]
+    assert not FilterIndex(np.zeros((0, 3), dtype=np.int64)).contains(0, 0, 0)
+
+
+def test_filter_index_rejects_keys_that_overflow_int64():
+    # E = 2**31 + 1 and R = 2: E * E * R is just above 2**63
+    big = 2 ** 31
+    with pytest.raises(DataError, match="overflow"):
+        FilterIndex(np.array([[0, 1, big]], dtype=np.int64))
+    FilterIndex(np.array([[0, 0, big]], dtype=np.int64))  # one relation fits
+    with pytest.raises(DataError):
+        FilterIndex(np.array([[0, -1, 0]], dtype=np.int64))
 
 
 def test_reserializing_reproduces_index_assignment(tmp_path):

@@ -10,6 +10,7 @@ from moekgc.config import ConfigError
 from moekgc.kgdata import FilterIndex
 from moekgc.sampling import (
     AMBIGUOUS,
+    CLASSES,
     EASY,
     HARD,
     NegativeSamplingConfig,
@@ -28,6 +29,7 @@ from moekgc.sampling import (
 )
 
 from oracles import binary_entropy as oracle_entropy
+from oracles import keyed_negatives
 from oracles import finite_difference_grads, relative_block_error
 
 
@@ -43,57 +45,124 @@ def default_cfg(**kw):
 
 # ---------------------------------------------------------------- corrupt
 
+def corrupt_one(positive, n, fi, n_entities, seed=0, **kw):
+    return corrupt([positive], n, fi, n_entities, seed, **kw)
+
+
 def test_corrupt_is_deterministic_for_a_seed():
     fi = make_filter([(0, 0, 1), (1, 0, 2)])
-    a = corrupt((0, 0, 1), 12, derived_rng(7, 0, 3), fi, n_entities=20)
-    b = corrupt((0, 0, 1), 12, derived_rng(7, 0, 3), fi, n_entities=20)
-    assert [s.triple for s in a] == [s.triple for s in b]
-    assert [s.corrupted_side for s in a] == [s.corrupted_side for s in b]
+    a = corrupt_one((0, 0, 1), 12, fi, n_entities=20, seed=7, epoch=0, rows=[3])
+    b = corrupt_one((0, 0, 1), 12, fi, n_entities=20, seed=7, epoch=0, rows=[3])
+    assert a.dtype == np.int64 and a.shape == (12, 3)
+    np.testing.assert_array_equal(a, b)
+    c = corrupt_one((0, 0, 1), 12, fi, n_entities=20, seed=7, epoch=1, rows=[3])
+    assert not np.array_equal(a, c)
 
 
 def test_corrupt_never_emits_a_known_true_triple():
     rng = np.random.default_rng(3)
     triples = [(int(h), int(r), int(t)) for h, r, t in rng.integers(0, 12, size=(60, 3))]
+    known = set(triples)
     fi = make_filter(triples)
-    for pos in triples[:10]:
-        for s in corrupt(pos, 50, derived_rng(1, *pos), fi, n_entities=12):
-            assert not fi.contains(*s.triple)
+    negs = corrupt(triples[:10], 50, fi, n_entities=12, seed=1)
+    assert negs.shape == (500, 3)
+    for i, neg in enumerate(negs.tolist()):
+        h, r, t = triples[i // 50]
+        # one side kept, the relation kept, the triple not known
+        assert neg[1] == r and (neg[0] == h or neg[2] == t)
+        assert tuple(neg) not in known
 
 
 def test_corrupt_respects_forced_side():
     fi = make_filter([(0, 0, 1)])
-    negs = corrupt((0, 0, 1), 30, derived_rng(5), fi, n_entities=10, side="tail")
-    assert all(s.corrupted_side == "tail" for s in negs)
-    assert all(s.head == 0 and s.relation == 0 for s in negs)
+    negs = corrupt_one((0, 0, 1), 30, fi, n_entities=10, side="tail")
+    assert (negs[:, 0] == 0).all() and (negs[:, 1] == 0).all()
+    assert len(set(negs[:, 2].tolist())) > 1
+    negs = corrupt_one((0, 0, 1), 30, fi, n_entities=10, side="head")
+    assert (negs[:, 1] == 0).all() and (negs[:, 2] == 1).all()
 
 
 def test_corrupt_uses_both_sides_when_free():
     fi = make_filter([(0, 0, 1)])
-    negs = corrupt((0, 0, 1), 200, derived_rng(11), fi, n_entities=10)
-    sides = {s.corrupted_side for s in negs}
-    assert sides == {"head", "tail"}
+    negs = corrupt_one((0, 0, 1), 200, fi, n_entities=10, seed=11)
+    assert (negs[:, 0] != 0).any() and (negs[:, 2] != 1).any()
 
 
 def test_corrupt_two_entity_graph_finds_the_only_candidate():
     # corrupting the tail of (0, r, 1) can only yield (0, r, 0)
     fi = make_filter([(0, 0, 1)])
-    negs = corrupt((0, 0, 1), 5, derived_rng(2), fi, n_entities=2, side="tail")
-    assert all(s.triple == (0, 0, 0) for s in negs)
+    negs = corrupt_one((0, 0, 1), 5, fi, n_entities=2, seed=2, side="tail")
+    assert negs.tolist() == [[0, 0, 0]] * 5
 
 
 def test_corrupt_raises_when_every_candidate_is_true():
     # all four (h, 0, t) combos are known true, so no tail corruption exists
     fi = make_filter([(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)])
-    with pytest.raises(SamplingError, match=r"\(0, 0, 1\)"):
-        corrupt((0, 0, 1), 1, derived_rng(0), fi, n_entities=2, side="tail")
+    with pytest.raises(SamplingError, match=r"no valid tail corruption for positive "
+                                            r"\(0, 0, 1\) after 7 attempts"):
+        corrupt_one((0, 0, 1), 1, fi, n_entities=2, side="tail", max_retries=7)
 
 
 def test_corrupt_rejects_zero_count_and_bad_side():
     fi = make_filter([(0, 0, 1)])
     with pytest.raises(ValueError):
-        corrupt((0, 0, 1), 0, derived_rng(0), fi, n_entities=4)
+        corrupt_one((0, 0, 1), 0, fi, n_entities=4)
     with pytest.raises(ValueError):
-        corrupt((0, 0, 1), 1, derived_rng(0), fi, n_entities=4, side="left")
+        corrupt_one((0, 0, 1), 1, fi, n_entities=4, side="left")
+    with pytest.raises(ValueError):
+        corrupt_one((0, 0, 1), 1, fi, n_entities=4, seed=-1)
+    with pytest.raises(ValueError):
+        corrupt_one((0, 0, 1), 1, fi, n_entities=4, rows=[0, 1])
+
+
+def random_graph(rng, n_ent, n_rel, n_triples):
+    triples = np.stack([rng.integers(0, n_ent, n_triples), rng.integers(0, n_rel, n_triples),
+                        rng.integers(0, n_ent, n_triples)], axis=1).astype(np.int64)
+    return np.unique(triples, axis=0)
+
+
+@pytest.mark.parametrize("side", [None, "head", "tail"])
+def test_keyed_draws_equal_the_scalar_reference(side):
+    rng = np.random.default_rng(23)
+    retried = 0
+    for trial in range(6):
+        n_ent = int(rng.integers(6, 14))
+        # about a quarter of all triples known, so that many slots are redrawn
+        triples = random_graph(rng, n_ent, 2, 3 * n_ent * n_ent // 5)
+        fi = FilterIndex(triples)
+        rows = rng.choice(10 ** 6, size=len(triples), replace=False)
+        seed, epoch = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 500))
+        want, attempts = keyed_negatives(triples.tolist(), rows.tolist(), 5,
+                                         set(map(tuple, triples.tolist())), n_ent,
+                                         seed, epoch, 200, side)
+        got = corrupt(triples, 5, fi, n_ent, seed, epoch, rows=rows, side=side)
+        assert got.tolist() == [list(w) for w in want]
+        retried += sum(a > 1 for a in attempts)
+    assert retried > 100
+
+
+def test_exhausted_retries_name_the_first_failing_positive():
+    rng = np.random.default_rng(5)
+    triples = random_graph(rng, 4, 1, 14)
+    want, _ = keyed_negatives(triples.tolist(), range(len(triples)), 3,
+                              set(map(tuple, triples.tolist())), 4, 9, 2, 2)
+    first = want.index(None) // 3
+    h, r, t = triples[first].tolist()
+    with pytest.raises(SamplingError, match=rf"positive \({h}, {r}, {t}\) after 2 attempts"):
+        corrupt(triples, 3, FilterIndex(triples), 4, 9, 2, max_retries=2)
+
+
+def test_row_negatives_do_not_depend_on_batch_or_order():
+    rng = np.random.default_rng(8)
+    triples = random_graph(rng, 30, 3, 200)
+    fi = FilterIndex(triples)
+    whole = corrupt(triples, 4, fi, 30, 17, 3).reshape(len(triples), 4, 3)
+    perm = rng.permutation(len(triples))
+    for size in (1, 7, 64):
+        for b0 in range(0, len(perm), size):
+            rows = perm[b0:b0 + size]
+            part = corrupt(triples[rows], 4, fi, 30, 17, 3, rows=rows)
+            np.testing.assert_array_equal(part.reshape(len(rows), 4, 3), whole[rows])
 
 
 # ---------------------------------------------------------------- entropy
@@ -190,23 +259,25 @@ def test_max_entropy_values():
 def test_annotate_fills_probability_entropy_and_class():
     cfg = default_cfg(margin=2.0)
     fi = make_filter([(0, 0, 1)])
-    negs = corrupt((0, 0, 1), 3, derived_rng(4), fi, n_entities=30)
-    annotate(negs, [-3.0, -0.2, -20.0], cfg)
+    negs = corrupt_one((0, 0, 1), 3, fi, n_entities=30, seed=4)
+    a = annotate(negs, [-3.0, -0.2, -20.0], cfg)
+    np.testing.assert_array_equal(a["triples"], negs)
     # p = sigmoid(margin + score), computed independently
-    for s, sc in zip(negs, (-3.0, -0.2, -20.0)):
+    for i, sc in enumerate((-3.0, -0.2, -20.0)):
         want_p = 1.0 / (1.0 + math.exp(-(2.0 + sc)))
-        assert s.probability == pytest.approx(want_p, rel=1e-9)
-        assert s.entropy == pytest.approx(oracle_entropy(want_p), rel=1e-9)
-    assert negs[0].difficulty == AMBIGUOUS      # p = sigmoid(-1), h ~ 0.58
-    assert negs[1].difficulty == AMBIGUOUS      # p = sigmoid(1.8), h ~ 0.41
-    assert negs[2].difficulty == EASY           # p ~ 1.5e-8, h ~ 0
-    assert negs[2].weight == cfg.lambda_easy
+        assert a["score"][i] == sc
+        assert a["probability"][i] == pytest.approx(want_p, rel=1e-9)
+        assert a["entropy"][i] == pytest.approx(oracle_entropy(want_p), rel=1e-9)
+    assert CLASSES[a["difficulty"][0]] == AMBIGUOUS      # p = sigmoid(-1), h ~ 0.58
+    assert CLASSES[a["difficulty"][1]] == AMBIGUOUS      # p = sigmoid(1.8), h ~ 0.41
+    assert CLASSES[a["difficulty"][2]] == EASY           # p ~ 1.5e-8, h ~ 0
+    assert a["weight"][2] == cfg.lambda_easy
 
 
 def test_annotate_length_mismatch():
     cfg = default_cfg()
     fi = make_filter([(0, 0, 1)])
-    negs = corrupt((0, 0, 1), 2, derived_rng(4), fi, n_entities=5)
+    negs = corrupt_one((0, 0, 1), 2, fi, n_entities=5, seed=4)
     with pytest.raises(ValueError):
         annotate(negs, [1.0], cfg)
 
@@ -226,42 +297,45 @@ def test_negative_weights_match_scalar_path():
 def test_annotate_weights_equal_negative_weights_at_the_boundaries(log_base):
     scores = np.linspace(-20.0, 5.0, 2001)
     fi = make_filter([(0, 0, 1)])
-    negs = corrupt((0, 0, 1), len(scores), derived_rng(3), fi, n_entities=40)
-    annotate(negs, scores, default_cfg(margin=1.5, log_base=log_base))
+    negs = corrupt_one((0, 0, 1), len(scores), fi, n_entities=40, seed=3)
+    a = annotate(negs, scores, default_cfg(margin=1.5, log_base=log_base))
     # thresholds taken from entropies the grid produces, so some scores sit
     # exactly on delta1 and delta2
-    seen = sorted({s.entropy for s in negs})
+    seen = sorted(set(a["entropy"].tolist()))
     cfg = default_cfg(margin=1.5, log_base=log_base,
                       delta1=seen[len(seen) // 4], delta2=seen[3 * len(seen) // 4])
-    annotate(negs, scores, cfg)
-    assert [s.weight for s in negs] == negative_weights(scores, cfg).tolist()
-    assert [classify(s.entropy, cfg) for s in negs] == [(s.difficulty, s.weight) for s in negs]
-    assert {s.difficulty for s in negs if s.entropy == cfg.delta1} == {AMBIGUOUS}
-    assert {s.difficulty for s in negs if s.entropy == cfg.delta2} == {HARD}
-    assert {s.difficulty for s in negs} == {EASY, AMBIGUOUS, HARD}
+    a = annotate(negs, scores, cfg)
+    h, cls = a["entropy"].tolist(), [CLASSES[i] for i in a["difficulty"]]
+    assert a["weight"].tolist() == negative_weights(scores, cfg).tolist()
+    assert [classify(hi, cfg) for hi in h] == list(zip(cls, a["weight"].tolist()))
+    assert {c for c, hi in zip(cls, h) if hi == cfg.delta1} == {AMBIGUOUS}
+    assert {c for c, hi in zip(cls, h) if hi == cfg.delta2} == {HARD}
+    assert set(cls) == {EASY, AMBIGUOUS, HARD}
 
 
 def test_sample_stats_counts_match_manual_recount():
     cfg = default_cfg(log_base="base2", margin=0.0)
     fi = make_filter([(0, 0, 1)])
-    negs = corrupt((0, 0, 1), 64, derived_rng(13), fi, n_entities=50)
+    negs = corrupt_one((0, 0, 1), 64, fi, n_entities=50, seed=13)
     rng = np.random.default_rng(1)
     scores = rng.uniform(-12.0, 3.0, size=64)
-    annotate(negs, scores, cfg)
-    stats = sample_stats(negs)
+    a = annotate(negs, scores, cfg)
+    stats = sample_stats(a)
     want = {EASY: 0, AMBIGUOUS: 0, HARD: 0}
-    for s in negs:
-        want[s.difficulty] += 1
+    for sc in scores:
+        p = 1.0 / (1.0 + math.exp(-sc))
+        want[classify(binary_entropy(p, "base2"), cfg)[0]] += 1
     assert stats["easy"] == want[EASY]
     assert stats["ambiguous"] == want[AMBIGUOUS]
     assert stats["hard"] == want[HARD]
     assert stats["total"] == 64
-    assert stats["mean_entropy"] == pytest.approx(np.mean([s.entropy for s in negs]))
+    assert stats["mean_entropy"] == pytest.approx(
+        np.mean([oracle_entropy(1.0 / (1.0 + math.exp(-sc)), base_e=False) for sc in scores]))
 
 
 def test_sample_stats_requires_annotation():
     fi = make_filter([(0, 0, 1)])
-    negs = corrupt((0, 0, 1), 2, derived_rng(4), fi, n_entities=5)
+    negs = corrupt_one((0, 0, 1), 2, fi, n_entities=5, seed=4)
     with pytest.raises(ValueError):
         sample_stats(negs)
 

@@ -398,9 +398,40 @@ def test_train_config_validation():
         dict(eval_every=0),
         dict(patience=0),
         dict(mi_ref_batch=0),
+        dict(seed=-1),
+        dict(seed=2 ** 63),
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**bad).validate()
+    TrainConfig(seed=2 ** 63 - 1).validate()
+
+
+def test_row_negatives_do_not_depend_on_batch_size(monkeypatch):
+    rng = np.random.default_rng(4)
+    kg = make_kg(np.unique(np.stack([rng.integers(0, 40, 150), rng.integers(0, 3, 150),
+                                     rng.integers(0, 40, 150)], axis=1), axis=0))
+    real = trainer.corrupt
+    mc = ModelConfig(embedding_dim=4, experts=2, mi_bins=4, modalities=[])
+    sc = sampling_cfg(negatives_per_positive=3)
+    seen = {}
+    for size in (1, 7, 64):
+        drawn = seen[size] = {}
+
+        def record(positives, n, fi, n_entities, seed, epoch, rows, **kw):
+            out = real(positives, n, fi, n_entities, seed, epoch, rows=rows, **kw)
+            np.testing.assert_array_equal(positives, kg.train[rows])
+            for row, negs in zip(rows.tolist(), out.reshape(len(rows), n, 3).tolist()):
+                drawn[epoch, row] = negs
+            return out
+
+        monkeypatch.setattr(trainer, "corrupt", record)
+        train(kg, {}, mc, TrainConfig(learning_rate=0.01, batch_size=size, max_epochs=2,
+                                      eval_every=5, seed=6), sc)
+        assert len(drawn) == 2 * len(kg.train)
+    assert seen[1] == seen[7] == seen[64]
+    # and the epochs differ
+    assert [seen[1][0, i] for i in range(len(kg.train))] != \
+        [seen[1][1, i] for i in range(len(kg.train))]
 
 
 # ---------------------------------------------------------------- checkpoint
