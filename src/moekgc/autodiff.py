@@ -425,15 +425,22 @@ def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product of 2-d or 3-d operands.
+
+    A 3-d operand is a stack of matrices; a 2-d operand meets every matrix
+    of the other's stack, and its gradient sums over the stack.
+    """
     a, b = ensure_tensor(a), ensure_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
+    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
+        raise ValueError(f"matmul expects 2-d or 3-d operands, got {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
     def grad_fn(g):
         # a constant operand's gradient would be dropped by backward: skip it
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+                if a.requires_grad else None,
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+                if b.requires_grad else None)
 
     return _make(out, (a, b), grad_fn, "matmul")
 
@@ -447,6 +454,51 @@ def transpose(a) -> Tensor:
         return (g.T,)
 
     return _make(a.data.T.copy(), (a,), grad_fn, "transpose")
+
+
+def reshape(a, shape) -> Tensor:
+    a = ensure_tensor(a)
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),), "reshape")
+
+
+def stack(tensors) -> Tensor:
+    """Stack equal-shape tensors along a new leading axis."""
+    tensors = tuple(ensure_tensor(t) for t in tensors)
+    shapes = {t.shape for t in tensors}
+    if len(shapes) != 1:
+        raise ValueError(f"stack expects equal shapes, got {sorted(shapes)}")
+    out = np.array([t.data for t in tensors])
+
+    def grad_fn(g):
+        return tuple(g)
+
+    return _make(out, tensors, grad_fn, "stack")
+
+
+def weighted_sum(w, parts) -> Tensor:
+    """Sum over s of w[:, s] * parts[s], in the order of s.
+
+    parts is (n, rows, ...); w is (rows, n), or (1, n) to weight every row
+    alike.  Returns a (rows, ...) tensor.
+    """
+    w, parts = ensure_tensor(w), ensure_tensor(parts)
+    n = parts.shape[0]
+    if w.ndim != 2 or w.shape[1] != n or w.shape[0] not in (1, parts.shape[1]):
+        raise ValueError(f"weighted_sum cannot weight {parts.shape} parts by {w.shape}")
+    # (n, rows or 1, 1, ...): column s of w broadcast over one part
+    cols = w.data.T.reshape(w.shape[::-1] + (1,) * (parts.ndim - 2))
+    out = cols[0] * parts.data[0]
+    for s in range(1, n):
+        out += cols[s] * parts.data[s]
+
+    def grad_fn(g):
+        g_w = None
+        if w.requires_grad:
+            g_w = (g * parts.data).reshape(n, parts.shape[1], -1).sum(axis=2).T
+            g_w = g_w.sum(axis=0, keepdims=True) if w.shape[0] == 1 else g_w
+        return g_w, cols * g if parts.requires_grad else None
+
+    return _make(out, (w, parts), grad_fn, "weighted_sum")
 
 
 def softmax(a, axis=-1) -> Tensor:
@@ -510,3 +562,62 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
         return (buf,)
 
     return _make(out, (a,), grad_fn, "slice_cols")
+
+
+# ---------------------------------------------------------------------------
+# mutual information
+
+
+def mi_matrix(dists, present, eps: float) -> Tensor:
+    """Batch mutual information between every pair of S distribution sets.
+
+    dists is (S, B, c): row r of set a is a probability vector over c bins.
+    present is an (S, B) 0/1 mask of the rows each set has.  For a pair
+    (a, b) the joint table is the mean of outer(x_a, x_b) over the rows both
+    have, its marginals are its row and column sums, and
+
+        MI = max(0, sum over J >= eps of J (log J' - log px' - log py'))
+
+    with ' marking a value clamped below at eps.  Returns the symmetric
+    (S, S) matrix with a zero diagonal; a pair sharing no row reads 0.  All
+    pairs come out of one (S·c, B) @ (B, S·c) product, in float64.
+    """
+    dists = ensure_tensor(dists)
+    if dists.ndim != 3:
+        raise ValueError(f"mi_matrix expects (sources, batch, bins) dists, got {dists.shape}")
+    s, b, c = dists.shape
+    keep = np.asarray(present, dtype=np.float64)
+    if keep.shape != (s, b):
+        raise ValueError(f"present has shape {keep.shape}, expected {(s, b)}")
+    # absent rows zeroed: the product then sums each pair over shared rows only
+    z = (dists.data * keep[:, :, None]).transpose(0, 2, 1).reshape(s * c, b)  # float64
+    ia, ib = np.nonzero(np.less.outer(np.arange(s), np.arange(s)))  # the pairs a < b
+    count = np.maximum((keep @ keep.T)[ia, ib], 1.0)[:, None, None]
+    joint = (z @ z.T).reshape(s, c, s, c)[ia, :, ib] / count  # (pairs, c, c)
+    px = joint.sum(axis=2, keepdims=True)
+    py = joint.sum(axis=1, keepdims=True)
+    mask = joint >= eps
+    log_ratio = (np.log(np.maximum(joint, eps)) - np.log(np.maximum(px, eps))
+                 - np.log(np.maximum(py, eps)))
+    raw = np.where(mask, joint * log_ratio, 0.0).sum(axis=(1, 2))
+    out = np.zeros((s, s), dtype=dists.data.dtype)
+    out[ia, ib] = out[ib, ia] = np.maximum(raw, 0.0)
+
+    def grad_fn(g):
+        # dMI/dJ = M (log J'/(px' py') + [J > eps]) - A [px > eps]/px' - C [py > eps]/py'
+        # with M the eps mask and A, C the row and column sums of M J:
+        # log(J / (px py)) - 1 where nothing is masked or clamped.  Zero
+        # where the outer clamp binds
+        held = np.where(mask, joint, 0.0)
+        d_joint = (np.where(mask, log_ratio + (joint > eps), 0.0)
+                   - held.sum(axis=2, keepdims=True) * (px > eps) / np.maximum(px, eps)
+                   - held.sum(axis=1, keepdims=True) * (py > eps) / np.maximum(py, eps))
+        coef = np.where(raw > 0.0, g[ia, ib] + g[ib, ia], 0.0)[:, None, None] / count
+        blocks = np.zeros((s, s, c, c))
+        blocks[ia, ib] = coef * d_joint
+        g_prod = blocks.transpose(0, 2, 1, 3).reshape(s * c, s * c)
+        g_z = (g_prod + g_prod.T) @ z
+        g_dists = g_z.reshape(s, c, b).transpose(0, 2, 1) * keep[:, :, None]
+        return (g_dists.astype(dists.data.dtype),)
+
+    return _make(out, (dists,), grad_fn, "mi_matrix")

@@ -234,6 +234,10 @@ def make_run_dir(seed: int) -> str:
 def cmd_train(cfg, args) -> int:
     kg, tables = load_data(cfg)
     model_cfg, train_cfg, sampling_cfg = section_configs(cfg)
+    # a rejected setting must not leave a run directory behind
+    model_cfg.validate(tables)
+    train_cfg.validate()
+    sampling_cfg.validate()
     run_dir = make_run_dir(train_cfg.seed)
     # echo the fully resolved settings before any work happens
     with atomic_write(os.path.join(run_dir, "config.yaml"), "w", encoding="utf-8") as fh:

@@ -9,15 +9,22 @@ carrying information the others already have are downweighted.  The same
 weighting fuses the per-modality vectors (structure included) into the final
 joint embedding.
 
-Mutual information between two projected distributions is estimated once per
-batch: the joint table is the batch mean of outer products of the paired
-softmax vectors, marginals are its row and column sums.  Fusion weights are
-treated as constants by default (no gradient flows through the estimates
-into the weights); ``grad_through_weights`` switches that on.
+Mutual information is estimated once per batch and level by one kernel,
+``ad.mi_matrix``: it takes the level's stacked distributions (the k expert
+views of a modality, or the sources of the batch) and a presence mask, and
+returns the whole symmetric MI matrix.  A pair's joint table is the mean of
+outer products of the paired softmax vectors over the rows both members
+have; marginals are its row and column sums.  The expert bank, the
+distribution heads and the weighted sums each run as one batched op over
+per-expert parameters stacked in the forward pass.  Fusion weights are
+treated as constants by default: the heads, the MI kernel and the weights
+then run under ``ad.no_grad`` and put nothing on the tape.
+``grad_through_weights`` runs the same calls on the tape.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +57,8 @@ class ModelConfig:
     intra_weighting: str = "mi"  # mi | uniform (uniform is the ablation)
     inter_weighting: str = "mi"
 
-    def validate(self):
+    def validate(self, tables=None):
+        """Check the settings; with tables, also that each modality has one."""
         if self.embedding_dim <= 0 or self.embedding_dim % 2 != 0:
             raise ConfigError(f"embedding_dim must be positive and even, got {self.embedding_dim}")
         if self.experts < 1:
@@ -66,6 +74,10 @@ class ModelConfig:
             raise ConfigError(f"{STRUCTURE_MODALITY!r} is implicit and cannot be listed")
         if len(set(self.modalities)) != len(self.modalities):
             raise ConfigError("duplicate modality in modalities list")
+        if tables is not None:
+            for m in self.modalities:
+                if m not in tables:
+                    raise ConfigError(f"modality {m!r} has no loaded feature table")
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +103,13 @@ def mutual_information(pairs) -> float:
 
 
 def batch_mutual_information(x: Tensor, y: Tensor) -> Tensor:
-    """Differentiable MI between two (batch, bins) distribution tensors."""
+    """Differentiable MI between two (batch, bins) distribution tensors: the
+    one-pair case of ``ad.mi_matrix``."""
     if x.shape != y.shape or x.ndim != 2:
         raise ValueError(f"expected matching (batch, bins) shapes, got {x.shape} and {y.shape}")
-    n = x.shape[0]
-    joint = ad.transpose(x) @ y * (1.0 / n)
-    px = joint.sum(axis=1, keepdims=True)
-    py = joint.sum(axis=0, keepdims=True)
-    mask = ad.Tensor((joint.data >= MI_EPS).astype(joint.data.dtype))
-    log_ratio = (
-        ad.clamp_min(joint, MI_EPS).log()
-        - ad.clamp_min(px, MI_EPS).log()
-        - ad.clamp_min(py, MI_EPS).log()
-    )
-    return ad.clamp_min((mask * joint * log_ratio).sum(), 0.0)
+    pair = ad.mi_matrix(ad.stack([x, y]), np.ones((2, x.shape[0])), MI_EPS)
+    # symmetric with a zero diagonal: half the sum is the pair's entry, exactly
+    return pair.sum() * 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -148,45 +153,40 @@ def inter_modality_fuse(modality_embeddings: dict, mi_matrix):
     return joint, dict(zip(modality_embeddings, w))
 
 
-def _mi_weights(pair_mi: dict, present) -> Tensor:
+def _mi_weights(mi_matrix: Tensor, present) -> Tensor:
     """Complementarity weights on the tape, one softmax per row of present.
 
-    pair_mi maps (a, b), a < b, to an MI tensor; present is a 0/1 array of
-    shape (rows, n) marking the sources each row has.  A pair adds its MI to
-    the row sum of each member where the other member is present, pairs in
-    key order; absent sources get logit -1e30 and so weight exactly 0.  An
-    empty map gives uniform weights over the present sources.
+    mi_matrix is a symmetric (n, n) tensor with a zero diagonal; present is a
+    0/1 array of shape (rows, n) marking the sources each row has.  A present
+    source's logit is minus its MI summed over the other present sources; an
+    absent source gets logit -1e30 and so weight exactly 0.  A zero matrix
+    gives uniform weights over the present sources.
     """
-    present = np.asarray(present)
-    total = None
-    for (a, b), mi in pair_mi.items():
-        link = np.zeros(present.shape)
-        link[:, a] = present[:, b]
-        link[:, b] = present[:, a]
-        term = mi * ad.Tensor(link)
-        total = term if total is None else total + term
-    logits = ad.Tensor(ABSENT_LOGIT * (1.0 - present))
-    if total is not None:
-        logits = logits - total
+    present = ad.Tensor(present)
+    logits = ad.Tensor(ABSENT_LOGIT * (1.0 - present.data)) - present * (present @ mi_matrix)
     return ad.softmax(logits, axis=-1)
 
 
-def _weighted_sum(w: Tensor, parts) -> Tensor:
-    """Sum of w[:, a] * parts[a] over the parts that are not None."""
-    out = None
-    for a, part in enumerate(parts):
-        if part is not None:
-            term = ad.slice_cols(w, a, a + 1) * part
-            out = term if out is None else out + term
-    return out
+def _level_mi(weighting: str, pinned, dists, present) -> Tensor:
+    """One level's (n, n) MI tensor for present, an (n, rows) mask.
+
+    Zero under uniform weighting or with fewer than two sources; else the
+    pinned matrix when there is one; else the kernel over dists(), which is
+    called only then.
+    """
+    n = len(present)
+    if weighting == "uniform" or n < 2:
+        return ad.Tensor(np.zeros((n, n)))
+    if pinned is not None:
+        return ad.Tensor(pinned)
+    return ad.mi_matrix(dists(), present, MI_EPS)
 
 
-def _pair_matrix(pair_mi: dict, n: int) -> np.ndarray:
-    """Symmetric (n, n) float64 matrix of the pair MI values; zero elsewhere."""
-    mat = np.zeros((n, n))
-    for (a, b), mi in pair_mi.items():
-        mat[a, b] = mat[b, a] = float(mi.data)
-    return mat
+def _stacked(params: dict, names) -> Tensor:
+    """The named parameters stacked along a new leading axis; (n, c) biases
+    come out as (n, 1, c), to broadcast over rows."""
+    out = ad.stack([params[name] for name in names])
+    return ad.reshape(out, (out.shape[0], 1, out.shape[1])) if out.ndim == 2 else out
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +219,7 @@ class FusionModel:
 
     def __init__(self, cfg: ModelConfig, n_entities: int, n_relations: int,
                  tables: dict, seed: int = 0):
-        cfg.validate()
-        for m in cfg.modalities:
-            if m not in tables:
-                raise ConfigError(f"modality {m!r} has no loaded feature table")
+        cfg.validate(tables)
         self.cfg = cfg
         self.n_entities = n_entities
         self.n_relations = n_relations
@@ -283,21 +280,19 @@ class FusionModel:
         hidden = ad.relu(feats @ p[f"proj.{m}.w1"] + p[f"proj.{m}.b1"])
         return hidden @ p[f"proj.{m}.w2"] + p[f"proj.{m}.b2"]
 
-    def _expert(self, m: str, i: int, v: Tensor) -> Tensor:
-        p = self.params
-        hidden = ad.relu(v @ p[f"expert.{m}.{i}.w1"] + p[f"expert.{m}.{i}.b1"])
-        return hidden @ p[f"expert.{m}.{i}.w2"] + p[f"expert.{m}.{i}.b2"]
+    def _experts(self, m: str, v: Tensor) -> Tensor:
+        """The modality's k expert views of v (n, d) as one (k, n, d) tensor."""
+        p, bank = self.params, [f"expert.{m}.{i}" for i in range(self.cfg.experts)]
+        hidden = ad.relu(v @ _stacked(p, [f"{e}.w1" for e in bank])
+                         + _stacked(p, [f"{e}.b1" for e in bank]))
+        return (hidden @ _stacked(p, [f"{e}.w2" for e in bank])
+                + _stacked(p, [f"{e}.b2" for e in bank]))
 
-    def _view_dist(self, m: str, i: int, v: Tensor) -> Tensor:
+    def _dists(self, heads, x: Tensor) -> Tensor:
+        """Distributions of x (n, rows, d) over mi_bins: slice s through head s."""
         p = self.params
-        return ad.softmax(v @ p[f"view_dist.{m}.{i}.w"] + p[f"view_dist.{m}.{i}.b"], axis=-1)
-
-    def _modal_dist(self, m: str, v: Tensor) -> Tensor:
-        p = self.params
-        return ad.softmax(v @ p[f"modal_dist.{m}.w"] + p[f"modal_dist.{m}.b"], axis=-1)
-
-    def _maybe_stop(self, w: Tensor) -> Tensor:
-        return w if self.cfg.grad_through_weights else w.detach()
+        logits = x @ _stacked(p, [f"{h}.w" for h in heads]) + _stacked(p, [f"{h}.b" for h in heads])
+        return ad.softmax(logits, axis=-1)
 
     # -- fusion
 
@@ -315,69 +310,53 @@ class FusionModel:
             raise ValueError("fuse expects a non-empty 1-d array of entity indices")
         if entity_ids.min() < 0 or entity_ids.max() >= self.n_entities:
             raise ValueError(f"entity indices must lie in [0, {self.n_entities})")
-        B, k = entity_ids.size, self.cfg.experts
-        estimate = mi is None
-        n_src = len(self.source_order)
+        B, k, d = entity_ids.size, self.cfg.experts, self.cfg.embedding_dim
+        # the weights, and the heads and MI they come from, need a tape only
+        # when gradients flow through them
+        weighing = contextlib.nullcontext if self.cfg.grad_through_weights else ad.no_grad
 
-        # (n_src, B): each position's row in each source, -1 where absent;
-        # a position's row within its source block counts the present ones
+        # (n_src, B): each position's row in each source, -1 where absent
         feat_rows = np.stack([entity_ids] + [self.feature_rows[m][entity_ids]
                                              for m in self.cfg.modalities])
         has = feat_rows >= 0
-        block_row = np.cumsum(has, axis=1) - 1
 
-        # one fused block per source: structure covers every position
-        blocks = [ad.gather_rows(self.params["entities"], entity_ids)]
+        # one (B, d) block per source, zero where the source is absent
+        placed = [ad.gather_rows(self.params["entities"], entity_ids)]
         mi_intra_np: dict = {}
         intra_w_np: dict = {}
         for s, m in enumerate(self.cfg.modalities, start=1):
-            if not has[s].any():
+            rows = np.flatnonzero(has[s])
+            if rows.size == 0:
                 mi_intra_np[m] = np.zeros((k, k))
                 intra_w_np[m] = np.full(k, 1.0 / k)
-                blocks.append(None)
+                placed.append(ad.Tensor(np.zeros((B, d))))
                 continue
-            v = self._project(m, ad.Tensor(self.tables[m].features[feat_rows[s, has[s]]]))
-            views = [self._expert(m, i, v) for i in range(k)]
-            pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-            if self.cfg.intra_weighting == "uniform" or k == 1:
-                pair_mi = {}
-            elif estimate:
-                dists = [self._view_dist(m, i, views[i]) for i in range(k)]
-                pair_mi = {(i, j): batch_mutual_information(dists[i], dists[j]) for i, j in pairs}
-            else:
-                pair_mi = {(i, j): ad.Tensor(mi.intra[m][i, j]) for i, j in pairs}
-            w = self._maybe_stop(_mi_weights(pair_mi, np.ones((1, k))))
-            mi_intra_np[m] = _pair_matrix(pair_mi, k)
+            views = self._experts(m, self._project(
+                m, ad.Tensor(self.tables[m].features[feat_rows[s, rows]])))
+            with weighing():
+                mat = _level_mi(
+                    self.cfg.intra_weighting, None if mi is None else mi.intra[m],
+                    lambda: self._dists([f"view_dist.{m}.{i}" for i in range(k)], views),
+                    np.ones((k, rows.size)))
+                w = _mi_weights(mat, np.ones((1, k)))
+            mi_intra_np[m] = np.array(mat.data, dtype=np.float64)
             intra_w_np[m] = np.array(w.data[0], dtype=np.float64)
-            blocks.append(_weighted_sum(w, views))
+            placed.append(ad.scatter_rows(ad.weighted_sum(w, views), rows, B))
 
-        pairs = [(a, b) for a in range(n_src) for b in range(a + 1, n_src)]
-        if self.cfg.inter_weighting == "uniform":
-            inter_pair = {}
-        elif estimate:
-            # MI over the positions that have both sources of a pair
-            dists = [None if x is None else self._modal_dist(m, x)
-                     for m, x in zip(self.source_order, blocks)]
-            inter_pair = {}
-            for a, b in pairs:
-                shared = has[a] & has[b]
-                if shared.any():
-                    inter_pair[(a, b)] = batch_mutual_information(
-                        ad.gather_rows(dists[a], block_row[a, shared]),
-                        ad.gather_rows(dists[b], block_row[b, shared]))
-        else:
-            inter_pair = {(a, b): ad.Tensor(mi.inter[a, b]) for a, b in pairs}
-        w = self._maybe_stop(_mi_weights(inter_pair, has.T))
-        # a generator, so each placed block can be freed once it is summed
-        placed = (x if s == 0 or x is None else ad.scatter_rows(x, np.flatnonzero(has[s]), B)
-                  for s, x in enumerate(blocks))
-        joint = _weighted_sum(w, placed)
+        sources = ad.stack(placed)
+        with weighing():
+            mat = _level_mi(
+                self.cfg.inter_weighting, None if mi is None else mi.inter,
+                lambda: self._dists([f"modal_dist.{m}" for m in self.source_order], sources),
+                has)
+            w = _mi_weights(mat, has.T)
+        joint = ad.weighted_sum(w, sources)
 
         # every position with the same sources has the same inter weights
         masks, first = np.unique(has.T, axis=0, return_index=True)
         cache = {
             "mi_intra": mi_intra_np,
-            "mi_inter": _pair_matrix(inter_pair, n_src),
+            "mi_inter": np.array(mat.data, dtype=np.float64),
             "intra_weights": intra_w_np,
             "inter_weights": {tuple(np.flatnonzero(mask).tolist()):
                               np.array(w.data[p, mask], dtype=np.float64)

@@ -222,6 +222,14 @@ def _fd_case(name, build, n_params, shapes, low=-2.0, high=2.0, positive=False, 
     return (name, build, n_params, shapes, low, high, positive, const)
 
 
+_COEF_3x2x3 = np.arange(18).reshape(3, 2, 3) * 0.1 - 0.7
+_MI_PRESENT = np.array([[1, 1, 1, 0, 1, 0, 0],
+                        [1, 0, 1, 1, 1, 1, 0],
+                        [0, 1, 1, 1, 0, 1, 1],
+                        [0, 0, 0, 1, 0, 1, 1]], dtype=bool)
+_MI_UPSTREAM = np.arange(16).reshape(4, 4) * 0.3 - 2.0
+
+
 # each case: scalar loss built from parameter tensors; checked against FD.
 # Operands listed in const are plain Tensors: they must get no .grad
 _GRAD_CASES = [
@@ -257,6 +265,27 @@ _GRAD_CASES = [
     _fd_case("gather", lambda p: ad.gather_rows(p[0], [0, 2, 2, 1]).square().sum(), 1, [(4, 3)]),
     _fd_case("scatter", lambda p: ad.scatter_rows(p[0], [2, 0], 4).square().sum(), 1, [(2, 3)]),
     _fd_case("slice_cols", lambda p: ad.slice_cols(p[0], 1, 3).square().sum(), 1, [(3, 4)]),
+    _fd_case("stack", lambda p: (ad.stack([p[0], p[1], p[0]]) * ad.Tensor(_COEF_3x2x3)).sum(),
+             2, [(2, 3), (2, 3)]),
+    _fd_case("reshape", lambda p: (ad.reshape(p[0], (2, 2, 3)) * ad.Tensor(_COEF_3x2x3[:2])).sum(),
+             1, [(3, 4)]),
+    _fd_case("matmul_batched", lambda p: (p[0] @ p[1]).square().sum(), 2, [(2, 3, 4), (2, 4, 5)]),
+    _fd_case("matmul_broadcast_left", lambda p: ad.relu(p[0] @ p[1]).sum(), 2, [(3, 4), (2, 4, 5)]),
+    _fd_case("matmul_broadcast_right", lambda p: (p[0] @ p[1]).square().sum(),
+             2, [(2, 3, 4), (4, 5)]),
+    _fd_case("weighted_sum_rows", lambda p: ad.weighted_sum(p[0], p[1]).square().sum(),
+             2, [(4, 3), (3, 4, 2)]),
+    _fd_case("weighted_sum_shared", lambda p: ad.weighted_sum(p[0], p[1]).square().sum(),
+             2, [(1, 3), (3, 4, 2)]),
+    # four sources, sources 0 and 3 share no row, pair (1, 2) shares three;
+    # an asymmetric upstream weight checks both halves of the matrix
+    _fd_case("mi_matrix", lambda p: (ad.mi_matrix(ad.softmax(p[0], axis=-1), _MI_PRESENT, 1e-12)
+                                     * ad.Tensor(_MI_UPSTREAM)).sum(), 1, [(4, 7, 3)]),
+    # unnormalised rows, since a softmax in front hides any gradient term that
+    # is constant along a row; a total mass below 1 keeps every MI positive
+    _fd_case("mi_matrix_raw", lambda p: (ad.mi_matrix(p[0], _MI_PRESENT, 1e-12)
+                                         * ad.Tensor(_MI_UPSTREAM)).sum(), 1, [(4, 7, 3)],
+             low=0.01, high=0.2, positive=True),
 ]
 
 

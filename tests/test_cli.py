@@ -372,6 +372,19 @@ def test_seed_outside_the_key_range_is_a_config_error(workspace, capsys, command
     assert "seed must be in [0, 2**63)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--training-seed", "-1"],
+    ["--model-embedding-dim", "5"],
+    ["--model-modalities", "img,sound"],
+    ["--sampling-negatives-per-positive", "0"],
+], ids=["seed", "model", "modality-without-table", "sampling"])
+def test_rejected_train_settings_create_no_run_directory(workspace, capsys, flags):
+    tmp_path, cfg_path = workspace
+    assert main(["train", "--config", cfg_path] + flags) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_sample_stats_draws_the_epoch_zero_training_negatives(workspace, capsys, monkeypatch):
     import moekgc.cli as cli
     import moekgc.trainer as trainer

@@ -17,6 +17,7 @@ from moekgc.fusion import (
     weights_from_row_sums,
 )
 from moekgc.kgdata import ModalityFeatureTable
+from synthetic import clustered_graph
 
 
 @pytest.fixture(autouse=True)
@@ -351,21 +352,69 @@ def test_joint_matches_independent_reference(covered, ids, cfg_kw):
 
 def test_uniform_inter_weighting_estimates_no_source_mi(monkeypatch):
     calls = []
-    real = fusion.batch_mutual_information
+    real = ad.mi_matrix
 
-    def counting(x, y):
-        calls.append(x.shape)
-        return real(x, y)
+    def counting(dists, present, eps):
+        calls.append(dists.shape)
+        return real(dists, present, eps)
 
-    monkeypatch.setattr(fusion, "batch_mutual_information", counting)
-    # three expert pairs in each of two modalities, then three source pairs
+    monkeypatch.setattr(ad, "mi_matrix", counting)
+    # one all-pairs kernel call per modality's expert bank, then one over sources
     _, cache = small_model(n_entities=6, k=3).fuse(np.arange(6))
-    assert len(calls) == 2 * 3 + 3
+    assert calls == [(3, 6, 4), (3, 6, 4), (3, 6, 4)]
     assert np.any(cache["mi_inter"] != 0)
     calls.clear()
     _, cache = small_model(n_entities=6, k=3, inter_weighting="uniform").fuse(np.arange(6))
-    assert len(calls) == 2 * 3
+    assert len(calls) == 2
     np.testing.assert_array_equal(cache["mi_inter"], np.zeros((3, 3)))
+
+
+def test_mi_matrix_entries_match_the_pair_oracle_on_shared_rows():
+    rng = np.random.default_rng(6)
+    dists = rng.dirichlet(np.ones(5), size=(4, 10))
+    present = rng.random((4, 10)) < 0.7
+    present[3] = ~present[0]  # sources 0 and 3 share no row
+    with ad.using_dtype(np.float64):
+        got = ad.mi_matrix(ad.Tensor(dists), present, fusion.MI_EPS).data
+    np.testing.assert_array_equal(got, got.T)
+    for a in range(4):
+        for b in range(4):
+            shared = present[a] & present[b]
+            if a == b or not shared.any():
+                assert got[a, b] == 0.0
+                continue
+            want = mutual_information(list(zip(dists[a][shared], dists[b][shared])))
+            assert got[a, b] == pytest.approx(want, abs=1e-9), (a, b)
+    assert got[0, 3] == 0.0 and np.all(got[np.triu_indices(3, 1)] > 0)
+
+
+def test_pinned_and_estimated_weights_are_bit_identical():
+    model = small_model(covered=_PARTIAL, n_entities=5, k=3, seed=7)
+    ids = np.array([1, 4, 1, 3, 4, 0, 2])
+    fresh, est = model.fuse(ids)
+    ad.reset_tape()
+    pinned, pin = model.fuse(ids, model.mi_state(ids))
+    for m in model.cfg.modalities:
+        np.testing.assert_array_equal(est["intra_weights"][m], pin["intra_weights"][m])
+    assert est["inter_weights"].keys() == pin["inter_weights"].keys()
+    for mask, w in est["inter_weights"].items():
+        np.testing.assert_array_equal(w, pin["inter_weights"][mask])
+    np.testing.assert_array_equal(fresh.data, pinned.data)
+
+
+def test_default_fuse_puts_no_head_or_mi_node_on_the_tape():
+    # the c09 desk configuration: three experts over two modalities
+    kg, tables = clustered_graph(seed=0)
+    cfg = ModelConfig(embedding_dim=16, experts=3, mi_bins=8, modalities=["attr", "attr_dup"])
+    model = FusionModel(cfg, kg.n_entities, kg.n_relations, tables, seed=0)
+    heads = {id(p) for name, p in model.params.items() if "_dist." in name}
+    assert len(heads) == 2 * (2 * 3 + 2) + 2
+    _, cache = model.fuse(np.arange(16))
+    assert np.any(cache["mi_inter"] != 0)
+    assert 0 < ad.tape_size()
+    for node in ad._TAPE:
+        assert "mi_matrix" not in node.grad_fn.__qualname__
+        assert not heads & {id(p) for p in node.parents}
 
 
 def test_feature_rows_outside_the_entity_range_are_rejected():
@@ -467,9 +516,9 @@ def test_expert_views_differ():
     model = small_model(n_entities=4, modalities=("img",), k=2)
     feats = ad.Tensor(model.tables["img"].features)
     v = model._project("img", feats)
-    a = model._expert("img", 0, v)
-    b = model._expert("img", 1, v)
-    assert not np.allclose(a.data, b.data)
+    views = model._experts("img", v)
+    assert views.shape == (2, 4, 4)
+    assert not np.allclose(views.data[0], views.data[1])
 
 
 def test_same_seed_same_params_different_seed_differs():
