@@ -145,9 +145,6 @@ class Tensor:
     def relu(self):
         return relu(self)
 
-    def log(self):
-        return log(self)
-
     def sigmoid(self):
         return sigmoid(self)
 
@@ -162,9 +159,6 @@ class Tensor:
 
     def softmax(self, axis=-1):
         return softmax(self, axis=axis)
-
-    def transpose(self):
-        return transpose(self)
 
 
 def parameter(data) -> Tensor:
@@ -181,8 +175,18 @@ def _check_finite(arr, op: str):
         raise FiniteError(f"{op} produced a non-finite value")
 
 
-def _make(out_data, parents: Sequence[Tensor], grad_fn, op: str) -> Tensor:
+def record(out_data, parents: Sequence[Tensor], grad_fn, op: str) -> Tensor:
+    """out_data as the result of op on parents, after one finite check.
+
+    The node goes on the tape when recording and a parent needs a gradient;
+    grad_fn maps the output's gradient to one gradient, or None, per parent.
+    Fused ops defined in other modules record themselves through here.
+    """
     _check_finite(out_data, op)
+    return _wrap(out_data, parents, grad_fn)
+
+
+def _wrap(out_data, parents: Sequence[Tensor], grad_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -258,7 +262,7 @@ def add(a, b) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _make(out, (a, b), grad_fn, "add")
+    return record(out, (a, b), grad_fn, "add")
 
 
 def sub(a, b) -> Tensor:
@@ -268,7 +272,7 @@ def sub(a, b) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
-    return _make(out, (a, b), grad_fn, "sub")
+    return record(out, (a, b), grad_fn, "sub")
 
 
 def mul(a, b) -> Tensor:
@@ -282,24 +286,12 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
-    return _make(out, (a, b), grad_fn, "mul")
+    return record(out, (a, b), grad_fn, "mul")
 
 
 def neg(a) -> Tensor:
     a = ensure_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
-
-
-def log(a) -> Tensor:
-    a = ensure_tensor(a)
-    if np.any(a.data <= 0):
-        raise ValueError("log requires strictly positive input")
-    out = np.log(a.data)
-
-    def grad_fn(g):
-        return (g / a.data,)
-
-    return _make(out, (a,), grad_fn, "log")
+    return record(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -315,7 +307,7 @@ def sigmoid(a) -> Tensor:
     def grad_fn(g):
         return (g * s * (1.0 - s),)
 
-    return _make(s, (a,), grad_fn, "sigmoid")
+    return record(s, (a,), grad_fn, "sigmoid")
 
 
 def logsigmoid(a) -> Tensor:
@@ -326,7 +318,7 @@ def logsigmoid(a) -> Tensor:
     def grad_fn(g):
         return (g * _sigmoid(-a.data),)
 
-    return _make(out, (a,), grad_fn, "logsigmoid")
+    return record(out, (a,), grad_fn, "logsigmoid")
 
 
 def square(a) -> Tensor:
@@ -335,7 +327,7 @@ def square(a) -> Tensor:
     def grad_fn(g):
         return (g * 2.0 * a.data,)
 
-    return _make(a.data * a.data, (a,), grad_fn, "square")
+    return record(a.data * a.data, (a,), grad_fn, "square")
 
 
 def sqrt(a) -> Tensor:
@@ -349,7 +341,7 @@ def sqrt(a) -> Tensor:
         safe = np.where(out > 0, out, 1.0)
         return (np.where(out > 0, g * 0.5 / safe, 0.0),)
 
-    return _make(out, (a,), grad_fn, "sqrt")
+    return record(out, (a,), grad_fn, "sqrt")
 
 
 def cos(a) -> Tensor:
@@ -358,7 +350,7 @@ def cos(a) -> Tensor:
     def grad_fn(g):
         return (-g * np.sin(a.data),)
 
-    return _make(np.cos(a.data), (a,), grad_fn, "cos")
+    return record(np.cos(a.data), (a,), grad_fn, "cos")
 
 
 def sin(a) -> Tensor:
@@ -367,7 +359,7 @@ def sin(a) -> Tensor:
     def grad_fn(g):
         return (g * np.cos(a.data),)
 
-    return _make(np.sin(a.data), (a,), grad_fn, "sin")
+    return record(np.sin(a.data), (a,), grad_fn, "sin")
 
 
 def relu(a) -> Tensor:
@@ -381,7 +373,7 @@ def clamp_min(a, floor: float) -> Tensor:
     def grad_fn(g):
         return (g * mask,)
 
-    return _make(np.maximum(a.data, floor), (a,), grad_fn, "clamp_min")
+    return record(np.maximum(a.data, floor), (a,), grad_fn, "clamp_min")
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +391,7 @@ def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype),)
 
-    return _make(out, (a,), grad_fn, "sum")
+    return record(out, (a,), grad_fn, "sum")
 
 
 def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
@@ -417,7 +409,7 @@ def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / count, a.data.shape).astype(a.data.dtype),)
 
-    return _make(out, (a,), grad_fn, "mean")
+    return record(out, (a,), grad_fn, "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -442,23 +434,47 @@ def matmul(a, b) -> Tensor:
                 _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
                 if b.requires_grad else None)
 
-    return _make(out, (a, b), grad_fn, "matmul")
+    return record(out, (a, b), grad_fn, "matmul")
 
 
-def transpose(a) -> Tensor:
-    a = ensure_tensor(a)
-    if a.ndim != 2:
-        raise ValueError("transpose expects a 2-d tensor")
+def affine(x, w, b, relu: bool = False) -> Tensor:
+    """One dense layer as one tape node: x @ w + b, then max(., 0) if relu.
+
+    x and w are as in matmul; b broadcasts onto the product without widening
+    it, so a (k, 1, c) bias serves a (k, n, c) stack.  The bias is added and
+    the relu clamped in place, and one finite check runs on the
+    pre-activation: a finite bias keeps a non-finite product non-finite, and
+    relu of a finite array is finite.  The backward is the chain rule of
+    matmul, add and relu in their float32 operations; the relu mask is read
+    back from the output, which is > 0 exactly where the pre-activation is.
+    """
+    x, w, b = ensure_tensor(x), ensure_tensor(w), ensure_tensor(b)
+    if x.ndim not in (2, 3) or w.ndim not in (2, 3):
+        raise ValueError(f"affine expects 2-d or 3-d operands, got {x.shape} @ {w.shape}")
+    out = x.data @ w.data
+    if np.broadcast_shapes(out.shape, b.shape) != out.shape:
+        raise ValueError(f"bias of shape {b.shape} does not fit the product {out.shape}")
+    out += b.data
+    _check_finite(out, "affine")
+    if relu:
+        np.maximum(out, 0.0, out=out)  # subgradient 0 at exactly 0, as in relu
 
     def grad_fn(g):
-        return (g.T,)
+        if relu:
+            g = g * (out > 0.0)
+        # a constant operand's gradient would be dropped by backward: skip it
+        return (_unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.data.shape)
+                if x.requires_grad else None,
+                _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape)
+                if w.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-    return _make(a.data.T.copy(), (a,), grad_fn, "transpose")
+    return _wrap(out, (x, w, b), grad_fn)
 
 
 def reshape(a, shape) -> Tensor:
     a = ensure_tensor(a)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),), "reshape")
+    return record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),), "reshape")
 
 
 def stack(tensors) -> Tensor:
@@ -472,7 +488,7 @@ def stack(tensors) -> Tensor:
     def grad_fn(g):
         return tuple(g)
 
-    return _make(out, tensors, grad_fn, "stack")
+    return record(out, tensors, grad_fn, "stack")
 
 
 def weighted_sum(w, parts) -> Tensor:
@@ -498,7 +514,7 @@ def weighted_sum(w, parts) -> Tensor:
             g_w = g_w.sum(axis=0, keepdims=True) if w.shape[0] == 1 else g_w
         return g_w, cols * g if parts.requires_grad else None
 
-    return _make(out, (w, parts), grad_fn, "weighted_sum")
+    return record(out, (w, parts), grad_fn, "weighted_sum")
 
 
 def softmax(a, axis=-1) -> Tensor:
@@ -511,7 +527,7 @@ def softmax(a, axis=-1) -> Tensor:
         inner = np.sum(g * s, axis=axis, keepdims=True)
         return (s * (g - inner),)
 
-    return _make(s, (a,), grad_fn, "softmax")
+    return record(s, (a,), grad_fn, "softmax")
 
 
 def gather_rows(table, indices) -> Tensor:
@@ -532,7 +548,7 @@ def gather_rows(table, indices) -> Tensor:
         np.add.at(buf.reshape(-1), flat.reshape(-1), g.reshape(-1))
         return (buf,)
 
-    return _make(out, (table,), grad_fn, "gather_rows")
+    return record(out, (table,), grad_fn, "gather_rows")
 
 
 def scatter_rows(src, indices, n_rows: int) -> Tensor:
@@ -547,7 +563,7 @@ def scatter_rows(src, indices, n_rows: int) -> Tensor:
     def grad_fn(g):
         return (g[idx],)
 
-    return _make(out, (src,), grad_fn, "scatter_rows")
+    return record(out, (src,), grad_fn, "scatter_rows")
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -561,7 +577,7 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
         buf[:, start:stop] = g
         return (buf,)
 
-    return _make(out, (a,), grad_fn, "slice_cols")
+    return record(out, (a,), grad_fn, "slice_cols")
 
 
 # ---------------------------------------------------------------------------
@@ -620,4 +636,4 @@ def mi_matrix(dists, present, eps: float) -> Tensor:
         g_dists = g_z.reshape(s, c, b).transpose(0, 2, 1) * keep[:, :, None]
         return (g_dists.astype(dists.data.dtype),)
 
-    return _make(out, (dists,), grad_fn, "mi_matrix")
+    return record(out, (dists,), grad_fn, "mi_matrix")

@@ -14,12 +14,13 @@ Mutual information is estimated once per batch and level by one kernel,
 views of a modality, or the sources of the batch) and a presence mask, and
 returns the whole symmetric MI matrix.  A pair's joint table is the mean of
 outer products of the paired softmax vectors over the rows both members
-have; marginals are its row and column sums.  The expert bank, the
-distribution heads and the weighted sums each run as one batched op over
-per-expert parameters stacked in the forward pass.  Fusion weights are
-treated as constants by default: the heads, the MI kernel and the weights
-then run under ``ad.no_grad`` and put nothing on the tape.
-``grad_through_weights`` runs the same calls on the tape.
+have; marginals are its row and column sums.  Every dense layer is one
+``ad.affine`` node, and the expert bank, the distribution heads and the
+weighted sums each run as one batched op over per-expert parameters stacked
+in the forward pass.  Fusion weights are treated as constants by default:
+the heads, the MI kernel and the weights then run under ``ad.no_grad`` and
+put nothing on the tape.  ``grad_through_weights`` runs the same calls on
+the tape.
 """
 
 from __future__ import annotations
@@ -277,21 +278,22 @@ class FusionModel:
 
     def _project(self, m: str, feats: Tensor) -> Tensor:
         p = self.params
-        hidden = ad.relu(feats @ p[f"proj.{m}.w1"] + p[f"proj.{m}.b1"])
-        return hidden @ p[f"proj.{m}.w2"] + p[f"proj.{m}.b2"]
+        hidden = ad.affine(feats, p[f"proj.{m}.w1"], p[f"proj.{m}.b1"], relu=True)
+        return ad.affine(hidden, p[f"proj.{m}.w2"], p[f"proj.{m}.b2"])
 
     def _experts(self, m: str, v: Tensor) -> Tensor:
         """The modality's k expert views of v (n, d) as one (k, n, d) tensor."""
         p, bank = self.params, [f"expert.{m}.{i}" for i in range(self.cfg.experts)]
-        hidden = ad.relu(v @ _stacked(p, [f"{e}.w1" for e in bank])
-                         + _stacked(p, [f"{e}.b1" for e in bank]))
-        return (hidden @ _stacked(p, [f"{e}.w2" for e in bank])
-                + _stacked(p, [f"{e}.b2" for e in bank]))
+        hidden = ad.affine(v, _stacked(p, [f"{e}.w1" for e in bank]),
+                           _stacked(p, [f"{e}.b1" for e in bank]), relu=True)
+        return ad.affine(hidden, _stacked(p, [f"{e}.w2" for e in bank]),
+                         _stacked(p, [f"{e}.b2" for e in bank]))
 
     def _dists(self, heads, x: Tensor) -> Tensor:
         """Distributions of x (n, rows, d) over mi_bins: slice s through head s."""
         p = self.params
-        logits = x @ _stacked(p, [f"{h}.w" for h in heads]) + _stacked(p, [f"{h}.b" for h in heads])
+        logits = ad.affine(x, _stacked(p, [f"{h}.w" for h in heads]),
+                           _stacked(p, [f"{h}.b" for h in heads]))
         return ad.softmax(logits, axis=-1)
 
     # -- fusion

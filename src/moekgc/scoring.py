@@ -123,24 +123,56 @@ def score_candidates(candidates: np.ndarray, theta: np.ndarray, fixed: np.ndarra
 
 
 def score_batch(heads: Tensor, phases: Tensor, tails: Tensor, norm: str = "l2") -> Tensor:
-    """Differentiable batch scoring; (B, d) x (B, d/2) x (B, d) -> (B, 1)."""
+    """Differentiable batch scoring; (B, d) x (B, d/2) x (B, d) -> (B, 1).
+
+    One tape node with one finite check, on the scores: inf or nan anywhere
+    in the arithmetic reaches them through the sums of squares.  The forward
+    is the float32 arithmetic of the chain of slice, cos, sin, mul, square,
+    sum and sqrt ops that ``composite_score_batch`` in tests/oracles.py
+    builds, so scores match it bit for bit; the backward is that chain's
+    rule in closed form, in its operation order.  The node keeps the difference
+    halves dr and di, cos and sin of the phases, and the per-row distances
+    (l2) or per-coordinate magnitudes (l1).
+    """
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}")
-    d = heads.shape[1]
-    if d % 2 != 0:
-        raise ValueError(f"embedding dim must be even, got {d}")
-    half = d // 2
-    hr = ad.slice_cols(heads, 0, half)
-    hi = ad.slice_cols(heads, half, d)
-    tr = ad.slice_cols(tails, 0, half)
-    ti = ad.slice_cols(tails, half, d)
-    c = ad.cos(phases)
-    s = ad.sin(phases)
-    dr = (hr * c - hi * s) - tr
-    di = (hr * s + hi * c) - ti
-    mags_sq = dr.square() + di.square()
+    heads, phases, tails = (ad.ensure_tensor(x) for x in (heads, phases, tails))
+    hr, hi = _split(heads.data)
+    tr, ti = _split(tails.data)
+    if heads.ndim != 2 or tails.shape != heads.shape or phases.shape != hr.shape:
+        raise ValueError(f"score_batch expects (B, d), (B, d/2), (B, d) operands, got "
+                         f"{heads.shape}, {phases.shape}, {tails.shape}")
+    c, s = np.cos(phases.data), np.sin(phases.data)
+    # dr = (hr c - hi s) - tr and di = (hr s + hi c) - ti, each rounding as there
+    dr = hr * c
+    dr -= hi * s
+    dr -= tr
+    di = hr * s
+    di += hi * c
+    di -= ti
+    mags_sq = dr * dr
+    mags_sq += di * di
     if norm == "l2":
-        dist = mags_sq.sum(axis=1, keepdims=True).sqrt()
+        # float64 accumulation cast back, as ad.tensor_sum does
+        dist = np.sqrt(np.sum(mags_sq, axis=1, keepdims=True, dtype=np.float64).astype(dr.dtype))
+        kink = dist
     else:
-        dist = mags_sq.sqrt().sum(axis=1, keepdims=True)
-    return -dist
+        kink = np.sqrt(mags_sq, out=mags_sq)
+        dist = np.sum(kink, axis=1, keepdims=True, dtype=np.float64).astype(dr.dtype)
+
+    def grad_fn(g):
+        # through the negation and the sqrt at the kink, 0 where it is 0,
+        # then the sum's broadcast along the row and the squares
+        g = np.where(kink > 0, -g * 0.5 / np.where(kink > 0, kink, 1.0), 0.0) * 2.0
+        g_dr, g_di = g * dr, g * di
+        g_heads = g_phases = g_tails = None
+        if heads.requires_grad:
+            g_heads = np.concatenate([g_di * s + g_dr * c, g_di * c - g_dr * s], axis=1)
+        if phases.requires_grad:
+            # through sin (g_di hr - g_dr hi) and cos (g_di hi + g_dr hr)
+            g_phases = (g_di * hr - g_dr * hi) * c - (g_di * hi + g_dr * hr) * s
+        if tails.requires_grad:
+            g_tails = -np.concatenate([g_dr, g_di], axis=1)
+        return g_heads, g_phases, g_tails
+
+    return ad.record(-dist, (heads, phases, tails), grad_fn, "score_batch")

@@ -1,8 +1,9 @@
 """Independent reference implementations the tests check production code against.
 
-Nothing in here imports the package's numerics: gradients come from central
-finite differences, ranks from an explicit sort.  Keep it that way, the whole
-point is an independent second route to the same numbers.
+Gradients come from central finite differences, ranks from an explicit sort.
+The one exception to an independent route is ``composite_score_batch``: the
+slow path the fused scorer replaced, built from autodiff's primitive ops,
+which the fused op must match bit for bit.
 """
 
 import numpy as np
@@ -100,3 +101,27 @@ def keyed_negatives(positives, rows, n, known, n_entities, seed, epoch, max_retr
             out.append(got)
             attempts.append(attempt + 1)
     return out, attempts
+
+
+def composite_score_batch(heads, phases, tails, norm="l2"):
+    """Rotation scores as a chain of primitive tape ops: the slices of each
+    side into real and imaginary halves, cos and sin of the phases, the
+    rotated difference, its squares, and the l2 or l1 sum and sqrt."""
+    from moekgc import autodiff as ad
+
+    d = heads.shape[1]
+    half = d // 2
+    hr = ad.slice_cols(heads, 0, half)
+    hi = ad.slice_cols(heads, half, d)
+    tr = ad.slice_cols(tails, 0, half)
+    ti = ad.slice_cols(tails, half, d)
+    c = ad.cos(phases)
+    s = ad.sin(phases)
+    dr = (hr * c - hi * s) - tr
+    di = (hr * s + hi * c) - ti
+    mags_sq = dr.square() + di.square()
+    if norm == "l2":
+        dist = mags_sq.sum(axis=1, keepdims=True).sqrt()
+    else:
+        dist = mags_sq.sqrt().sum(axis=1, keepdims=True)
+    return -dist

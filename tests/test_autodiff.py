@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from moekgc import autodiff as ad
-from oracles import finite_difference_grads, relative_block_error
+from moekgc import scoring
+from oracles import composite_score_batch, finite_difference_grads, relative_block_error
 
 
 @pytest.fixture(autouse=True)
@@ -165,9 +166,7 @@ def test_detach_blocks_gradient():
     np.testing.assert_allclose(x.grad, [1.0])
 
 
-def test_log_rejects_non_positive():
-    with pytest.raises(ValueError):
-        ad.log(ad.Tensor([0.0, 1.0]))
+def test_sqrt_rejects_negative():
     with pytest.raises(ValueError):
         ad.sqrt(ad.Tensor([-1.0]))
 
@@ -176,6 +175,88 @@ def test_non_finite_result_raises():
     big = ad.Tensor(np.array([3.0e38], dtype=np.float32))
     with np.errstate(over="ignore"), pytest.raises(ad.FiniteError):
         ad.mul(big, big)
+
+
+def test_affine_checks_the_pre_activation():
+    # the product overflows to -inf, which relu would clamp to a finite 0
+    x = ad.Tensor(np.array([[3.0e38, 3.0e38]], dtype=np.float32))
+    w = ad.Tensor(np.array([[-2.0], [-2.0]], dtype=np.float32))
+    b = ad.Tensor(np.zeros(1, dtype=np.float32))
+    for relu in (False, True):
+        with np.errstate(over="ignore"), pytest.raises(ad.FiniteError, match="affine"):
+            ad.affine(x, w, b, relu=relu)
+
+
+def test_affine_rejects_a_bias_that_widens_the_product():
+    with pytest.raises(ValueError, match="bias"):
+        ad.affine(ad.Tensor(np.ones((3, 4))), ad.Tensor(np.ones((4, 5))), ad.Tensor(np.ones((2, 1, 5))))
+
+
+@pytest.mark.parametrize("const_x", [False, True])
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("shapes", [((5, 4), (4, 6), (6,)),
+                                    ((5, 4), (3, 4, 6), (3, 1, 6)),
+                                    ((3, 5, 4), (3, 4, 6), (3, 1, 6))],
+                         ids=["2d", "broadcast_3d", "batched_3d"])
+def test_affine_matches_matmul_add_relu_bitwise(shapes, relu, const_x):
+    rng = np.random.default_rng(11)
+    x, w, b = (rng.normal(size=shape).astype(np.float32) for shape in shapes)
+    # a zero row of x meets zero bias entries: pre-activations exactly at 0
+    x[..., 0, :] = 0.0
+    b[..., ::2] = 0.0
+    upstream = ad.Tensor(rng.normal(size=np.broadcast_shapes((x @ w).shape, b.shape))
+                         .astype(np.float32))
+    runs = []
+    for fused in (True, False):
+        ad.reset_tape()
+        ops = [ad.Tensor(x.copy()) if const_x else ad.parameter(x.copy()),
+               ad.parameter(w.copy()), ad.parameter(b.copy())]
+        if fused:
+            out = ad.affine(*ops, relu=relu)
+        else:
+            out = ops[0] @ ops[1] + ops[2]
+            out = ad.relu(out) if relu else out
+        ad.backward((out * upstream).sum())
+        runs.append([out.data] + [op.grad for op in ops])
+    assert (runs[0][1] is None) == (runs[1][1] is None) == const_x
+    for got, want in zip(runs[0], runs[1]):
+        if want is not None:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("const", [None, 0, 1, 2], ids=["all", "heads", "phases", "tails"])
+@pytest.mark.parametrize("norm", scoring.NORMS)
+def test_score_batch_matches_the_composite_oracle(norm, const):
+    rng = np.random.default_rng(12)
+    n, d = 40, 16
+    heads = rng.normal(size=(n, d)).astype(np.float32)
+    tails = rng.normal(size=(n, d)).astype(np.float32)
+    phases = rng.uniform(-np.pi, np.pi, (n, d // 2)).astype(np.float32)
+    phases[0], tails[0] = 0.0, heads[0]  # distance exactly 0
+    heads[1], tails[1] = 0.0, 0.0  # and from zero vectors
+    upstream = ad.Tensor(rng.normal(size=(n, 1)).astype(np.float32))
+    runs = []
+    for score_fn in (scoring.score_batch, composite_score_batch):
+        ad.reset_tape()
+        ops = [ad.Tensor(a.copy()) if i == const else ad.parameter(a.copy())
+               for i, a in enumerate((heads, phases, tails))]
+        out = score_fn(*ops, norm)
+        ad.backward((out * upstream).sum())
+        runs.append([out.data] + [op.grad for op in ops])
+    (fused, *fused_grads), (chain, *chain_grads) = runs
+    assert fused.dtype == chain.dtype == np.float32 and fused.tobytes() == chain.tobytes()
+    for i, (got, want) in enumerate(zip(fused_grads, chain_grads)):
+        assert (got is None) == (want is None) == (i == const)
+        if want is None:
+            continue
+        assert got.dtype == want.dtype
+        if i == 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            # the composite sums each side's two zero-padded slice gradients,
+            # and 0.0 + -0.0 is +0.0 where the fused op writes -0.0; every
+            # other bit agrees
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_gather_rows_accumulates_repeated_indices():
@@ -228,6 +309,21 @@ _MI_PRESENT = np.array([[1, 1, 1, 0, 1, 0, 0],
                         [0, 1, 1, 1, 0, 1, 1],
                         [0, 0, 0, 1, 0, 1, 1]], dtype=bool)
 _MI_UPSTREAM = np.arange(16).reshape(4, 4) * 0.3 - 2.0
+_COEF_3x5 = np.arange(15).reshape(3, 5) * 0.1 - 0.6
+# row 1 of x and column 2 of the bias zeroed: that pre-activation is exactly 0
+# for any parameters, on relu's kink
+_X_ROW1_OFF = np.array([[1.0], [0.0], [1.0]])
+_B_COL2_OFF = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+_COEF_4x1 = np.array([[0.7], [-1.3], [0.4], [1.1]])
+_ROW0_OFF = np.array([[0.0], [1.0], [1.0], [1.0]])
+
+
+def _zero_distance_row0(p):
+    """Scorer operands whose row 0 has phase 0 and its head as its tail: a
+    distance of exactly 0 for any parameters."""
+    off = ad.Tensor(_ROW0_OFF)
+    return p[0], p[1] * off, p[2] * off + p[0] * ad.Tensor(1.0 - _ROW0_OFF)
+
 
 
 # each case: scalar loss built from parameter tensors; checked against FD.
@@ -237,7 +333,6 @@ _GRAD_CASES = [
     _fd_case("sub", lambda p: (p[0] - p[1]).square().sum(), 2, [(3, 4), (3, 4)]),
     _fd_case("mul_broadcast", lambda p: (p[0] * p[1]).sum(), 2, [(3, 4), (3, 1)]),
     _fd_case("neg", lambda p: (-p[0]).square().sum(), 1, [(5,)]),
-    _fd_case("log", lambda p: p[0].log().sum(), 1, [(6,)], low=0.1, high=2.0, positive=True),
     _fd_case("sigmoid", lambda p: p[0].sigmoid().sum(), 1, [(7,)]),
     _fd_case("logsigmoid", lambda p: p[0].logsigmoid().sum(), 1, [(7,)]),
     _fd_case("square", lambda p: p[0].square().sum(), 1, [(4, 3)]),
@@ -260,7 +355,6 @@ _GRAD_CASES = [
              const=(0,)),
     _fd_case("mul_const_right", lambda p: (p[0] * p[1]).square().sum(), 2, [(3, 4), (3, 4)],
              const=(1,)),
-    _fd_case("transpose", lambda p: (ad.transpose(p[0]) @ p[1]).sum(), 2, [(3, 4), (3, 2)]),
     _fd_case("clamp_min", lambda p: ad.clamp_min(p[0], 0.5).sum(), 1, [(6,)], low=0.6, high=2.0),
     _fd_case("gather", lambda p: ad.gather_rows(p[0], [0, 2, 2, 1]).square().sum(), 1, [(4, 3)]),
     _fd_case("scatter", lambda p: ad.scatter_rows(p[0], [2, 0], 4).square().sum(), 1, [(2, 3)]),
@@ -277,6 +371,26 @@ _GRAD_CASES = [
              2, [(4, 3), (3, 4, 2)]),
     _fd_case("weighted_sum_shared", lambda p: ad.weighted_sum(p[0], p[1]).square().sum(),
              2, [(1, 3), (3, 4, 2)]),
+    _fd_case("affine", lambda p: ad.affine(p[0], p[1], p[2]).square().sum(),
+             3, [(3, 4), (4, 5), (5,)]),
+    _fd_case("affine_relu", lambda p: (ad.affine(p[0], p[1], p[2], relu=True)
+                                       * ad.Tensor(_COEF_3x5)).sum(), 3, [(3, 4), (4, 5), (5,)]),
+    _fd_case("affine_broadcast_3d", lambda p: ad.affine(p[0], p[1], p[2], relu=True).square().sum(),
+             3, [(3, 4), (2, 4, 5), (2, 1, 5)]),
+    _fd_case("affine_batched_3d", lambda p: ad.affine(p[0], p[1], p[2]).square().sum(),
+             3, [(2, 3, 4), (2, 4, 5), (2, 1, 5)]),
+    _fd_case("affine_const_x", lambda p: ad.affine(p[0], p[1], p[2], relu=True).square().sum(),
+             3, [(3, 4), (4, 5), (5,)], const=(0,)),
+    _fd_case("affine_zero_preactivation",
+             lambda p: (ad.affine(p[0] * ad.Tensor(_X_ROW1_OFF), p[1], p[2] * ad.Tensor(_B_COL2_OFF),
+                                  relu=True) * ad.Tensor(_COEF_3x5)).sum(),
+             3, [(3, 4), (4, 5), (5,)]),
+    _fd_case("score_batch_l2", lambda p: (scoring.score_batch(*_zero_distance_row0(p), "l2")
+                                          * ad.Tensor(_COEF_4x1)).sum(),
+             3, [(4, 6), (4, 3), (4, 6)]),
+    _fd_case("score_batch_l1", lambda p: (scoring.score_batch(*_zero_distance_row0(p), "l1")
+                                          * ad.Tensor(_COEF_4x1)).sum(),
+             3, [(4, 6), (4, 3), (4, 6)]),
     # four sources, sources 0 and 3 share no row, pair (1, 2) shares three;
     # an asymmetric upstream weight checks both halves of the matrix
     _fd_case("mi_matrix", lambda p: (ad.mi_matrix(ad.softmax(p[0], axis=-1), _MI_PRESENT, 1e-12)

@@ -13,7 +13,7 @@ import moekgc.trainer as trainer
 from moekgc.config import ConfigError
 from moekgc.fusion import FusionModel, ModelConfig
 from moekgc.kgdata import KnowledgeGraph, ModalityFeatureTable, build_filter_index
-from moekgc.sampling import NegativeSamplingConfig
+from moekgc.sampling import NegativeSamplingConfig, corrupt
 from moekgc.scoring import score, score_candidates
 from moekgc.trainer import (
     Adam,
@@ -31,6 +31,7 @@ from moekgc.trainer import (
 )
 
 from oracles import rank_by_sort
+from synthetic import clustered_graph
 
 EMPTY = np.zeros((0, 3), dtype=np.int64)
 
@@ -110,6 +111,73 @@ def test_adam_skips_blocks_without_gradients():
     opt.step()
     assert not np.array_equal(a.data, np.ones(2))
     np.testing.assert_array_equal(b.data, np.ones(2))
+
+
+def test_blocked_adam_matches_the_whole_block_update_bitwise():
+    rng = np.random.default_rng(9)
+    chunk = trainer._ADAM_CHUNK
+    # several chunks and a short last one, exactly one chunk, and one small block
+    shapes = {"big": (3, chunk + 5), "one_chunk": (chunk,), "small": (4, 3)}
+    params = {n: ad.parameter(rng.normal(size=s)) for n, s in shapes.items()}
+    opt = Adam(params, learning_rate=0.01)
+    # the unblocked update: whole-block float64 expressions, in this order
+    want = {n: p.data.copy() for n, p in params.items()}
+    m = {n: np.zeros(s) for n, s in shapes.items()}
+    v = {n: np.zeros(s) for n, s in shapes.items()}
+    for t in range(1, 6):
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for n, p in params.items():
+            p.grad = rng.normal(size=shapes[n]).astype(np.float32)
+            g = p.grad.astype(np.float64)
+            m[n] = 0.9 * m[n] + (1.0 - 0.9) * g
+            v[n] = 0.999 * v[n] + (1.0 - 0.999) * (g * g)
+            update = 0.01 * (m[n] / c1) / (np.sqrt(v[n] / c2) + 1e-8)
+            want[n] = (want[n].astype(np.float64) - update).astype(np.float32)
+        opt.step()
+        opt.zero_grad()
+    for n, p in params.items():
+        assert p.data.dtype == np.float32 and p.data.tobytes() == want[n].tobytes(), n
+        assert opt.m[n].tobytes() == m[n].tobytes() and opt.v[n].tobytes() == v[n].tobytes(), n
+
+
+def test_adam_load_state_keeps_its_own_moments():
+    # moments of a chunked block are updated in place: never the caller's arrays
+    w = ad.parameter(np.zeros(trainer._ADAM_CHUNK + 1))
+    m0, v0 = np.zeros(w.shape), np.zeros(w.shape)
+    opt = Adam({"w": w}, learning_rate=0.1)
+    opt.load_state({"step": 0, "m": {"w": m0}, "v": {"w": v0}})
+    w.grad = np.ones(w.shape, dtype=np.float32)
+    opt.step()
+    assert not m0.any() and not v0.any()
+    assert opt.m["w"].all() and opt.v["w"].all()
+
+
+def test_desk_step_tape_is_short_and_released_before_adam(monkeypatch):
+    # the c09 full model at B=16, 8 negatives: fused layers and scorer keep
+    # fuse plus scoring and loss to at most 50 nodes
+    kg, tables = clustered_graph(seed=0)
+    cfg = ModelConfig(embedding_dim=16, experts=3, mi_bins=8, modalities=["attr", "attr_dup"])
+    model = FusionModel(cfg, kg.n_entities, kg.n_relations, tables, seed=0)
+    samp = sampling_cfg(negatives_per_positive=8, margin=6.0)
+    rows = np.arange(16)
+    positives = kg.train[rows]
+    negatives = corrupt(positives, 8, build_filter_index(kg), kg.n_entities, 0, rows=rows)
+    seen = {}
+    backward, step = ad.backward, Adam.step
+
+    def counting_backward(loss):
+        seen["backward"] = ad.tape_size()
+        backward(loss)
+
+    def counting_step(opt):
+        seen["adam"] = ad.tape_size()
+        step(opt)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    monkeypatch.setattr(Adam, "step", counting_step)
+    trainer._batch_step(model, Adam(model.params, 0.1), positives, negatives, samp)
+    assert 0 < seen["backward"] <= 50
+    assert seen["adam"] == 0
 
 
 # ---------------------------------------------------------------- context
