@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections.abc import Mapping
 from typing import Sequence
 
 import numpy as np
@@ -168,6 +169,110 @@ def parameter(data) -> Tensor:
 
 def ensure_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+class StoreError(ValueError):
+    """A parameter was rebound to an array its store cannot hold."""
+
+
+class _Block:
+    __slots__ = ("name", "tensor", "lo", "hi", "shape", "view")
+
+    def __init__(self, name, tensor, lo, shape):
+        self.name, self.tensor, self.shape = name, tensor, shape
+        self.lo, self.hi = lo, lo + math.prod(shape)
+
+
+class ParamStore(Mapping):
+    """Named parameter tensors whose data are views into one flat buffer.
+
+    The blocks sit in the buffer in the order given.  A bank is a run of
+    consecutive blocks of one shape, such as the k experts' copies of one
+    weight; ``bank`` serves it as one (k, ...) tensor whose data is a view
+    of the buffer, so stacking the members copies nothing.  ``repoint``
+    moves every view to a new buffer of the same layout: the optimizer
+    writes each update into a fresh buffer and re-points the store at it.
+    A parameter rebound from outside (``p.data = array``) is written back
+    into the buffer, cast to the store's dtype, by ``sync``; a rebound
+    array of another shape raises StoreError there.
+    """
+
+    def __init__(self, shapes: dict, banks: dict = None, dtype=None):
+        """A zero parameter per name -> shape, in buffer order, of dtype or
+        the default dtype; banks maps a key to member names."""
+        self._blocks, lo = {}, 0
+        for name, shape in shapes.items():
+            self._blocks[name] = b = _Block(name, parameter(np.empty(0)), lo, tuple(shape))
+            lo = b.hi
+        self.blocks = tuple(self._blocks.values())
+        self.repoint(np.zeros(lo, dtype=_DTYPE if dtype is None else dtype))
+        self._banks = {}
+        for key, names in (banks or {}).items():
+            members = [self._blocks[n] for n in names]
+            first = members[0]
+            if any(b.shape != first.shape or b.lo != a.hi for a, b in zip(members, members[1:])):
+                raise StoreError(f"bank {key} is not a run of equal-shape blocks")
+            # a (c,) bias serves as a (1, c) row, to broadcast over rows
+            shape = (len(members),) + (first.shape if len(first.shape) > 1 else (1,) + first.shape)
+            self._banks[key] = (first.lo, members[-1].hi, shape,
+                                tuple(b.tensor for b in members))
+
+    @classmethod
+    def holding(cls, tensors: dict) -> "ParamStore":
+        """A store of the given name -> tensor map, in its order: the values
+        are copied into the buffer and each tensor is re-pointed at its view.
+        The tensors must share one dtype."""
+        dtypes = {t.data.dtype for t in tensors.values()}
+        if len(dtypes) > 1:
+            raise StoreError(f"a store holds one dtype, got {sorted(map(str, dtypes))}")
+        store = cls({n: t.data.shape for n, t in tensors.items()},
+                    dtype=dtypes.pop() if dtypes else None)
+        for b in store.blocks:
+            b.view[...] = tensors[b.name].data
+            b.tensor = tensors[b.name]
+        store.repoint(store.flat)
+        return store
+
+    def __getitem__(self, name) -> Tensor:
+        return self._blocks[name].tensor
+
+    def __iter__(self):
+        return iter(self._blocks)
+
+    def __len__(self):
+        return len(self._blocks)
+
+    def views(self, flat) -> dict:
+        """name -> the block's view into flat, a buffer of the store's length."""
+        return {b.name: flat[b.lo:b.hi].reshape(b.shape) for b in self.blocks}
+
+    def repoint(self, flat):
+        """Make flat, a buffer of the store's length, the store's buffer."""
+        self.flat = flat
+        for b in self.blocks:
+            b.view = b.tensor.data = flat[b.lo:b.hi].reshape(b.shape)
+
+    def sync(self):
+        """Write every parameter rebound from outside back into the buffer."""
+        for b in self.blocks:
+            data = b.tensor.data
+            if data is not b.view:
+                if np.shape(data) != b.shape:
+                    raise StoreError(f"parameter {b.name} was rebound to shape "
+                                     f"{np.shape(data)}, its block is {b.shape}")
+                b.view[...] = data
+                b.tensor.data = b.view
+
+    def bank(self, key) -> Tensor:
+        """The bank's members as one (k, ...) tensor on the buffer: one tape
+        node, no copy and no finite check, whose backward hands each member
+        its slice of the gradient."""
+        lo, hi, shape, members = self._banks[key]
+
+        def grad_fn(g):
+            return tuple(g.reshape((len(members),) + members[0].data.shape))
+
+        return _wrap(self.flat[lo:hi].reshape(shape), members, grad_fn)
 
 
 def _check_finite(arr, op: str):
@@ -551,19 +656,30 @@ def gather_rows(table, indices) -> Tensor:
     return record(out, (table,), grad_fn, "gather_rows")
 
 
-def scatter_rows(src, indices, n_rows: int) -> Tensor:
-    """Place rows of src at the given (unique) positions of a zero matrix."""
-    src = ensure_tensor(src)
-    idx = np.asarray(indices, dtype=np.int64)
-    if len(np.unique(idx)) != len(idx):
-        raise ValueError("scatter_rows requires unique indices")
-    out = np.zeros((n_rows,) + src.data.shape[1:], dtype=src.data.dtype)
-    out[idx] = src.data
+def place_rows(parts, present) -> Tensor:
+    """Stack parts into one (S, n, ...) tensor that is zero but where a
+    source is present: present is an (S, n) boolean mask, and part s holds
+    the rows of slice s where present[s] is true, in order."""
+    parts = tuple(ensure_tensor(p) for p in parts)
+    present = np.asarray(present, dtype=bool)
+    if present.ndim != 2 or present.shape[0] != len(parts):
+        raise ValueError(f"place_rows needs one mask row per part, got {present.shape} "
+                         f"for {len(parts)} parts")
+    counts = present.sum(axis=1)
+    tails = {p.shape[1:] for p in parts}
+    if len(tails) != 1 or any(p.shape[0] != n for p, n in zip(parts, counts)):
+        raise ValueError(f"parts of shapes {[p.shape for p in parts]} do not fit rows "
+                         f"{counts.tolist()} of the mask")
+    out = np.zeros(present.shape + tails.pop(),
+                   dtype=np.result_type(*(p.data.dtype for p in parts)))
+    for s, p in enumerate(parts):
+        out[s, present[s]] = p.data
 
     def grad_fn(g):
-        return (g[idx],)
+        return tuple(g[s, present[s]] if p.requires_grad else None
+                     for s, p in enumerate(parts))
 
-    return record(out, (src,), grad_fn, "scatter_rows")
+    return record(out, parts, grad_fn, "place_rows")
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:

@@ -16,8 +16,10 @@ returns the whole symmetric MI matrix.  A pair's joint table is the mean of
 outer products of the paired softmax vectors over the rows both members
 have; marginals are its row and column sums.  Every dense layer is one
 ``ad.affine`` node, and the expert bank, the distribution heads and the
-weighted sums each run as one batched op over per-expert parameters stacked
-in the forward pass.  Fusion weights are treated as constants by default:
+weighted sums each run as one batched op.  The parameters live in one
+``ad.ParamStore`` that keeps each bank's members side by side, so a bank's
+stacked (k, ...) weights are a view of the store, not a copy.  Fusion
+weights are treated as constants by default:
 the heads, the MI kernel and the weights then run under ``ad.no_grad`` and
 put nothing on the tape.  ``grad_through_weights`` runs the same calls on
 the tape.
@@ -45,6 +47,8 @@ ABSENT_LOGIT = -1e30
 # a core's cache, where one call over 15k entities walks 15 MB arrays and
 # holds over a hundred MB of them at once
 _EMBED_BLOCK = 2048
+# initial values drawn per call when a parameter block is filled
+_INIT_CHUNK = 1 << 16
 
 
 @dataclass
@@ -75,6 +79,9 @@ class ModelConfig:
             raise ConfigError(f"{STRUCTURE_MODALITY!r} is implicit and cannot be listed")
         if len(set(self.modalities)) != len(self.modalities):
             raise ConfigError("duplicate modality in modalities list")
+        if len(self.modalities) > 62:
+            # a presence mask over the sources is coded as one int64
+            raise ConfigError(f"at most 62 modalities, got {len(self.modalities)}")
         if tables is not None:
             for m in self.modalities:
                 if m not in tables:
@@ -183,11 +190,18 @@ def _level_mi(weighting: str, pinned, dists, present) -> Tensor:
     return ad.mi_matrix(dists(), present, MI_EPS)
 
 
-def _stacked(params: dict, names) -> Tensor:
-    """The named parameters stacked along a new leading axis; (n, c) biases
-    come out as (n, 1, c), to broadcast over rows."""
-    out = ad.stack([params[name] for name in names])
-    return ad.reshape(out, (out.shape[0], 1, out.shape[1])) if out.ndim == 2 else out
+def _inter_weights(has: np.ndarray, w: np.ndarray) -> dict:
+    """Inter weights per presence mask, from has (n_src, B) and w (B, n_src).
+
+    Every position with the same sources has the same weights, so each mask
+    keeps those of its first position, keyed by its present source indices.
+    A mask is coded as one integer, source 0 the most significant bit, so
+    the keys come in the order of the masks sorted as rows.
+    """
+    codes = np.left_shift(1, np.arange(len(has) - 1, -1, -1)) @ has
+    _, first = np.unique(codes, return_index=True)
+    return {tuple(np.flatnonzero(has[:, p]).tolist()): np.array(w[p, has[:, p]], dtype=np.float64)
+            for p in first}
 
 
 # ---------------------------------------------------------------------------
@@ -229,45 +243,60 @@ class FusionModel:
         self.source_order = [STRUCTURE_MODALITY] + list(cfg.modalities)
         # entity id -> row in the modality's feature table, -1 where absent
         self.feature_rows = {m: _row_lookup(self.tables[m], n_entities) for m in cfg.modalities}
-        self.params: dict = {}
-        self._init_params(seed)
+        self.params = self._init_params(seed)
 
     # -- parameters
 
-    def _add(self, name: str, rng, shape, phases: bool = False):
-        if phases:
-            # uniform (-pi, pi]
-            data = math.pi - rng.uniform(0.0, 2.0 * math.pi, size=shape)
-        else:
-            fan_in, fan_out = (shape[0], shape[1]) if len(shape) == 2 else (1, shape[0])
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            data = rng.uniform(-limit, limit, size=shape)
-        self.params[name] = ad.parameter(data)
-
-    def _init_params(self, seed: int):
+    def _init_params(self, seed: int) -> ad.ParamStore:
         d, k, c = self.cfg.embedding_dim, self.cfg.experts, self.cfg.mi_bins
-        rng = np.random.Generator(np.random.PCG64(seed))
-        self._add("entities", rng, (self.n_entities, d))
-        self._add("rel_phases", rng, (self.n_relations, d // 2), phases=True)
+        # every block's shape, in the order its initial values are drawn
+        shapes = {"entities": (self.n_entities, d), "rel_phases": (self.n_relations, d // 2)}
         for m in self.cfg.modalities:
             dim_m = self.tables[m].dim
-            self._add(f"proj.{m}.w1", rng, (dim_m, d))
-            self._add(f"proj.{m}.b1", rng, (d,))
-            self._add(f"proj.{m}.w2", rng, (d, d))
-            self._add(f"proj.{m}.b2", rng, (d,))
+            shapes.update({f"proj.{m}.w1": (dim_m, d), f"proj.{m}.b1": (d,),
+                           f"proj.{m}.w2": (d, d), f"proj.{m}.b2": (d,)})
             for i in range(k):
-                self._add(f"expert.{m}.{i}.w1", rng, (d, d))
-                self._add(f"expert.{m}.{i}.b1", rng, (d,))
-                self._add(f"expert.{m}.{i}.w2", rng, (d, d))
-                self._add(f"expert.{m}.{i}.b2", rng, (d,))
-                self._add(f"view_dist.{m}.{i}.w", rng, (d, c))
-                self._add(f"view_dist.{m}.{i}.b", rng, (c,))
-            self._add(f"modal_dist.{m}.w", rng, (d, c))
-            self._add(f"modal_dist.{m}.b", rng, (c,))
-        self._add(f"modal_dist.{STRUCTURE_MODALITY}.w", rng, (d, c))
-        self._add(f"modal_dist.{STRUCTURE_MODALITY}.b", rng, (c,))
+                shapes.update({f"expert.{m}.{i}.w1": (d, d), f"expert.{m}.{i}.b1": (d,),
+                               f"expert.{m}.{i}.w2": (d, d), f"expert.{m}.{i}.b2": (d,),
+                               f"view_dist.{m}.{i}.w": (d, c), f"view_dist.{m}.{i}.b": (c,)})
+            shapes.update({f"modal_dist.{m}.w": (d, c), f"modal_dist.{m}.b": (c,)})
+        shapes.update({f"modal_dist.{STRUCTURE_MODALITY}.w": (d, c),
+                       f"modal_dist.{STRUCTURE_MODALITY}.b": (c,)})
 
-    def parameters(self) -> dict:
+        # the store holds each bank's members side by side, role by role; the
+        # distribution heads come last, so that the blocks which train by
+        # default form one run for Adam
+        roles = ("w1", "b1", "w2", "b2")
+        order, banks = ["entities", "rel_phases"], {}
+        for m in self.cfg.modalities:
+            order += [f"proj.{m}.{r}" for r in roles]
+            banks.update({f"expert.{m}.*.{r}": [f"expert.{m}.{i}.{r}" for i in range(k)]
+                          for r in roles})
+        for m in self.cfg.modalities:
+            banks.update({f"view_dist.{m}.*.{r}": [f"view_dist.{m}.{i}.{r}" for i in range(k)]
+                          for r in ("w", "b")})
+        banks.update({f"modal_dist.*.{r}": [f"modal_dist.{s}.{r}" for s in self.source_order]
+                      for r in ("w", "b")})
+        order += [n for names in banks.values() for n in names]
+        store = ad.ParamStore({n: shapes[n] for n in order}, banks)
+
+        # drawn in pieces, each value as one draw over the whole block would
+        # give it, so no float64 copy of the entity table is ever held
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for name, shape in shapes.items():
+            if name == "rel_phases":
+                low, high = 0.0, 2.0 * math.pi  # then pi - x: uniform (-pi, pi]
+            else:
+                fan_in, fan_out = (shape[0], shape[1]) if len(shape) == 2 else (1, shape[0])
+                high = math.sqrt(6.0 / (fan_in + fan_out))
+                low = -high
+            out = store[name].data.reshape(-1)
+            for lo in range(0, out.size, _INIT_CHUNK):
+                draw = rng.uniform(low, high, size=min(_INIT_CHUNK, out.size - lo))
+                out[lo:lo + _INIT_CHUNK] = math.pi - draw if name == "rel_phases" else draw
+        return store
+
+    def parameters(self) -> ad.ParamStore:
         return self.params
 
     @property
@@ -283,17 +312,15 @@ class FusionModel:
 
     def _experts(self, m: str, v: Tensor) -> Tensor:
         """The modality's k expert views of v (n, d) as one (k, n, d) tensor."""
-        p, bank = self.params, [f"expert.{m}.{i}" for i in range(self.cfg.experts)]
-        hidden = ad.affine(v, _stacked(p, [f"{e}.w1" for e in bank]),
-                           _stacked(p, [f"{e}.b1" for e in bank]), relu=True)
-        return ad.affine(hidden, _stacked(p, [f"{e}.w2" for e in bank]),
-                         _stacked(p, [f"{e}.b2" for e in bank]))
+        bank = self.params.bank
+        hidden = ad.affine(v, bank(f"expert.{m}.*.w1"), bank(f"expert.{m}.*.b1"), relu=True)
+        return ad.affine(hidden, bank(f"expert.{m}.*.w2"), bank(f"expert.{m}.*.b2"))
 
-    def _dists(self, heads, x: Tensor) -> Tensor:
-        """Distributions of x (n, rows, d) over mi_bins: slice s through head s."""
-        p = self.params
-        logits = ad.affine(x, _stacked(p, [f"{h}.w" for h in heads]),
-                           _stacked(p, [f"{h}.b" for h in heads]))
+    def _dists(self, heads: str, x: Tensor) -> Tensor:
+        """Distributions of x (n, rows, d) over mi_bins: slice s through the
+        s-th head of the heads bank."""
+        bank = self.params.bank
+        logits = ad.affine(x, bank(f"{heads}.*.w"), bank(f"{heads}.*.b"))
         return ad.softmax(logits, axis=-1)
 
     # -- fusion
@@ -312,7 +339,8 @@ class FusionModel:
             raise ValueError("fuse expects a non-empty 1-d array of entity indices")
         if entity_ids.min() < 0 or entity_ids.max() >= self.n_entities:
             raise ValueError(f"entity indices must lie in [0, {self.n_entities})")
-        B, k, d = entity_ids.size, self.cfg.experts, self.cfg.embedding_dim
+        k, d = self.cfg.experts, self.cfg.embedding_dim
+        self.params.sync()
         # the weights, and the heads and MI they come from, need a tape only
         # when gradients flow through them
         weighing = contextlib.nullcontext if self.cfg.grad_through_weights else ad.no_grad
@@ -322,7 +350,7 @@ class FusionModel:
                                              for m in self.cfg.modalities])
         has = feat_rows >= 0
 
-        # one (B, d) block per source, zero where the source is absent
+        # each source's rows, in batch order, where it is present
         placed = [ad.gather_rows(self.params["entities"], entity_ids)]
         mi_intra_np: dict = {}
         intra_w_np: dict = {}
@@ -331,38 +359,35 @@ class FusionModel:
             if rows.size == 0:
                 mi_intra_np[m] = np.zeros((k, k))
                 intra_w_np[m] = np.full(k, 1.0 / k)
-                placed.append(ad.Tensor(np.zeros((B, d))))
+                placed.append(ad.Tensor(np.zeros((0, d))))
                 continue
             views = self._experts(m, self._project(
                 m, ad.Tensor(self.tables[m].features[feat_rows[s, rows]])))
             with weighing():
                 mat = _level_mi(
                     self.cfg.intra_weighting, None if mi is None else mi.intra[m],
-                    lambda: self._dists([f"view_dist.{m}.{i}" for i in range(k)], views),
+                    lambda: self._dists(f"view_dist.{m}", views),
                     np.ones((k, rows.size)))
                 w = _mi_weights(mat, np.ones((1, k)))
             mi_intra_np[m] = np.array(mat.data, dtype=np.float64)
             intra_w_np[m] = np.array(w.data[0], dtype=np.float64)
-            placed.append(ad.scatter_rows(ad.weighted_sum(w, views), rows, B))
+            placed.append(ad.weighted_sum(w, views))
 
-        sources = ad.stack(placed)
+        # (n_src, B, d), zero where a source is absent
+        sources = ad.place_rows(placed, has)
         with weighing():
             mat = _level_mi(
                 self.cfg.inter_weighting, None if mi is None else mi.inter,
-                lambda: self._dists([f"modal_dist.{m}" for m in self.source_order], sources),
+                lambda: self._dists("modal_dist", sources),
                 has)
             w = _mi_weights(mat, has.T)
         joint = ad.weighted_sum(w, sources)
 
-        # every position with the same sources has the same inter weights
-        masks, first = np.unique(has.T, axis=0, return_index=True)
         cache = {
             "mi_intra": mi_intra_np,
             "mi_inter": np.array(mat.data, dtype=np.float64),
             "intra_weights": intra_w_np,
-            "inter_weights": {tuple(np.flatnonzero(mask).tolist()):
-                              np.array(w.data[p, mask], dtype=np.float64)
-                              for mask, p in zip(masks, first)},
+            "inter_weights": _inter_weights(has, w.data),
             "source_order": list(self.source_order),
         }
         return joint, cache

@@ -2,9 +2,10 @@
 
 The loop draws entropy-weighted negatives per positive, fuses every entity
 touched by the batch once, scores positives and negatives with the rotation
-model, and applies Adam per parameter block.  Randomness is keyed so that
-(seed, epoch) fixes the shuffle and (seed, epoch, triple index) fixes the
-negatives for one positive, which makes runs bit-reproducible.
+model, and applies one fused Adam step over the parameter store.
+Randomness is keyed so that (seed, epoch) fixes the shuffle and (seed,
+epoch, triple index) fixes the negatives for one positive, which makes runs
+bit-reproducible.
 
 Evaluation ranks the gold entity against every candidate with mean ranks
 for ties: rank = better + (tied + 1) / 2, counting the gold itself in the
@@ -88,43 +89,81 @@ class TrainConfig:
 _ADAM_CHUNK = 8192
 
 
-class Adam:
-    """Per-block Adam with bias correction; epsilon added outside the sqrt.
+def _grad_runs(blocks):
+    """The maximal runs of consecutive store blocks that have a gradient."""
+    run = []
+    for b in blocks:
+        if b.tensor.grad is not None:
+            run.append(b)
+        elif run:
+            yield run
+            run = []
+    if run:
+        yield run
 
-    A block larger than _ADAM_CHUNK is updated chunk by chunk, its moments in
-    place, by the same elementwise float64 expressions, so the result is the
-    whole-block update's bit for bit.
+
+def _grad_chunks(run):
+    """(lo, hi, gradient) for each _ADAM_CHUNK piece of a run, lo and hi
+    being offsets into the store's buffer.  A piece inside one block reads a
+    view of that block's gradient; a piece across blocks joins their slices."""
+    i = 0
+    for lo in range(run[0].lo, run[-1].hi, _ADAM_CHUNK):
+        hi = min(lo + _ADAM_CHUNK, run[-1].hi)
+        while run[i].hi <= lo:
+            i += 1
+        first = run[i]
+        if hi <= first.hi:
+            yield lo, hi, first.tensor.grad.reshape(-1)[lo - first.lo:hi - first.lo]
+            continue
+        parts, j = [first.tensor.grad.reshape(-1)[lo - first.lo:]], i + 1
+        while run[j].hi < hi:
+            parts.append(run[j].tensor.grad)
+            j += 1
+        parts.append(run[j].tensor.grad.reshape(-1)[:hi - run[j].lo])
+        yield lo, hi, np.concatenate(parts, axis=None, dtype=np.float64)
+
+
+class Adam:
+    """Adam with bias correction; epsilon added outside the sqrt.
+
+    It runs on a ParamStore; a plain name -> tensor dict is first gathered
+    into one.  The moments are two float64 buffers laid out like the store's,
+    with a named view per block in m and v.  A step updates each maximal run
+    of consecutive blocks that have a gradient, _ADAM_CHUNK elements at a
+    time, by the per-block update's elementwise float64 expressions, so the
+    result is that update's bit for bit; blocks without a gradient keep
+    their values and moments.  The new parameters go into a fresh buffer
+    that the store is then re-pointed at.
     """
 
     def __init__(self, params: dict, learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+        self.params = params if isinstance(params, ad.ParamStore) else ad.ParamStore.holding(params)
         self.lr = float(learning_rate)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         # moments kept in float64 regardless of the parameter dtype
-        self.m = {n: np.zeros(p.data.shape, dtype=np.float64) for n, p in params.items()}
-        self.v = {n: np.zeros(p.data.shape, dtype=np.float64) for n, p in params.items()}
+        self._m = np.zeros(self.params.flat.size, dtype=np.float64)
+        self._v = np.zeros(self.params.flat.size, dtype=np.float64)
+        self.m, self.v = self.params.views(self._m), self.params.views(self._v)
 
     def step(self):
+        store = self.params
+        store.sync()
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            if p.data.size <= _ADAM_CHUNK:
-                self.m[name], self.v[name], p.data = self._update(
-                    self.m[name], self.v[name], p.grad, p.data, c1, c2)
-                continue
-            m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)  # views
-            g, x = p.grad.reshape(-1), p.data.reshape(-1)
-            out = np.empty_like(x)
-            for lo in range(0, x.size, _ADAM_CHUNK):
-                part = slice(lo, lo + _ADAM_CHUNK)
-                m[part], v[part], out[part] = self._update(m[part], v[part], g[part], x[part],
-                                                           c1, c2)
-            p.data = out.reshape(p.data.shape)
+        x, m, v = store.flat, self._m, self._v
+        out = np.empty_like(x)
+        done = 0
+        for run in _grad_runs(store.blocks):
+            for lo, hi, g in _grad_chunks(run):
+                out[done:lo] = x[done:lo]  # the blocks without a gradient
+                m[lo:hi], v[lo:hi], out[lo:hi] = self._update(m[lo:hi], v[lo:hi], g, x[lo:hi],
+                                                              c1, c2)
+                done = hi
+        out[done:] = x[done:]
+        store.repoint(out)
 
     def _update(self, m, v, grad, x, c1, c2):
         """New (m, v, x) after one step on gradient grad; x keeps its dtype."""
@@ -142,12 +181,12 @@ class Adam:
         return {"step": self.t, "m": self.m, "v": self.v}
 
     def load_state(self, state: dict):
+        """Copy the step counter and the moments of every named block."""
         self.t = int(state["step"])
         for name in self.params:
             if name in state["m"]:
-                # own copies: step updates the moments in place
-                self.m[name] = np.array(state["m"][name], dtype=np.float64, order="C")
-                self.v[name] = np.array(state["v"][name], dtype=np.float64, order="C")
+                self.m[name][...] = state["m"][name]
+                self.v[name][...] = state["v"][name]
 
 
 # ---------------------------------------------------------------- evaluation
@@ -442,7 +481,7 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
                 f"{path}: block {name} has shape {arrays[name].shape}, "
                 f"expected {p.data.shape}"
             )
-        p.data = arrays[name].astype(p.data.dtype)
+        p.data[...] = arrays[name]  # into the store
 
     state = {"header": header, "adam_step": header.get("adam_step")}
     if state["adam_step"] is not None:
@@ -513,7 +552,7 @@ def train(kg: KnowledgeGraph, tables: dict, model_cfg: ModelConfig,
             record["valid_mrr"] = report["mrr"]
             if best_mrr is None or report["mrr"] > best_mrr:
                 best_mrr = report["mrr"]
-                best_params = {n: p.data.copy() for n, p in model.params.items()}
+                best_params = model.params.flat.copy()
                 evals_since_best = 0
             else:
                 evals_since_best += 1
@@ -524,8 +563,7 @@ def train(kg: KnowledgeGraph, tables: dict, model_cfg: ModelConfig,
             break
 
     if best_params is not None:
-        for name, p in model.params.items():
-            p.data = best_params[name]
+        model.params.flat[...] = best_params
     return TrainResult(model=model, history=history, best_valid_mrr=best_mrr,
                        stopped_epoch=stopped)
 

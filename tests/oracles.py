@@ -1,9 +1,11 @@
 """Independent reference implementations the tests check production code against.
 
 Gradients come from central finite differences, ranks from an explicit sort.
-The one exception to an independent route is ``composite_score_batch``: the
-slow path the fused scorer replaced, built from autodiff's primitive ops,
-which the fused op must match bit for bit.
+The exceptions to an independent route are the slow paths that fused code
+replaced and must match bit for bit: ``composite_score_batch`` (the scorer
+as a chain of autodiff's primitive ops), ``composite_place_rows`` (the
+sources tensor of fuse as per-source scatters and a stack) and
+``PerBlockAdam`` (the optimizer updating one parameter block at a time).
 """
 
 import numpy as np
@@ -125,3 +127,65 @@ def composite_score_batch(heads, phases, tails, norm="l2"):
     else:
         dist = mags_sq.sqrt().sum(axis=1, keepdims=True)
     return -dist
+
+
+def composite_place_rows(parts, present):
+    """The sources tensor as fuse once built it: source 0 as it is, each
+    other part scattered into a zero block by a tape op of its own (a
+    constant zero block when it has no rows), then one stack."""
+    from moekgc import autodiff as ad
+
+    n = present.shape[1]
+    blocks = [parts[0]]
+    for part, mask in zip(parts[1:], present[1:]):
+        rows = np.flatnonzero(mask)
+        if rows.size == 0:
+            blocks.append(ad.Tensor(np.zeros((n,) + part.shape[1:])))
+            continue
+        out = np.zeros((n,) + part.shape[1:], dtype=part.data.dtype)
+        out[rows] = part.data
+        blocks.append(ad.record(out, (part,), lambda g, rows=rows: (g[rows],), "scatter_rows"))
+    return ad.stack(blocks)
+
+
+class PerBlockAdam:
+    """Adam as one update per parameter block: the whole block at once when
+    it fits one chunk, else chunk by chunk with its moments in place.
+
+    params maps name -> tensor; each step rebinds a block's data to a new
+    array.  Blocks without a gradient are skipped.
+    """
+
+    def __init__(self, params, learning_rate, chunk, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.chunk = params, float(learning_rate), chunk
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {n: np.zeros(p.data.shape, dtype=np.float64) for n, p in params.items()}
+        self.v = {n: np.zeros(p.data.shape, dtype=np.float64) for n, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            if p.data.size <= self.chunk:
+                self.m[name], self.v[name], p.data = self._update(
+                    self.m[name], self.v[name], p.grad, p.data, c1, c2)
+                continue
+            m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
+            g, x = p.grad.reshape(-1), p.data.reshape(-1)
+            out = np.empty_like(x)
+            for lo in range(0, x.size, self.chunk):
+                part = slice(lo, lo + self.chunk)
+                m[part], v[part], out[part] = self._update(m[part], v[part], g[part], x[part],
+                                                           c1, c2)
+            p.data = out.reshape(p.data.shape)
+
+    def _update(self, m, v, grad, x, c1, c2):
+        g = np.asarray(grad, dtype=np.float64)
+        m = self.beta1 * m + (1.0 - self.beta1) * g
+        v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+        update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        return m, v, (x.astype(np.float64) - update).astype(x.dtype)

@@ -3,7 +3,8 @@ import pytest
 
 from moekgc import autodiff as ad
 from moekgc import scoring
-from oracles import composite_score_batch, finite_difference_grads, relative_block_error
+from oracles import (composite_place_rows, composite_score_batch, finite_difference_grads,
+                     relative_block_error)
 
 
 @pytest.fixture(autouse=True)
@@ -293,10 +294,91 @@ def test_gather_rows_grad_matches_row_scatter(shape, dtype):
                                   row_scatter(table.data, idx, g).view(np.uint8))
 
 
-def test_scatter_rows_rejects_duplicate_indices():
-    src = ad.Tensor(np.ones((2, 3), dtype=np.float32))
-    with pytest.raises(ValueError):
-        ad.scatter_rows(src, [1, 1], 4)
+def test_place_rows_rejects_parts_that_do_not_fit_the_mask():
+    present = np.array([[True, True, True], [True, False, True]])
+    with pytest.raises(ValueError, match="do not fit"):
+        ad.place_rows([np.ones((3, 2)), np.ones((3, 2))], present)
+    with pytest.raises(ValueError, match="do not fit"):
+        ad.place_rows([np.ones((3, 2)), np.ones((2, 4))], present)
+    with pytest.raises(ValueError, match="one mask row per part"):
+        ad.place_rows([np.ones((3, 2))], present)
+
+
+@pytest.mark.parametrize("n_rows", [1, 7])
+def test_place_rows_matches_the_composite_oracle(n_rows):
+    # source 0 everywhere, as the structure is; then a source present
+    # everywhere, a partial one and an absent one
+    rng = np.random.default_rng(n_rows)
+    partial = rng.random(n_rows) < 0.5
+    partial[0] = n_rows > 1
+    present = np.stack([np.ones(n_rows, bool), np.ones(n_rows, bool), partial,
+                        np.zeros(n_rows, bool)])
+    start = [rng.normal(size=(int(row.sum()), 4)).astype(np.float32) for row in present]
+    coef = ad.Tensor(rng.normal(size=(4, n_rows, 4)))
+    got = []
+    for place in (ad.place_rows, composite_place_rows):
+        ad.reset_tape()
+        # fuse passes a source with no rows as a constant
+        parts = [ad.parameter(a) if len(a) else ad.Tensor(a) for a in start]
+        out = place(parts, present)
+        ad.backward((out * coef).sum())
+        got.append((out.data, [p.grad for p in parts if p.requires_grad]))
+    (fused, fused_grads), (oracle, oracle_grads) = got
+    assert fused.dtype == oracle.dtype == np.float32
+    assert fused.tobytes() == oracle.tobytes()
+    assert len(fused_grads) == len(oracle_grads) == 2 + (n_rows > 1)
+    for a, b in zip(fused_grads, oracle_grads):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def small_store():
+    shapes = {"a": (2, 3), **{f"w.{i}": (3, 4) for i in range(3)},
+              **{f"b.{i}": (4,) for i in range(3)}}
+    store = ad.ParamStore(shapes, {"w.*": ["w.0", "w.1", "w.2"], "b.*": ["b.0", "b.1", "b.2"]})
+    rng = np.random.default_rng(8)
+    for p in store.values():
+        p.data[...] = rng.normal(size=p.shape)
+    return store
+
+
+def test_store_banks_are_views_that_hand_members_their_gradients():
+    store = small_store()
+    x = ad.Tensor(np.arange(6.0).reshape(2, 3))
+    w, b = store.bank("w.*"), store.bank("b.*")
+    assert w.shape == (3, 3, 4) and b.shape == (3, 1, 4)
+    for bank, key in ((w, "w"), (b, "b")):
+        assert np.shares_memory(bank.data, store.flat)
+        stacked = np.stack([store[f"{key}.{i}"].data for i in range(3)])
+        np.testing.assert_array_equal(bank.data, stacked.reshape(bank.shape))
+    ad.backward(ad.affine(x, w, b).square().sum())
+    assert store["a"].grad is None
+    for i in range(3):
+        # member i's gradient is that of its own layer's share of the loss
+        wi, bi = ad.parameter(store[f"w.{i}"].data), ad.parameter(store[f"b.{i}"].data)
+        ad.backward(ad.affine(x, wi, bi).square().sum())
+        np.testing.assert_allclose(store[f"w.{i}"].grad, wi.grad, rtol=1e-6)
+        np.testing.assert_allclose(store[f"b.{i}"].grad, bi.grad, rtol=1e-6)
+
+
+def test_store_writes_a_rebound_parameter_back_or_names_the_mismatch():
+    store = small_store()
+    member = store["w.1"]
+    member.data = np.full((3, 4), 0.5)  # float64 into a float32 store
+    store.sync()
+    assert member.data.dtype == np.float32 and np.shares_memory(member.data, store.flat)
+    np.testing.assert_array_equal(store.bank("w.*").data[1], np.full((3, 4), 0.5))
+    store["a"].data = np.zeros((3, 2))
+    with pytest.raises(ad.StoreError, match="parameter a was rebound to shape"):
+        store.sync()
+
+
+def test_store_rejects_mixed_dtypes_and_scattered_banks():
+    with ad.using_dtype(np.float64):
+        wide = ad.parameter(np.ones(2))
+    with pytest.raises(ad.StoreError, match="one dtype"):
+        ad.ParamStore.holding({"a": ad.parameter(np.ones(2)), "b": wide})
+    with pytest.raises(ad.StoreError, match="bank x.\\* is not a run"):
+        ad.ParamStore({"x.0": (3,), "y": (3,), "x.1": (3,)}, {"x.*": ["x.0", "x.1"]})
 
 
 def _fd_case(name, build, n_params, shapes, low=-2.0, high=2.0, positive=False, const=()):
@@ -310,6 +392,7 @@ _MI_PRESENT = np.array([[1, 1, 1, 0, 1, 0, 0],
                         [0, 0, 0, 1, 0, 1, 1]], dtype=bool)
 _MI_UPSTREAM = np.arange(16).reshape(4, 4) * 0.3 - 2.0
 _COEF_3x5 = np.arange(15).reshape(3, 5) * 0.1 - 0.6
+_PLACE_PRESENT = np.array([[True, True], [False, True]])
 # row 1 of x and column 2 of the bias zeroed: that pre-activation is exactly 0
 # for any parameters, on relu's kink
 _X_ROW1_OFF = np.array([[1.0], [0.0], [1.0]])
@@ -357,7 +440,9 @@ _GRAD_CASES = [
              const=(1,)),
     _fd_case("clamp_min", lambda p: ad.clamp_min(p[0], 0.5).sum(), 1, [(6,)], low=0.6, high=2.0),
     _fd_case("gather", lambda p: ad.gather_rows(p[0], [0, 2, 2, 1]).square().sum(), 1, [(4, 3)]),
-    _fd_case("scatter", lambda p: ad.scatter_rows(p[0], [2, 0], 4).square().sum(), 1, [(2, 3)]),
+    _fd_case("place_rows", lambda p: (ad.place_rows([p[0], p[1]], _PLACE_PRESENT)
+                                      * ad.Tensor(_COEF_3x2x3[:2, :, :2])).sum(),
+             2, [(2, 2), (1, 2)]),
     _fd_case("slice_cols", lambda p: ad.slice_cols(p[0], 1, 3).square().sum(), 1, [(3, 4)]),
     _fd_case("stack", lambda p: (ad.stack([p[0], p[1], p[0]]) * ad.Tensor(_COEF_3x2x3)).sum(),
              2, [(2, 3), (2, 3)]),

@@ -402,6 +402,28 @@ def test_pinned_and_estimated_weights_are_bit_identical():
     np.testing.assert_array_equal(fresh.data, pinned.data)
 
 
+def row_unique_inter_weights(has, w):
+    """Inter weights grouped by sorting the presence-mask rows themselves."""
+    masks, first = np.unique(has.T, axis=0, return_index=True)
+    return {tuple(np.flatnonzero(mask).tolist()): np.array(w[p, mask], dtype=np.float64)
+            for mask, p in zip(masks, first)}
+
+
+@pytest.mark.parametrize("n_src,batch", [(1, 5), (2, 1), (3, 1), (3, 40), (5, 200)])
+def test_inter_weight_groups_match_the_row_unique_grouping(n_src, batch):
+    rng = np.random.default_rng(n_src * 1000 + batch)
+    for density in (1.0, 0.7, 0.3):  # 1.0: every source present everywhere
+        has = rng.random((n_src, batch)) < density
+        has[0] = True  # the structure is always present
+        w = rng.random((batch, n_src)).astype(np.float32)
+        got = fusion._inter_weights(has, w)
+        want = row_unique_inter_weights(has, w)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].dtype == np.float64
+            np.testing.assert_array_equal(got[key], want[key])
+
+
 def test_default_fuse_puts_no_head_or_mi_node_on_the_tape():
     # the c09 desk configuration: three experts over two modalities
     kg, tables = clustered_graph(seed=0)
@@ -528,6 +550,15 @@ def test_same_seed_same_params_different_seed_differs():
     for name in m1.params:
         np.testing.assert_array_equal(m1.params[name].data, m2.params[name].data)
     assert any(not np.array_equal(m1.params[n].data, m3.params[n].data) for n in m1.params)
+
+
+def test_initial_values_do_not_depend_on_the_draw_chunk(monkeypatch):
+    # pieces that split rows and blocks give the values of one draw per block
+    monkeypatch.setattr(fusion, "_INIT_CHUNK", 1 << 30)
+    whole = small_model(seed=11, k=3)
+    monkeypatch.setattr(fusion, "_INIT_CHUNK", 7)
+    pieces = small_model(seed=11, k=3)
+    assert whole.params.flat.tobytes() == pieces.params.flat.tobytes()
 
 
 def test_config_validation_errors():
