@@ -577,11 +577,6 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
     return _wrap(out, (x, w, b), grad_fn)
 
 
-def reshape(a, shape) -> Tensor:
-    a = ensure_tensor(a)
-    return record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),), "reshape")
-
-
 def stack(tensors) -> Tensor:
     """Stack equal-shape tensors along a new leading axis."""
     tensors = tuple(ensure_tensor(t) for t in tensors)

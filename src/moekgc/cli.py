@@ -298,16 +298,14 @@ def cmd_predict(cfg, args) -> int:
 
     if args.head is not None:
         fixed, side = entity_id(args.head), "tail"
-        known = fi.true_tails(fixed, r)
     else:
         fixed, side = entity_id(args.tail), "head"
-        known = fi.true_heads(r, fixed)
     scores = score_candidates(emb, theta[r], emb[fixed], side, model.cfg.norm)
 
     keep = np.ones(kg.n_entities, dtype=bool)
-    if args.mode == "filtered" and known:
+    if args.mode == "filtered":
         # hide answers that are already in the graph
-        keep[np.fromiter(known, dtype=np.int64)] = False
+        keep[fi.answers(fixed, r, side == "tail")[1]] = False
     kept_ids = np.flatnonzero(keep)
     for e in kept_ids[np.argsort(-scores[kept_ids], kind="stable")[:args.top]]:
         print(f"{_mean_rank(scores, e, keep):g},{kg.entities[e]},{scores[e]:.6f}")

@@ -62,12 +62,24 @@ class ModalityFeatureTable:
         return self.features[self.rows[entity]]
 
 
-class FilterIndex:
-    """All known-true triples over every split.
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in increasing order, np.unique's result from one
+    sort and a mask: numpy 2.4's np.unique takes over ten times as long on
+    8400 int64 keys."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
-    Membership runs on sorted int64 keys (h*R + r)*E + t, with E and R one
-    past the largest entity and relation id indexed; the per-side sets back
-    filtered evaluation.
+
+class FilterIndex:
+    """All known-true triples over every split, as two sorted int64 key arrays.
+
+    Tail keys are (h*R + r)*E + t and head keys (r*E + t)*E + h, with E and R
+    one past the largest entity and relation id indexed.  The tails of one
+    (h, r) pair are the contiguous run of tail keys in [(h*R + r)*E,
+    (h*R + r + 1)*E), the heads of one (r, t) pair likewise a run of head
+    keys, so every lookup is a pair of binary searches.
     """
 
     def __init__(self, triples: np.ndarray):
@@ -80,25 +92,61 @@ class FilterIndex:
             raise DataError(
                 f"{self._n_ent} entities and {self._n_rel} relations overflow int64 triple keys"
             )
-        # the int64 maximum closes the sorted keys: no key or in-range probe
-        # reaches it, so every searchsorted position is a valid index
-        self._keys = np.append(np.unique(self._key(*triples.T)), np.iinfo(np.int64).max)
-        tails: dict = {}
-        heads: dict = {}
-        for h, r, t in triples.tolist():
-            tails.setdefault((h, r), set()).add(t)
-            heads.setdefault((r, t), set()).add(h)
-        self._tails = {k: frozenset(v) for k, v in tails.items()}
-        self._heads = {k: frozenset(v) for k, v in heads.items()}
+        h, r, t = triples.T
+        tail_keys = _sorted_unique(self._tail_key(h, r, t))
+        self._head_keys = _sorted_unique(self._head_key(h, r, t))
+        # the int64 maximum closes the tail keys: no key or in-range probe
+        # reaches it, so every searchsorted position in contains is an index
+        self._tail_keys = np.append(tail_keys, np.iinfo(np.int64).max)
+        # the answer each key names, tail keys then head keys, so that the
+        # answers of one run are one slice
+        self._ids = np.concatenate([tail_keys, self._head_keys]) % max(self._n_ent, 1)
 
-    def _key(self, h, r, t):
+    def _tail_key(self, h, r, t):
         return (h * self._n_rel + r) * self._n_ent + t
 
+    def _head_key(self, h, r, t):
+        return (r * self._n_ent + t) * self._n_ent + h
+
+    def _inside(self, ent, rel):
+        """Whether entity ids ent and relation ids rel are in range.  As
+        uint64 a negative id is huge, so unsigned comparisons bound ids from
+        both sides."""
+        return (ent.view(np.uint64) < self._n_ent) & (rel.view(np.uint64) < self._n_rel)
+
+    def answers(self, fixed, relation, tails):
+        """Known answers of many queries in one call, as (offsets, ids).
+
+        Query i asks for the tails of (fixed[i], relation[i]) where tails[i]
+        is true, else for the heads of (relation[i], fixed[i]); the three
+        arguments broadcast against each other.  Its answers are
+        ids[offsets[i]:offsets[i + 1]] in increasing order; a query with an
+        id outside the indexed range has none.
+        """
+        f, r, side = (np.ravel(x) for x in np.broadcast_arrays(
+            np.asarray(fixed, dtype=np.int64), np.asarray(relation, dtype=np.int64),
+            np.asarray(tails, dtype=bool)))
+        inside = self._inside(f, r)
+        # ids outside the range are zeroed so that no key overflows or aliases
+        f, r = f * inside, r * inside
+        first = np.where(side, self._tail_key(f, r, 0), self._head_key(0, r, f))
+        # run bounds as positions in _ids, where head keys follow tail keys
+        lo, hi = np.empty_like(first), np.empty_like(first)
+        for keys, sel, shift in ((self._tail_keys, side, 0),
+                                 (self._head_keys, ~side, len(self._tail_keys) - 1)):
+            lo[sel] = np.searchsorted(keys, first[sel]) + shift
+            hi[sel] = np.searchsorted(keys, first[sel] + self._n_ent) + shift
+        counts = np.where(inside, hi - lo, 0)
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        at = np.arange(offsets[-1]) + np.repeat(lo - offsets[:-1], counts)
+        return offsets, self._ids[at]
+
     def true_tails(self, head: int, relation: int) -> frozenset:
-        return self._tails.get((head, relation), frozenset())
+        return frozenset(self.answers(head, relation, True)[1].tolist())
 
     def true_heads(self, relation: int, tail: int) -> frozenset:
-        return self._heads.get((relation, tail), frozenset())
+        return frozenset(self.answers(tail, relation, False)[1].tolist())
 
     def contains(self, head, relation, tail):
         """Whether each (head, relation, tail) is known true.
@@ -107,13 +155,10 @@ class FilterIndex:
         bool array).  An id outside the indexed range is never a member.
         """
         h, r, t = (np.asarray(x, dtype=np.int64) for x in (head, relation, tail))
-        # as uint64 a negative id is huge, so unsigned comparisons bound ids
-        # from both sides
-        inside = ((np.maximum(h.view(np.uint64), t.view(np.uint64)) < self._n_ent)
-                  & (r.view(np.uint64) < self._n_rel))
+        inside = self._inside(np.maximum(h.view(np.uint64), t.view(np.uint64)), r)
         # ids outside the range are zeroed so that no key overflows or aliases
-        key = self._key(h * inside, r * inside, t * inside)
-        hit = inside & (self._keys[np.searchsorted(self._keys, key)] == key)
+        key = self._tail_key(h * inside, r * inside, t * inside)
+        hit = inside & (self._tail_keys[np.searchsorted(self._tail_keys, key)] == key)
         return bool(hit) if hit.ndim == 0 else hit
 
 

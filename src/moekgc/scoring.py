@@ -31,10 +31,20 @@ def _split(emb: np.ndarray):
 
 
 def rotate(emb: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Rotate each complex coordinate of emb by the angles in theta."""
+    """Rotate each complex coordinate of emb by the angles in theta.
+
+    Returns a new float64 array holding re*cos - im*sin, then re*sin +
+    im*cos, each half written in place.
+    """
     re, im = _split(np.asarray(emb, dtype=np.float64))
     c, s = np.cos(theta, dtype=np.float64), np.sin(theta, dtype=np.float64)
-    return np.concatenate([re * c - im * s, re * s + im * c], axis=-1)
+    out = np.empty(np.broadcast_shapes(re.shape, c.shape)[:-1] + (2 * re.shape[-1],))
+    out_re, out_im = _split(out)
+    np.multiply(re, c, out=out_re)
+    out_re -= im * s
+    np.multiply(re, s, out=out_im)
+    out_im += im * c
+    return out
 
 
 def score(head, theta, tail, norm: str = "l2"):
@@ -45,13 +55,19 @@ def score(head, theta, tail, norm: str = "l2"):
     """
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}")
-    diff = rotate(head, theta) - np.asarray(tail, dtype=np.float64)
+    rotated = rotate(head, theta)
+    tail = np.asarray(tail, dtype=np.float64)
+    # the difference overwrites the rotated heads unless the tails broadcast
+    # it to a larger shape; its halves then take the squares in place
+    grows = np.broadcast_shapes(rotated.shape, tail.shape) != rotated.shape
+    diff = np.subtract(rotated, tail, out=None if grows else rotated)
     re, im = _split(diff)
-    mags_sq = re * re + im * im
+    mags_sq = re * re
+    mags_sq += np.multiply(im, im, out=im)
     if norm == "l2":
         out = -np.sqrt(mags_sq.sum(axis=-1))
     else:
-        out = -np.sqrt(mags_sq).sum(axis=-1)
+        out = -np.sqrt(mags_sq, out=mags_sq).sum(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -92,6 +108,15 @@ def score(head, theta, tail, norm: str = "l2"):
 # A candidate whose D + E lies below the gold's D - E therefore scores
 # strictly higher in the direct scorer, and one whose D - E lies above the
 # gold's D + E strictly lower.
+#
+# One bound per query.  E grows with the candidate norm, so E* = E(||q||,
+# max_c ||c||) is at least the bound of every candidate, the gold's
+# included.  A candidate with D < D_gold - 2E* then has D + E_c <= D + E* <
+# D_gold - E* <= D_gold - E_gold, and one with D > D_gold + 2E* likewise
+# lies above, so the per-query thresholds D_gold -+ 2E* settle only
+# candidates that the per-candidate bounds settle the same way.  Forming a
+# threshold adds one rounding, u D_gold, where D_gold is at most about M*^2
+# with M* = ||q|| + max_c ||c||: far inside E* = K M*^2.
 #
 # Evaluating M from the computed norms, and the roundings of D +- E in the
 # comparison, are relative errors of order d u inside that factor.  Underflow

@@ -4,8 +4,10 @@ Gradients come from central finite differences, ranks from an explicit sort.
 The exceptions to an independent route are the slow paths that fused code
 replaced and must match bit for bit: ``composite_score_batch`` (the scorer
 as a chain of autodiff's primitive ops), ``composite_place_rows`` (the
-sources tensor of fuse as per-source scatters and a stack) and
-``PerBlockAdam`` (the optimizer updating one parameter block at a time).
+sources tensor of fuse as per-source scatters and a stack),
+``PerBlockAdam`` (the optimizer updating one parameter block at a time),
+``concatenated_score`` (the direct scorer with a temporary per operation)
+and ``copy_mean_rank`` (the tie rank from a copy of the allowed scores).
 """
 
 import numpy as np
@@ -55,6 +57,45 @@ def rank_by_sort(scores, true_index, allowed) -> float:
     if positions.size == 0:
         raise ValueError("true candidate missing from the allowed pool")
     return float(positions.mean())
+
+
+def concatenated_score(head, theta, tail, norm="l2"):
+    """-|| rotate(head, theta) - tail || as scoring.score computed it with a
+    fresh array per operation and the two rotated halves concatenated."""
+    head = np.asarray(head, dtype=np.float64)
+    half = head.shape[-1] // 2
+    re, im = head[..., :half], head[..., half:]
+    c, s = np.cos(theta, dtype=np.float64), np.sin(theta, dtype=np.float64)
+    diff = np.concatenate([re * c - im * s, re * s + im * c], axis=-1) - np.asarray(
+        tail, dtype=np.float64)
+    mags_sq = diff[..., :half] * diff[..., :half] + diff[..., half:] * diff[..., half:]
+    if norm == "l2":
+        return -np.sqrt(mags_sq.sum(axis=-1))
+    return -np.sqrt(mags_sq).sum(axis=-1)
+
+
+def copy_mean_rank(scores, gold, allowed) -> float:
+    """The mean tie rank from a copy of the allowed scores, as
+    trainer._mean_rank took it before it counted over the mask."""
+    s = scores[gold]
+    pool = scores[allowed]
+    better = int(np.sum(pool > s))
+    tied = int(np.sum(pool == s))
+    return better + (tied + 1) / 2.0
+
+
+def scanned_answers(triples, fixed, relation, tails) -> list:
+    """Sorted known answers of each query by a scan over a set of triples:
+    the tails of (fixed, relation) where tails is true, else the heads of
+    (relation, fixed)."""
+    known = set(map(tuple, np.asarray(triples).tolist()))
+    out = []
+    for f, r, side in zip(fixed, relation, tails):
+        if side:
+            out.append(sorted({t for h, rr, t in known if (h, rr) == (f, r)}))
+        else:
+            out.append(sorted({h for h, rr, t in known if (rr, t) == (r, f)}))
+    return out
 
 
 def binary_entropy(p, base_e=True):

@@ -446,8 +446,6 @@ _GRAD_CASES = [
     _fd_case("slice_cols", lambda p: ad.slice_cols(p[0], 1, 3).square().sum(), 1, [(3, 4)]),
     _fd_case("stack", lambda p: (ad.stack([p[0], p[1], p[0]]) * ad.Tensor(_COEF_3x2x3)).sum(),
              2, [(2, 3), (2, 3)]),
-    _fd_case("reshape", lambda p: (ad.reshape(p[0], (2, 2, 3)) * ad.Tensor(_COEF_3x2x3[:2])).sum(),
-             1, [(3, 4)]),
     _fd_case("matmul_batched", lambda p: (p[0] @ p[1]).square().sum(), 2, [(2, 3, 4), (2, 4, 5)]),
     _fd_case("matmul_broadcast_left", lambda p: ad.relu(p[0] @ p[1]).sum(), 2, [(3, 4), (2, 4, 5)]),
     _fd_case("matmul_broadcast_right", lambda p: (p[0] @ p[1]).square().sum(),

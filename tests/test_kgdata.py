@@ -9,6 +9,7 @@ from moekgc.kgdata import (
     load_graph,
     load_modality,
 )
+from oracles import scanned_answers
 
 
 def write(path, lines):
@@ -207,6 +208,58 @@ def test_filter_index_array_probes_match_a_python_set():
         aliases += [(h - 1, r + n_rel, t) for h, r, t in known if h > 0]
         aliases += [(h, r + 1, t - n_ent) for h, r, t in known]
         assert not fi.contains(*np.array(aliases).T).any()
+
+
+def assert_answers_match_scan(fi, triples, fixed, relation, tails):
+    offsets, ids = fi.answers(fixed, relation, tails)
+    want = scanned_answers(triples, fixed, relation, tails)
+    assert offsets.dtype == ids.dtype == np.int64
+    assert offsets[0] == 0 and len(offsets) == len(want) + 1
+    assert [ids[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])] == want
+    for f, r, side, w in zip(fixed, relation, tails, want):
+        lookup = fi.true_tails(f, r) if side else fi.true_heads(r, f)
+        assert type(lookup) is frozenset and lookup == frozenset(w)
+
+
+def test_filter_index_answers_match_a_set_scan():
+    rng = np.random.default_rng(29)
+    for trial in range(10):
+        n_e, n_r = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+        n = int(rng.integers(1, 3 * n_e))
+        triples = np.stack([rng.integers(0, n_e, n), rng.integers(0, n_r, n),
+                            rng.integers(0, n_e, n)], axis=1)
+        # the same triple in two splits
+        triples = np.concatenate([triples, triples[:n // 3]])
+        fi = FilterIndex(triples)
+        # every query from below zero to past the largest indexed id: empty
+        # runs, runs at both ends of the key range and out-of-range ids
+        top_e, top_r = int(triples[:, [0, 2]].max()), int(triples[:, 1].max())
+        grid = np.array([(f, r, side) for f in range(-2, top_e + 3) for r in range(-2, top_r + 3)
+                         for side in (True, False)], dtype=np.int64)
+        order = rng.permutation(len(grid))
+        assert_answers_match_scan(fi, triples, grid[order, 0], grid[order, 1],
+                                  grid[order, 2].astype(bool))
+
+
+def test_filter_index_answers_edge_cases():
+    empty = FilterIndex(np.zeros((0, 3), dtype=np.int64))
+    assert_answers_match_scan(empty, np.zeros((0, 3)), [0, 1, -1], [0, 0, 1], [True, False, True])
+    offsets, ids = empty.answers([], [], [])
+    assert offsets.tolist() == [0] and ids.size == 0
+    # scalars and arrays broadcast: one head, every relation, both sides
+    fi = FilterIndex(np.array([[0, 0, 1], [0, 0, 3], [2, 1, 3], [3, 1, 0]]))
+    offsets, ids = fi.answers(np.array([[0], [3]]), [0, 1], True)
+    assert offsets.tolist() == [0, 2, 2, 2, 3] and ids.tolist() == [1, 3, 0]
+    # E near the int64 key limit: E * E * R is just below 2**63
+    big = 3_037_000_499
+    triples = np.array([[0, 0, big - 1], [big - 1, 0, big - 1], [big - 1, 0, 0],
+                        [5, 0, big - 1], [big - 1, 0, 7]], dtype=np.int64)
+    fi = FilterIndex(triples)
+    assert fi.contains(big - 1, 0, big - 1) and not fi.contains(big, 0, 0)
+    fixed = [0, big - 1, big - 1, big, 7, 5, -1, big - 2]
+    relation = [0] * 8
+    for tails in (True, False):
+        assert_answers_match_scan(fi, triples, fixed, relation, [tails] * 8)
 
 
 def test_filter_index_broadcasts_scalars_against_arrays():

@@ -3,7 +3,7 @@ import pytest
 
 from moekgc import autodiff as ad
 from moekgc import scoring
-from oracles import finite_difference_grads, relative_block_error
+from oracles import concatenated_score, finite_difference_grads, relative_block_error
 
 
 def rand_case(rng, d=8):
@@ -122,6 +122,22 @@ def test_row_scoring_is_exactly_the_per_row_score(d):
         assert heads.tolist() == [scoring.score(H[i], P[0], T[0], norm) for i in range(12)]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [2, 16, 256])
+def test_in_place_scoring_matches_the_concatenated_oracle_bitwise(d, dtype):
+    # the rotated halves and the difference are written in place; every
+    # broadcast the scorer serves must give the one-array-per-op bytes
+    rng = np.random.default_rng(d + 5)
+    E = (rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-3, 3, (40, 1))).astype(dtype)
+    P = rng.uniform(-np.pi, np.pi, (40, d // 2))
+    for norm in scoring.NORMS:
+        for head, theta, tail in ((E[0], P[0], E), (E, P[0], E[1]), (E, P, E[::-1]),
+                                  (E[2], P, E[3]), (E[4], P[4], E[5])):
+            got = np.asarray(scoring.score(head, theta, tail, norm))
+            want = concatenated_score(head, theta, tail, norm)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("side", ["tail", "head"])
 @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
 @pytest.mark.parametrize("d", [2, 16, 256])
@@ -156,6 +172,43 @@ def test_l2_error_bound_covers_every_gemm_order_flip(d, scale, side):
         band = np.abs(gemm - gemm[g]) <= err + err[g]
         assert np.all(band[flipped]), g
     assert flips > 0  # the fixture does reorder some pairs
+
+
+@pytest.mark.parametrize("side", ["tail", "head"])
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
+@pytest.mark.parametrize("d", [2, 16, 256])
+def test_max_norm_l2_error_bound_covers_every_gemm_order_flip(d, scale, side):
+    # evaluation takes one bound per query, at the largest candidate norm;
+    # candidates crowd the query as above, and others span twelve orders of
+    # magnitude in norm, where that bound is loosest for the crowd
+    rng = np.random.default_rng(d + 1)
+    theta = rng.uniform(-np.pi, np.pi, d // 2)
+    fixed = rng.normal(size=d) * scale
+    q = scoring.rotate(fixed, theta if side == "tail" else -theta)
+    cand = np.concatenate([
+        np.tile(q, (4, 1)),
+        np.nextafter(q, np.where(rng.random((40, d)) < 0.5, -np.inf, np.inf)),
+        q + rng.normal(size=(40, d)) * scale * 1e-9,
+        np.zeros((1, d)),
+        rng.normal(size=(30, d)) * scale * 10.0 ** rng.uniform(-6, 6, (30, 1)),
+    ])
+    direct = scoring.score_candidates(cand, theta, fixed, side)
+    c_sq = np.einsum("ij,ij->i", cand, cand)
+    gemm = q @ q + c_sq - 2.0 * (cand @ q)
+    own = scoring.l2_error_bound(np.sqrt(q @ q), np.sqrt(c_sq), d)
+    err = scoring.l2_error_bound(np.sqrt(q @ q), np.sqrt(c_sq.max()), d)
+    assert np.all(own <= err)
+    assert np.all(np.abs(gemm - direct * direct) <= err)
+    flips = 0
+    for g in range(len(cand)):
+        nearer = np.sign(gemm[g] - gemm)
+        higher = np.sign(direct - direct[g])
+        flips += int((nearer != higher).sum())
+        # evaluate settles a candidate more than 2 err from the gold as
+        # strictly better or strictly worse
+        assert np.all(higher[gemm < gemm[g] - 2.0 * err] == 1), g
+        assert np.all(higher[gemm > gemm[g] + 2.0 * err] == -1), g
+    assert flips > 0
 
 
 def test_unknown_corrupt_side_rejected():

@@ -30,7 +30,7 @@ from moekgc.trainer import (
     train,
 )
 
-from oracles import PerBlockAdam, rank_by_sort
+from oracles import PerBlockAdam, copy_mean_rank, rank_by_sort
 from synthetic import clustered_graph
 
 EMPTY = np.zeros((0, 3), dtype=np.int64)
@@ -480,6 +480,39 @@ def test_evaluate_ranks_equal_direct_ranks_on_near_ties(monkeypatch, mode, norm,
     assert [c[3] for c in calls] == [w[2] for w in want]
     # the fixture does tie: some gold shares its score with another candidate
     assert any(rank % 1 for rank in (w[2] for w in want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["filtered", "raw"])
+def test_evaluate_ranks_equal_direct_ranks_on_spread_norms(monkeypatch, mode, dtype):
+    # the near-tie rows stay, the others span eight orders of magnitude in
+    # norm: one bound per query, at the largest norm, leaves a wide band
+    kg, model = near_tie_graph("l2", dtype, 1.0)
+    emb = model.params["entities"].data.copy()
+    emb[10:] *= (10.0 ** np.random.default_rng(23).uniform(-4, 4, (len(emb) - 10, 1)))
+    model.params["entities"].data = emb
+    want = direct_queries(model, kg, mode)
+    calls = record_rank_calls(monkeypatch)
+    evaluate(model, kg, "test", mode)
+    assert [c[3] for c in calls] == [w[2] for w in want]
+    assert any(rank % 1 for rank in (w[2] for w in want))
+
+
+def test_mean_rank_counts_equal_the_copied_pool():
+    # ties, NaN scores (never better, never tied), rows where everything but
+    # the gold is filtered, and a gold filtered out with the rest
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        n = int(rng.integers(1, 12))
+        scores = rng.integers(-3, 3, n).astype(np.float64)
+        scores[rng.random(n) < 0.2] = np.nan
+        scores[rng.random(n) < 0.1] = -np.inf
+        gold = int(rng.integers(n))
+        allowed = rng.random(n) < (0.0, 0.5, 1.0)[trial % 3]
+        if trial % 7:
+            allowed[gold] = True
+        got = _mean_rank(scores, gold, allowed)
+        assert got == copy_mean_rank(scores, gold, allowed) and type(got) is float
 
 
 def test_evaluate_calls_mean_rank_once_per_query_in_order(monkeypatch):
