@@ -5,8 +5,8 @@ A dynamic tape: every operation appends one node in construction order, and
 exactly once.  The tape is module-global and rebuilt every training step;
 call ``reset_tape`` between steps.
 
-Values are float32 by default.  Reductions (sum, mean) accumulate in float64
-before casting back.  ``using_dtype(np.float64)`` switches the default dtype,
+Values are float32 by default.  The sum accumulates in float64 before casting
+back.  ``using_dtype(np.float64)`` switches the default dtype,
 which gradient-checking tests use to keep the finite-difference oracle out of
 float32 noise.
 """
@@ -27,10 +27,6 @@ _RECORDING = True
 
 class FiniteError(ArithmeticError):
     """An operation produced a NaN or Inf value."""
-
-
-def default_dtype():
-    return _DTYPE
 
 
 @contextlib.contextmanager
@@ -95,9 +91,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         # shares the buffer; cuts the graph
         t = Tensor.__new__(Tensor)
@@ -139,27 +132,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def logsigmoid(self):
-        return logsigmoid(self)
-
-    def square(self):
-        return square(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def softmax(self, axis=-1):
-        return softmax(self, axis=axis)
 
 
 def parameter(data) -> Tensor:
@@ -399,86 +371,16 @@ def neg(a) -> Tensor:
     return record(-a.data, (a,), lambda g: (-g,), "neg")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # clip keeps exp in range; sigmoid saturates there anyway
-    z = np.clip(x, -60.0, 60.0)
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def sigmoid(a) -> Tensor:
-    a = ensure_tensor(a)
-    s = _sigmoid(a.data)
-
-    def grad_fn(g):
-        return (g * s * (1.0 - s),)
-
-    return record(s, (a,), grad_fn, "sigmoid")
-
-
 def logsigmoid(a) -> Tensor:
     """log(sigmoid(x)) computed stably; safe for large negative x."""
     a = ensure_tensor(a)
     out = -np.logaddexp(np.zeros_like(a.data), -a.data)
 
     def grad_fn(g):
-        return (g * _sigmoid(-a.data),)
+        # sigmoid(-x); the clip keeps exp in range, where sigmoid saturates anyway
+        return (g * (1.0 / (1.0 + np.exp(np.clip(a.data, -60.0, 60.0)))),)
 
     return record(out, (a,), grad_fn, "logsigmoid")
-
-
-def square(a) -> Tensor:
-    a = ensure_tensor(a)
-
-    def grad_fn(g):
-        return (g * 2.0 * a.data,)
-
-    return record(a.data * a.data, (a,), grad_fn, "square")
-
-
-def sqrt(a) -> Tensor:
-    a = ensure_tensor(a)
-    if np.any(a.data < 0):
-        raise ValueError("sqrt requires non-negative input")
-    out = np.sqrt(a.data)
-
-    def grad_fn(g):
-        # subgradient 0 at x == 0, same convention as relu
-        safe = np.where(out > 0, out, 1.0)
-        return (np.where(out > 0, g * 0.5 / safe, 0.0),)
-
-    return record(out, (a,), grad_fn, "sqrt")
-
-
-def cos(a) -> Tensor:
-    a = ensure_tensor(a)
-
-    def grad_fn(g):
-        return (-g * np.sin(a.data),)
-
-    return record(np.cos(a.data), (a,), grad_fn, "cos")
-
-
-def sin(a) -> Tensor:
-    a = ensure_tensor(a)
-
-    def grad_fn(g):
-        return (g * np.cos(a.data),)
-
-    return record(np.sin(a.data), (a,), grad_fn, "sin")
-
-
-def relu(a) -> Tensor:
-    return clamp_min(a, 0.0)
-
-
-def clamp_min(a, floor: float) -> Tensor:
-    a = ensure_tensor(a)
-    mask = a.data > floor  # subgradient 0 at exactly the floor
-
-    def grad_fn(g):
-        return (g * mask,)
-
-    return record(np.maximum(a.data, floor), (a,), grad_fn, "clamp_min")
 
 
 # ---------------------------------------------------------------------------
@@ -497,24 +399,6 @@ def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
         return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype),)
 
     return record(out, (a,), grad_fn, "sum")
-
-
-def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
-    a = ensure_tensor(a)
-    out = np.mean(a.data, axis=axis, keepdims=keepdims, dtype=np.float64)
-    out = np.asarray(out, dtype=a.data.dtype)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-
-    def grad_fn(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, a.data.shape).astype(a.data.dtype),)
-
-    return record(out, (a,), grad_fn, "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +446,7 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
     out += b.data
     _check_finite(out, "affine")
     if relu:
-        np.maximum(out, 0.0, out=out)  # subgradient 0 at exactly 0, as in relu
+        np.maximum(out, 0.0, out=out)  # subgradient 0 at exactly 0
 
     def grad_fn(g):
         if relu:
@@ -675,20 +559,6 @@ def place_rows(parts, present) -> Tensor:
                      for s, p in enumerate(parts))
 
     return record(out, parts, grad_fn, "place_rows")
-
-
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = ensure_tensor(a)
-    if a.ndim != 2:
-        raise ValueError("slice_cols expects a 2-d tensor")
-    out = a.data[:, start:stop].copy()
-
-    def grad_fn(g):
-        buf = np.zeros_like(a.data)
-        buf[:, start:stop] = g
-        return (buf,)
-
-    return record(out, (a,), grad_fn, "slice_cols")
 
 
 # ---------------------------------------------------------------------------

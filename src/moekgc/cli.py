@@ -16,10 +16,14 @@ import json
 import os
 import sys
 import time
+import typing
+import warnings
+from dataclasses import MISSING, fields
 
 import numpy as np
 import yaml
 
+from .autodiff import FiniteError
 from .config import ConfigError
 from .fusion import FusionModel, ModelConfig
 from .kgdata import (
@@ -32,6 +36,7 @@ from .kgdata import (
 from .sampling import (
     NegativeSamplingConfig,
     SamplingError,
+    UnreachableHardClassWarning,
     annotate,
     corrupt,
     sample_stats,
@@ -86,7 +91,20 @@ def _str_list(text) -> list:
     return [part for part in str(text).split(",") if part]
 
 
-# section -> key -> (converter, default); converters also normalize YAML values
+# converters by config field annotation; they also normalize YAML values
+_CONVERTERS = {int: _int, float: _float, bool: _bool, str: str, list: _str_list}
+
+
+def _section_schema(cls) -> dict:
+    """key -> (converter, default) for each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (_CONVERTERS[hints[f.name]], f.default if f.default_factory is MISSING
+                     else f.default_factory())
+            for f in fields(cls)}
+
+
+# section -> key -> (converter, default); the model, training and sampling
+# keys are the fields of their config dataclasses
 SCHEMA = {
     "data": {
         "train": (str, None),
@@ -95,36 +113,9 @@ SCHEMA = {
         "allow_unseen": (_bool, False),
         "modalities": (_MAPPING, {}),  # modality name -> feature file path
     },
-    "model": {
-        "embedding_dim": (_int, 256),
-        "experts": (_int, 3),
-        "mi_bins": (_int, 16),
-        "modalities": (_str_list, []),
-        "norm": (str, "l2"),
-        "grad_through_weights": (_bool, False),
-        "intra_weighting": (str, "mi"),
-        "inter_weighting": (str, "mi"),
-    },
-    "training": {
-        "learning_rate": (_float, 1e-4),
-        "batch_size": (_int, 1024),
-        "max_epochs": (_int, 1000),
-        "eval_every": (_int, 25),
-        "patience": (_int, 10),
-        "seed": (_int, 0),
-        "mi_ref_batch": (_int, 256),
-    },
-    "sampling": {
-        "negatives_per_positive": (_int, 16),
-        "margin": (_float, 6.0),
-        "delta1": (_float, 0.2),
-        "delta2": (_float, 0.8),
-        "lambda_easy": (_float, 0.5),
-        "lambda_ambiguous": (_float, 1.5),
-        "lambda_hard": (_float, 1.2),
-        "log_base": (str, "natural"),
-        "max_retries": (_int, 200),
-    },
+    "model": _section_schema(ModelConfig),
+    "training": _section_schema(TrainConfig),
+    "sampling": _section_schema(NegativeSamplingConfig),
 }
 
 
@@ -143,8 +134,18 @@ def load_config(path) -> dict:
         return cfg
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        raw = yaml.safe_load(text) or {}
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: cannot read the config file ({e})") from None
+    except yaml.YAMLError as e:
+        mark = getattr(e, "problem_mark", None)
+        # a reader error has no mark, only a position in the text
+        line = mark.line + 1 if mark else text.count("\n", 0, getattr(e, "position", 0)) + 1
+        problem = getattr(e, "problem", None) or getattr(e, "reason", None) or type(e).__name__
+        raise ConfigError(f"{path}:{line}: not valid YAML ({problem})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping of sections")
     for section, body in raw.items():
@@ -157,19 +158,20 @@ def load_config(path) -> dict:
         for key, value in body.items():
             if key not in SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
-            conv, _ = SCHEMA[section][key]
+            conv, default = SCHEMA[section][key]
+            if value is None and default is not None:
+                raise ConfigError(f"{path}: {section}.{key} has no value; "
+                                  f"leave the key out for its default {default!r}")
             if conv is _MAPPING:
                 if not isinstance(value, dict) or not all(
                         isinstance(k, str) and isinstance(v, str) for k, v in value.items()):
                     raise ConfigError(f"{path}: {section}.{key} must map names to file paths")
                 cfg[section][key] = dict(value)
-            elif value is None:
-                cfg[section][key] = None
-            else:
-                try:
-                    cfg[section][key] = conv(value)
-                except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
-                    raise ConfigError(f"{path}: bad value for {section}.{key}: {e}")
+                continue
+            try:
+                cfg[section][key] = None if value is None else conv(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
+                raise ConfigError(f"{path}: bad value for {section}.{key}: {e}")
     return cfg
 
 
@@ -237,7 +239,10 @@ def cmd_train(cfg, args) -> int:
     # a rejected setting must not leave a run directory behind
     model_cfg.validate(tables)
     train_cfg.validate()
-    sampling_cfg.validate()
+    with warnings.catch_warnings():
+        # train validates again, and its warning is the run's one
+        warnings.simplefilter("ignore", UnreachableHardClassWarning)
+        sampling_cfg.validate()
     run_dir = make_run_dir(train_cfg.seed)
     # echo the fully resolved settings before any work happens
     with atomic_write(os.path.join(run_dir, "config.yaml"), "w", encoding="utf-8") as fh:
@@ -419,7 +424,7 @@ def main(argv=None) -> int:
     except CheckpointVersionError as e:
         print(f"checkpoint version error: {e}", file=sys.stderr)
         return 4
-    except (CheckpointError, SamplingError, TrainingError) as e:
+    except (CheckpointError, FiniteError, SamplingError, TrainingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

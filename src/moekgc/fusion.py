@@ -296,9 +296,6 @@ class FusionModel:
                 out[lo:lo + _INIT_CHUNK] = math.pi - draw if name == "rel_phases" else draw
         return store
 
-    def parameters(self) -> ad.ParamStore:
-        return self.params
-
     @property
     def relation_phases(self) -> Tensor:
         return self.params["rel_phases"]

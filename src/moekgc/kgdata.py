@@ -9,7 +9,7 @@ valid, then test, so index assignment is reproducible from the files alone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class ModalityFeatureTable:
     features: np.ndarray  # (covered, dim) float32
     rows: dict  # entity index -> row in features
     coverage: float
-    present: np.ndarray = field(default=None)  # sorted entity indices
-
-    def has(self, entity: int) -> bool:
-        return entity in self.rows
-
-    def row(self, entity: int) -> np.ndarray:
-        return self.features[self.rows[entity]]
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -162,22 +155,33 @@ class FilterIndex:
         return bool(hit) if hit.ndim == 0 else hit
 
 
+def _lines(path, what: str):
+    """(line number, text) of each non-empty line of a UTF-8 text file; a
+    DataError naming the file when it is missing, unreadable or not UTF-8."""
+    if not os.path.exists(path):
+        raise DataError(f"{what} file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: {what} file is not UTF-8 text") from None
+    except OSError as e:
+        raise DataError(f"{path}: cannot read {what} file ({e.strerror})") from None
+
+
 def _read_triple_lines(path):
     if path is None:
         # a split may simply not exist; loaders treat it as empty
         return []
-    if not os.path.exists(path):
-        raise DataError(f"triple file not found: {path}")
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or any(p == "" for p in parts):
-                raise DataError(f"{path}:{lineno}: malformed triple line {line!r}")
-            out.append((lineno, parts[0], parts[1], parts[2]))
+    for lineno, line in _lines(path, "triple"):
+        parts = line.split("\t")
+        if len(parts) != 3 or any(p == "" for p in parts):
+            raise DataError(f"{path}:{lineno}: malformed triple line {line!r}")
+        out.append((lineno, parts[0], parts[1], parts[2]))
     return out
 
 
@@ -231,16 +235,12 @@ def load_graph(train_path, valid_path, test_path, allow_unseen: bool = False) ->
         splits[split] = rows
         if split == "train":
             in_train = seen
+            n_train_entities, n_train_relations = len(entities), len(relations)
 
     if not allow_unseen:
-        train_ents = {h for _, h, _, t in raw["train"]} | {t for _, h, _, t in raw["train"]}
-        train_rels = {r for _, _, r, _ in raw["train"]}
-        unseen_e = sorted(
-            {x for split in ("valid", "test") for _, h, r, t in raw[split] for x in (h, t)} - train_ents
-        )
-        unseen_r = sorted(
-            {r for split in ("valid", "test") for _, _, r, _ in raw[split]} - train_rels
-        )
+        # the names interned after train are the ones train never saw
+        unseen_e = sorted(entities[n_train_entities:])
+        unseen_r = sorted(relations[n_train_relations:])
         if unseen_e or unseen_r:
             raise DataError(
                 "valid/test references unseen train vocabulary: "
@@ -267,42 +267,36 @@ def load_modality(path, modality: str, kg: KnowledgeGraph) -> ModalityFeatureTab
     """
     if modality == STRUCTURE_MODALITY:
         raise DataError(f"modality id {STRUCTURE_MODALITY!r} is reserved")
-    if not os.path.exists(path):
-        raise DataError(f"modality file not found: {path}")
 
     vectors = []
     rows: dict = {}
     unknown = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected entity_id<TAB>values")
-            name, blob = parts
-            idx = kg.entity_index.get(name)
-            if idx is None:
-                unknown.append(name)
-                continue
-            try:
-                vec = np.array([float(v) for v in blob.split(",")], dtype=np.float32)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparseable feature values")
-            if vec.size == 0 or not np.all(np.isfinite(vec)):
-                raise DataError(f"{path}:{lineno}: empty or non-finite feature vector")
-            if dim is None:
-                dim = int(vec.size)
-            elif vec.size != dim:
-                raise DataError(
-                    f"{path}:{lineno}: feature dim {vec.size} != {dim} seen earlier"
-                )
-            if idx in rows:
-                raise DataError(f"{path}:{lineno}: duplicate features for entity {name!r}")
-            rows[idx] = len(vectors)
-            vectors.append(vec)
+    for lineno, line in _lines(path, "modality"):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected entity_id<TAB>values")
+        name, blob = parts
+        idx = kg.entity_index.get(name)
+        if idx is None:
+            unknown.append(name)
+            continue
+        try:
+            vec = np.array([float(v) for v in blob.split(",")], dtype=np.float32)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: unparseable feature values")
+        if vec.size == 0 or not np.all(np.isfinite(vec)):
+            raise DataError(f"{path}:{lineno}: empty or non-finite feature vector")
+        if dim is None:
+            dim = int(vec.size)
+        elif vec.size != dim:
+            raise DataError(
+                f"{path}:{lineno}: feature dim {vec.size} != {dim} seen earlier"
+            )
+        if idx in rows:
+            raise DataError(f"{path}:{lineno}: duplicate features for entity {name!r}")
+        rows[idx] = len(vectors)
+        vectors.append(vec)
 
     if unknown:
         raise DataError(
@@ -318,7 +312,6 @@ def load_modality(path, modality: str, kg: KnowledgeGraph) -> ModalityFeatureTab
         features=features,
         rows=rows,
         coverage=len(rows) / kg.n_entities,
-        present=np.array(sorted(rows), dtype=np.int64),
     )
 
 

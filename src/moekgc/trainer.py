@@ -36,7 +36,7 @@ from . import autodiff as ad
 from .autodiff import FiniteError
 from .config import ConfigError
 from .fusion import FusionModel, ModelConfig
-from .kgdata import KnowledgeGraph, build_filter_index
+from .kgdata import DataError, KnowledgeGraph, build_filter_index
 from .sampling import NegativeSamplingConfig, batch_loss, corrupt, derived_rng, negative_weights
 from .scoring import l2_error_bound, rotate, score, score_batch, score_candidates
 
@@ -177,9 +177,6 @@ class Adam:
         for p in self.params.values():
             p.zero_grad()
 
-    def state_dict(self) -> dict:
-        return {"step": self.t, "m": self.m, "v": self.v}
-
     def load_state(self, state: dict):
         """Copy the step counter and the moments of every named block."""
         self.t = int(state["step"])
@@ -298,7 +295,7 @@ def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
         raise ConfigError(f"mode must be filtered or raw, got {mode!r}")
     triples = kg.split(split)
     if len(triples) == 0:
-        raise ValueError(f"split {split!r} has no triples to evaluate")
+        raise DataError(f"split {split!r} has no triples to evaluate")
     if filter_index is None:
         filter_index = build_filter_index(kg)
     if mode == "filtered":
@@ -558,8 +555,11 @@ def train(kg: KnowledgeGraph, tables: dict, model_cfg: ModelConfig,
 
         record = {"epoch": epoch, "loss": float(np.mean(batch_losses))}
         if (epoch + 1) % train_cfg.eval_every == 0 and len(kg.valid) > 0:
-            report = evaluate(model, kg, "valid", "filtered",
-                              train_cfg.mi_ref_batch, filter_index=fi)
+            try:
+                report = evaluate(model, kg, "valid", "filtered",
+                                  train_cfg.mi_ref_batch, filter_index=fi)
+            except FiniteError as e:
+                raise TrainingError(f"non-finite value in validation at epoch {epoch}: {e}") from e
             record["valid_mrr"] = report["mrr"]
             if best_mrr is None or report["mrr"] > best_mrr:
                 best_mrr = report["mrr"]

@@ -8,9 +8,16 @@ sources tensor of fuse as per-source scatters and a stack),
 ``PerBlockAdam`` (the optimizer updating one parameter block at a time),
 ``concatenated_score`` (the direct scorer with a temporary per operation)
 and ``copy_mean_rank`` (the tie rank from a copy of the allowed scores).
+
+The primitive tape ops those composite oracles chain (``square``, ``sqrt``,
+``cos``, ``sin``, ``slice_cols``, ``relu`` and friends) live here too: the
+library runs only their fused forms, ``ad.affine`` and ``score_batch``.
+Each records one node through ``ad.record``.
 """
 
 import numpy as np
+
+from moekgc import autodiff as ad
 
 
 def finite_difference_grads(loss_fn, params, step=1e-3):
@@ -146,27 +153,108 @@ def keyed_negatives(positives, rows, n, known, n_entities, seed, epoch, max_retr
     return out, attempts
 
 
+# ---------------------------------------------------------------------------
+# primitive tape ops, float32 in and out as in autodiff
+
+
+def sigmoid(a):
+    a = ad.ensure_tensor(a)
+    # clip keeps exp in range; sigmoid saturates there anyway
+    s = 1.0 / (1.0 + np.exp(-np.clip(a.data, -60.0, 60.0)))
+    return ad.record(s, (a,), lambda g: (g * s * (1.0 - s),), "sigmoid")
+
+
+def square(a):
+    a = ad.ensure_tensor(a)
+    return ad.record(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,), "square")
+
+
+def sqrt(a):
+    a = ad.ensure_tensor(a)
+    if np.any(a.data < 0):
+        raise ValueError("sqrt requires non-negative input")
+    out = np.sqrt(a.data)
+
+    def grad_fn(g):
+        # subgradient 0 at x == 0, same convention as relu
+        safe = np.where(out > 0, out, 1.0)
+        return (np.where(out > 0, g * 0.5 / safe, 0.0),)
+
+    return ad.record(out, (a,), grad_fn, "sqrt")
+
+
+def cos(a):
+    a = ad.ensure_tensor(a)
+    return ad.record(np.cos(a.data), (a,), lambda g: (-g * np.sin(a.data),), "cos")
+
+
+def sin(a):
+    a = ad.ensure_tensor(a)
+    return ad.record(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),), "sin")
+
+
+def relu(a):
+    return clamp_min(a, 0.0)
+
+
+def clamp_min(a, floor):
+    a = ad.ensure_tensor(a)
+    mask = a.data > floor  # subgradient 0 at exactly the floor
+    return ad.record(np.maximum(a.data, floor), (a,), lambda g: (g * mask,), "clamp_min")
+
+
+def tensor_mean(a, axis=None, keepdims=False):
+    """Mean accumulated in float64, cast back to the working dtype."""
+    a = ad.ensure_tensor(a)
+    out = np.asarray(np.mean(a.data, axis=axis, keepdims=keepdims, dtype=np.float64),
+                     dtype=a.data.dtype)
+    count = a.data.size if axis is None else a.data.shape[axis]
+
+    def grad_fn(g):
+        g = np.asarray(g)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g / count, a.data.shape).astype(a.data.dtype),)
+
+    return ad.record(out, (a,), grad_fn, "mean")
+
+
+def slice_cols(a, start, stop):
+    a = ad.ensure_tensor(a)
+    if a.ndim != 2:
+        raise ValueError("slice_cols expects a 2-d tensor")
+
+    def grad_fn(g):
+        buf = np.zeros_like(a.data)
+        buf[:, start:stop] = g
+        return (buf,)
+
+    return ad.record(a.data[:, start:stop].copy(), (a,), grad_fn, "slice_cols")
+
+
+# ---------------------------------------------------------------------------
+# composite oracles of fused code
+
+
 def composite_score_batch(heads, phases, tails, norm="l2"):
     """Rotation scores as a chain of primitive tape ops: the slices of each
     side into real and imaginary halves, cos and sin of the phases, the
     rotated difference, its squares, and the l2 or l1 sum and sqrt."""
-    from moekgc import autodiff as ad
-
     d = heads.shape[1]
     half = d // 2
-    hr = ad.slice_cols(heads, 0, half)
-    hi = ad.slice_cols(heads, half, d)
-    tr = ad.slice_cols(tails, 0, half)
-    ti = ad.slice_cols(tails, half, d)
-    c = ad.cos(phases)
-    s = ad.sin(phases)
+    hr = slice_cols(heads, 0, half)
+    hi = slice_cols(heads, half, d)
+    tr = slice_cols(tails, 0, half)
+    ti = slice_cols(tails, half, d)
+    c = cos(phases)
+    s = sin(phases)
     dr = (hr * c - hi * s) - tr
     di = (hr * s + hi * c) - ti
-    mags_sq = dr.square() + di.square()
+    mags_sq = square(dr) + square(di)
     if norm == "l2":
-        dist = mags_sq.sum(axis=1, keepdims=True).sqrt()
+        dist = sqrt(mags_sq.sum(axis=1, keepdims=True))
     else:
-        dist = mags_sq.sqrt().sum(axis=1, keepdims=True)
+        dist = sqrt(mags_sq).sum(axis=1, keepdims=True)
     return -dist
 
 
@@ -174,8 +262,6 @@ def composite_place_rows(parts, present):
     """The sources tensor as fuse once built it: source 0 as it is, each
     other part scattered into a zero block by a tape op of its own (a
     constant zero block when it has no rows), then one stack."""
-    from moekgc import autodiff as ad
-
     n = present.shape[1]
     blocks = [parts[0]]
     for part, mask in zip(parts[1:], present[1:]):

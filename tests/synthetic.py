@@ -102,7 +102,6 @@ def clustered_graph(n_clusters=10, n_slots=10, seed=0, train_frac=0.35,
         return ModalityFeatureTable(
             modality=name, dim=n_clusters, features=feats.astype(np.float32),
             rows={e: e for e in range(n)}, coverage=1.0,
-            present=np.arange(n, dtype=np.int64),
         )
 
     return kg, {"attr": table("attr"), "attr_dup": table("attr_dup")}

@@ -83,7 +83,6 @@ def _table(name, n_entities, dim, rng, covered=None):
         modality=name, dim=dim, features=feats,
         rows={e: i for i, e in enumerate(covered)},
         coverage=len(covered) / n_entities,
-        present=np.array(sorted(covered), dtype=np.int64),
     )
 
 

@@ -1,56 +1,21 @@
 """End-to-end tests for the command line, driven through main() in process."""
 
+import dataclasses
 import json
 import os
+import random
+import warnings
 
 import numpy as np
 import pytest
 import yaml
 
-from moekgc.cli import load_config, load_data, main
+from moekgc.cli import build_parser, load_config, load_data, main
 from moekgc.config import ConfigError
 from moekgc.fusion import FusionModel, ModelConfig
-from moekgc.sampling import UnreachableHardClassWarning
+from moekgc.sampling import NegativeSamplingConfig, UnreachableHardClassWarning
 from moekgc.scoring import score_candidates
-from moekgc.trainer import _mean_rank, mi_context_ids, save_checkpoint
-
-TRAIN = """a\tlinks\tb
-b\tlinks\tc
-c\tlinks\td
-d\tlinks\ta
-a\tnear\tc
-b\tnear\td
-"""
-VALID = "a\tlinks\tc\n"
-TEST = "b\tlinks\ta\n"
-IMG = """a\t0.1,0.2,0.9
-b\t0.8,0.1,0.1
-c\t0.2,0.7,0.3
-"""
-
-
-@pytest.fixture
-def workspace(tmp_path, monkeypatch):
-    (tmp_path / "train.tsv").write_text(TRAIN)
-    (tmp_path / "valid.tsv").write_text(VALID)
-    (tmp_path / "test.tsv").write_text(TEST)
-    (tmp_path / "img.tsv").write_text(IMG)
-    cfg = {
-        "data": {
-            "train": str(tmp_path / "train.tsv"),
-            "valid": str(tmp_path / "valid.tsv"),
-            "test": str(tmp_path / "test.tsv"),
-            "modalities": {"img": str(tmp_path / "img.tsv")},
-        },
-        "model": {"embedding_dim": 8, "experts": 2, "mi_bins": 4, "modalities": ["img"]},
-        "training": {"learning_rate": 0.01, "batch_size": 8, "max_epochs": 3,
-                     "eval_every": 2, "patience": 5, "seed": 1, "mi_ref_batch": 8},
-        "sampling": {"negatives_per_positive": 2, "margin": 2.0, "log_base": "base2"},
-    }
-    cfg_path = tmp_path / "config.yaml"
-    cfg_path.write_text(yaml.safe_dump(cfg))
-    monkeypatch.setenv("MOEKGC_RUNS", str(tmp_path / "runs"))
-    return tmp_path, str(cfg_path)
+from moekgc.trainer import TrainConfig, _mean_rank, mi_context_ids, save_checkpoint
 
 
 def run_train(cfg_path):
@@ -92,7 +57,7 @@ def test_missing_data_file_is_a_data_error(tmp_path):
 @pytest.mark.parametrize("split", ["valid", "test"])
 def test_held_out_triple_in_train_is_a_data_error(workspace, split, capsys):
     tmp_path, cfg_path = workspace
-    (tmp_path / f"{split}.tsv").write_text("c\tlinks\td\n")  # line 3 of TRAIN
+    (tmp_path / f"{split}.tsv").write_text("c\tlinks\td\n")  # line 3 of conftest.TRAIN
     assert main(["train", "--config", cfg_path]) == 3
     err = capsys.readouterr().err
     assert f"{split}.tsv:1: {split} triple ('c', 'links', 'd') is also in train" in err
@@ -143,6 +108,88 @@ def test_defaults_fill_unset_keys(workspace):
     assert cfg["training"]["patience"] == 5
     assert cfg["sampling"]["lambda_hard"] == 1.2
     assert cfg["data"]["allow_unseen"] is False
+
+
+@pytest.mark.parametrize("section, cls", [("model", ModelConfig), ("training", TrainConfig),
+                                          ("sampling", NegativeSamplingConfig)])
+def test_config_sections_are_the_config_dataclasses(section, cls):
+    # one definition per key: the YAML section, its flags and its defaults
+    # come from the dataclass fields
+    assert load_config(None)[section] == dataclasses.asdict(cls())
+    flags = vars(build_parser().parse_args(["train"]))
+    assert {f"{section}__{f.name}" for f in dataclasses.fields(cls)} <= set(flags)
+
+
+def with_values(tmp_path, **sections):
+    """The workspace config with some keys replaced, as a new file."""
+    cfg = yaml.safe_load((tmp_path / "config.yaml").read_text())
+    for section, body in sections.items():
+        cfg[section] = {**(cfg.get(section) or {}), **body}
+    path = tmp_path / "changed.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("section, key", [("model", "experts"), ("model", "modalities"),
+                                          ("training", "learning_rate"), ("training", "seed"),
+                                          ("sampling", "margin"), ("sampling", "log_base"),
+                                          ("data", "allow_unseen"), ("data", "modalities")])
+def test_a_key_left_empty_is_a_config_error_naming_it(workspace, capsys, section, key):
+    tmp_path, _ = workspace
+    path = with_values(tmp_path, **{section: {key: None}})
+    with pytest.raises(ConfigError, match=f"{section}.{key} has no value"):
+        load_config(path)
+    assert main(["train", "--config", path]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_an_empty_key_whose_default_is_none_is_accepted(workspace, capsys):
+    tmp_path, _ = workspace
+    path = with_values(tmp_path, data={"test": None})
+    assert load_config(path)["data"]["test"] is None
+    assert main(["train", "--config", path]) == 0
+
+
+@pytest.mark.parametrize("text, line", [("model:\n  experts: [1, 2\n", 3),
+                                        ("model:\n  experts: 2\n   mi_bins: 4\n", 3),
+                                        ("training:\n  seed: \"1\n", 3),
+                                        ("data:\n  train: a\x00b\n", 2)],
+                         ids=["parser", "scanner", "unclosed-quote", "reader"])
+def test_malformed_yaml_is_a_config_error_naming_the_line(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    with pytest.raises(ConfigError, match=f"{bad}:{line}: not valid YAML"):
+        load_config(str(bad))
+    assert main(["train", "--config", str(bad)]) == 2
+
+
+def test_a_config_that_is_not_utf8_or_a_directory_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"model:\n  norm: l\xc32\n")
+    with pytest.raises(ConfigError, match="cannot read the config file"):
+        load_config(str(bad))
+    assert main(["train", "--config", str(bad)]) == 2
+    assert main(["train", "--config", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("name", ["train.tsv", "valid.tsv", "img.tsv"])
+def test_a_data_file_that_is_not_utf8_is_a_data_error_naming_it(workspace, capsys, name):
+    tmp_path, cfg_path = workspace
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + b"e\xc3\tlinks\ta\n")
+    assert main(["train", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("key", ["train", "test", "img"])
+def test_a_data_path_that_is_a_directory_is_a_data_error(workspace, capsys, key):
+    tmp_path, _ = workspace
+    data = {"modalities": {"img": str(tmp_path)}} if key == "img" else {key: str(tmp_path)}
+    assert main(["vocab-dump", "--config", with_values(tmp_path, data=data),
+                 "--out", str(tmp_path / "vocab")]) == 3
+    assert f"{tmp_path}: cannot read" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- train
@@ -238,6 +285,29 @@ def test_eval_header_without_config_exits_1(workspace, capsys):
     capsys.readouterr()
     assert main(["eval", "--config", cfg_path, "--checkpoint", str(ckpt)]) == 1
     assert "config" in capsys.readouterr().err
+
+
+def test_eval_of_an_empty_split_is_a_data_error(workspace, capsys):
+    tmp_path, cfg_path = workspace
+    run_train(cfg_path)
+    ckpt = str(latest_run(tmp_path) / "checkpoint.mkgc")
+    (tmp_path / "test.tsv").write_text("")
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt, "--split", "test"]) == 3
+    assert "split 'test' has no triples to evaluate" in capsys.readouterr().err
+
+
+def test_eval_of_an_overflowing_checkpoint_exits_1(workspace, capsys):
+    tmp_path, cfg_path = workspace
+    kg, tables = load_data(load_config(cfg_path))
+    model = FusionModel(ModelConfig(embedding_dim=8, experts=2, mi_bins=4, modalities=["img"]),
+                        kg.n_entities, kg.n_relations, tables, seed=0)
+    model.params["proj.img.w1"].data[...] = 3e38  # finite, but its products are not
+    ckpt = str(tmp_path / "huge.mkgc")
+    save_checkpoint(ckpt, model)
+    with np.errstate(over="ignore"):
+        assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    assert "affine produced a non-finite value" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- predict
@@ -365,6 +435,16 @@ def test_sample_stats_warns_when_hard_class_unreachable(workspace, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "sample-stats"])
+def test_a_run_warns_once_about_the_unreachable_hard_class(workspace, capsys, command):
+    # delta2 0.8 under the natural log, the sampling defaults
+    _, cfg_path = workspace
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg_path, "--sampling-log-base", "natural"]) == 0
+    assert [w.category for w in caught].count(UnreachableHardClassWarning) == 1
+
+
+@pytest.mark.parametrize("command", ["train", "sample-stats"])
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 63)])
 def test_seed_outside_the_key_range_is_a_config_error(workspace, capsys, command, seed):
     _, cfg_path = workspace
@@ -429,3 +509,59 @@ def test_vocab_dump_round_trips_names(workspace, capsys, tmp_path):
     assert ents["0"] == "a" and len(ents) == 4
     rels = dict(line.split("\t") for line in (out / "relations.tsv").read_text().splitlines())
     assert set(rels.values()) == {"links", "near"}
+
+
+# ---------------------------------------------------------------- malformed input
+
+_FUZZ_TOKENS = (b"\t", b"nan", b"1e400", b"\x00", b"\xc3", b"\n", b",", b"-", b"#", b":")
+
+
+def mutate(rng, data: bytes) -> bytes:
+    """One byte-level mutation of data."""
+    at = rng.randrange(len(data) + 1)
+    kind = rng.choice(["truncate", "flip", "insert", "delete", "duplicate", "empty", "tabs"])
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip" and data:
+        i = min(at, len(data) - 1)
+        return data[:i] + bytes([data[i] ^ (1 << rng.randrange(8))]) + data[i + 1:]
+    if kind == "insert":
+        return data[:at] + rng.choice(_FUZZ_TOKENS) + data[at:]
+    if kind == "delete":
+        return data[:at] + data[at + 1:]
+    if kind == "duplicate":
+        return data + data[at:]
+    if kind == "tabs":
+        return data[:at] + b"\t\t" + data[at:]
+    return b""
+
+
+def test_malformed_inputs_end_in_an_exit_code_not_a_traceback(workspace, capsys):
+    tmp_path, cfg_path = workspace
+    run_train(cfg_path)
+    ckpt = tmp_path / "model.mkgc"
+    ckpt.write_bytes((latest_run(tmp_path) / "checkpoint.mkgc").read_bytes())
+    targets = [tmp_path / name for name in ("train.tsv", "valid.tsv", "test.tsv", "img.tsv",
+                                            "config.yaml")] + [ckpt]
+    originals = {path: path.read_bytes() for path in targets}
+    commands = [["train"], ["eval", "--checkpoint", str(ckpt)],
+                ["predict", "--checkpoint", str(ckpt), "--relation", "links", "--head", "a"],
+                ["sample-stats", "--positives", "3"]]
+    rng = random.Random(7)
+    codes = []
+    for trial in range(300):
+        for path, data in originals.items():
+            path.write_bytes(data)
+        target = rng.choice(targets)
+        target.write_bytes(mutate(rng, originals[target]))
+        argv = rng.choice(commands) + ["--config", cfg_path]
+        try:
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                codes.append(main(argv))
+        except Exception as e:
+            pytest.fail(f"trial {trial}: {argv[0]} with {target.name} mutated raised {e!r}")
+        assert codes[-1] in (0, 1, 2, 3, 4), (trial, argv[0], target.name)
+        capsys.readouterr()
+    # the mutations reach every kind of error, and some leave a usable input
+    assert set(codes) >= {0, 1, 2, 3}

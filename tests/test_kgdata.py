@@ -89,6 +89,19 @@ def test_unseen_test_entity_rejected_unless_allowed(tmp_path):
     assert "zzz" in kg.entity_index
 
 
+def test_unseen_vocabulary_error_lists_the_first_ten_sorted_names(tmp_path):
+    # z and the relation s in valid, twelve new heads and the relation q in
+    # test; b is seen in train only as a tail
+    valid = ["b\ts\tz", "z\tr\tb"]
+    test = [f"x{i:02d}\tq\tb" for i in range(11, -1, -1)]
+    with pytest.raises(DataError) as err:
+        make_graph(tmp_path, ["a\tr\tb"], valid=valid, test=test)
+    names = [f"x{i:02d}" for i in range(10)]
+    assert str(err.value) == ("valid/test references unseen train vocabulary: "
+                              f"entities {names}, relations ['q', 's'] "
+                              "(pass allow_unseen to permit)")
+
+
 @pytest.mark.parametrize("split", ["valid", "test"])
 def test_held_out_triple_in_train_names_file_line_and_triple(tmp_path, split):
     train = ["a\tr\tb", "b\tr\tc", "c\tr\ta"]
@@ -108,16 +121,16 @@ def test_modality_table_loads(tmp_path):
     assert table.features.shape == (4, 3)
     assert table.features.dtype == np.float32
     assert table.coverage == 1.0
-    assert table.has(kg.entity_index["a"])
-    np.testing.assert_allclose(table.row(kg.entity_index["c"]), [0.5, 0.25, 0.125])
+    assert kg.entity_index["a"] in table.rows
+    np.testing.assert_allclose(table.features[table.rows[kg.entity_index["c"]]], [0.5, 0.25, 0.125])
 
 
 def test_missing_modality_rows_stay_absent(tmp_path):
     kg = make_graph(tmp_path, ["a\tr\tb", "c\tr\td"])
     table = load_modality(write(tmp_path / "m.tsv", ["a\t1,2"]), "image", kg)
     assert table.coverage == pytest.approx(0.25)
-    assert not table.has(kg.entity_index["b"])
-    assert list(table.present) == [kg.entity_index["a"]]
+    assert kg.entity_index["b"] not in table.rows
+    assert list(table.rows) == [kg.entity_index["a"]]
 
 
 def test_mkgw_shaped_image_coverage(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 
 import moekgc.autodiff as ad
 import moekgc.trainer as trainer
+from moekgc.cli import apply_overrides, build_parser, load_config, load_data, main, section_configs
 from moekgc.config import ConfigError
 from moekgc.fusion import FusionModel, ModelConfig
-from moekgc.kgdata import KnowledgeGraph, ModalityFeatureTable, build_filter_index
+from moekgc.kgdata import DataError, KnowledgeGraph, ModalityFeatureTable, build_filter_index
 from moekgc.sampling import NegativeSamplingConfig, corrupt
 from moekgc.scoring import score, score_candidates
 from moekgc.trainer import (
@@ -30,7 +32,7 @@ from moekgc.trainer import (
     train,
 )
 
-from oracles import PerBlockAdam, copy_mean_rank, rank_by_sort
+from oracles import PerBlockAdam, copy_mean_rank, rank_by_sort, square
 from synthetic import clustered_graph
 
 EMPTY = np.zeros((0, 3), dtype=np.int64)
@@ -70,7 +72,7 @@ def test_adam_drives_a_quadratic_to_zero():
     opt = Adam({"x": x}, learning_rate=0.1)
     for _ in range(100):
         ad.reset_tape()
-        loss = x.square().sum()
+        loss = square(x).sum()
         ad.backward(loss)
         opt.step()
         opt.zero_grad()
@@ -535,7 +537,7 @@ def test_evaluate_rejects_bad_mode_and_empty_split():
     model = structure_model(kg)
     with pytest.raises(ConfigError):
         evaluate(model, kg, "train", "both")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="split 'valid' has no triples"):
         evaluate(model, kg, "valid", "raw")
 
 
@@ -646,6 +648,52 @@ def test_row_negatives_do_not_depend_on_batch_size(monkeypatch):
         [seen[1][1, i] for i in range(len(kg.train))]
 
 
+# ---------------------------------------------------------------- faults in train
+
+def train_workspace(cfg_path, *flags):
+    """train on the CLI workspace through the library, with the flags' settings."""
+    cfg = load_config(cfg_path)
+    apply_overrides(cfg, build_parser().parse_args(["train", *flags]))
+    return train(*load_data(cfg), *section_configs(cfg))
+
+
+def assert_train_fails(cfg_path, capsys, message, *flags):
+    """train raises TrainingError with message, and `moekgc train` exits 1 with it."""
+    with pytest.raises(TrainingError, match=message):
+        train_workspace(cfg_path, *flags)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, *flags]) == 1
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_train_stops_on_a_non_finite_loss(workspace, capsys, monkeypatch):
+    # every op checks its output, so only a fault hands train a NaN loss
+    monkeypatch.setattr(trainer, "_batch_step", lambda *args: float("nan"))
+    assert_train_fails(workspace[1], capsys, "loss is not finite at epoch 0 batch 0")
+
+
+def test_train_stops_on_a_non_finite_gradient(workspace, capsys, monkeypatch):
+    real = trainer.score_batch
+
+    def poisoned(*args):
+        # the scores unchanged, but an infinite gradient flows back through them
+        out = real(*args)
+        return ad.record(out.data, (out,), lambda g: (np.full_like(g, np.inf),), "poison")
+
+    monkeypatch.setattr(trainer, "score_batch", poisoned)
+    with np.errstate(all="ignore"):
+        assert_train_fails(workspace[1], capsys,
+                           r"non-finite value at epoch 0 batch 0: non-finite gradient in block \w+")
+
+
+def test_train_stops_on_an_overflow_in_validation(workspace, capsys):
+    # one step at this rate leaves finite parameters whose products overflow
+    with np.errstate(all="ignore"):
+        assert_train_fails(workspace[1], capsys,
+                           "non-finite value in validation at epoch 0: affine produced",
+                           "--training-learning-rate", "1e38", "--training-eval-every", "1")
+
+
 # ---------------------------------------------------------------- checkpoint
 
 def fitted_model_and_opt(tmp_path, with_modality=False):
@@ -657,8 +705,7 @@ def fitted_model_and_opt(tmp_path, with_modality=False):
         feats = rng.normal(size=(3, 5)).astype(np.float32)
         tables["img"] = ModalityFeatureTable(
             modality="img", dim=5, features=feats,
-            rows={0: 0, 1: 1, 3: 2}, coverage=0.75,
-            present=np.array([0, 1, 3]))
+            rows={0: 0, 1: 1, 3: 2}, coverage=0.75)
         modalities = ["img"]
     cfg = ModelConfig(embedding_dim=6, experts=2, mi_bins=4, modalities=modalities)
     model = FusionModel(cfg, kg.n_entities, kg.n_relations, tables, seed=4)
@@ -667,7 +714,7 @@ def fitted_model_and_opt(tmp_path, with_modality=False):
     for _ in range(3):
         ad.reset_tape()
         joint, _ = model.fuse(np.array([0, 1, 2, 3]))
-        loss = joint.square().sum()
+        loss = square(joint).sum()
         ad.backward(loss)
         opt.step()
         opt.zero_grad()
@@ -820,7 +867,7 @@ def test_modality_dim_mismatch_names_both_dims(tmp_path):
     wrong = ModalityFeatureTable(
         modality="img", dim=9,
         features=np.zeros((3, 9), dtype=np.float32),
-        rows={0: 0, 1: 1, 3: 2}, coverage=0.75, present=np.array([0, 1, 3]))
+        rows={0: 0, 1: 1, 3: 2}, coverage=0.75)
     with pytest.raises(ConfigError, match=r"5.*9|9.*5"):
         load_checkpoint(path, {"img": wrong}, kg)
     with pytest.raises(ConfigError, match="img"):
