@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -82,7 +83,11 @@ def _int(value) -> int:
 def _float(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        # rejected here for every command, not only those that validate
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
 
 
 def _str_list(text) -> list:

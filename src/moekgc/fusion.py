@@ -234,6 +234,19 @@ class FusionModel:
 
     def __init__(self, cfg: ModelConfig, n_entities: int, n_relations: int,
                  tables: dict, seed: int = 0):
+        self._lay_out(cfg, n_entities, n_relations, tables)
+        self._draw(seed)
+
+    @classmethod
+    def _unfilled(cls, cfg: ModelConfig, n_entities: int, n_relations: int,
+                  tables: dict) -> "FusionModel":
+        """A model whose parameters are all zero, for a caller that writes
+        every block (a checkpoint load); no initial values are drawn."""
+        model = cls.__new__(cls)
+        model._lay_out(cfg, n_entities, n_relations, tables)
+        return model
+
+    def _lay_out(self, cfg, n_entities, n_relations, tables):
         cfg.validate(tables)
         self.cfg = cfg
         self.n_entities = n_entities
@@ -243,13 +256,13 @@ class FusionModel:
         self.source_order = [STRUCTURE_MODALITY] + list(cfg.modalities)
         # entity id -> row in the modality's feature table, -1 where absent
         self.feature_rows = {m: _row_lookup(self.tables[m], n_entities) for m in cfg.modalities}
-        self.params = self._init_params(seed)
+        self.params = self._zero_store()
 
     # -- parameters
 
-    def _init_params(self, seed: int) -> ad.ParamStore:
+    def _shapes(self) -> dict:
+        """Every block's shape, in the order its initial values are drawn."""
         d, k, c = self.cfg.embedding_dim, self.cfg.experts, self.cfg.mi_bins
-        # every block's shape, in the order its initial values are drawn
         shapes = {"entities": (self.n_entities, d), "rel_phases": (self.n_relations, d // 2)}
         for m in self.cfg.modalities:
             dim_m = self.tables[m].dim
@@ -262,7 +275,10 @@ class FusionModel:
             shapes.update({f"modal_dist.{m}.w": (d, c), f"modal_dist.{m}.b": (c,)})
         shapes.update({f"modal_dist.{STRUCTURE_MODALITY}.w": (d, c),
                        f"modal_dist.{STRUCTURE_MODALITY}.b": (c,)})
+        return shapes
 
+    def _zero_store(self) -> ad.ParamStore:
+        shapes, k = self._shapes(), self.cfg.experts
         # the store holds each bank's members side by side, role by role; the
         # distribution heads come last, so that the blocks which train by
         # default form one run for Adam
@@ -278,23 +294,24 @@ class FusionModel:
         banks.update({f"modal_dist.*.{r}": [f"modal_dist.{s}.{r}" for s in self.source_order]
                       for r in ("w", "b")})
         order += [n for names in banks.values() for n in names]
-        store = ad.ParamStore({n: shapes[n] for n in order}, banks)
+        return ad.ParamStore({n: shapes[n] for n in order}, banks)
 
-        # drawn in pieces, each value as one draw over the whole block would
-        # give it, so no float64 copy of the entity table is ever held
+    def _draw(self, seed: int):
+        """Fill the store with its seeded initial values, in pieces, each
+        value as one draw over the whole block would give it, so that no
+        float64 copy of the entity table is ever held."""
         rng = np.random.Generator(np.random.PCG64(seed))
-        for name, shape in shapes.items():
+        for name, shape in self._shapes().items():
             if name == "rel_phases":
                 low, high = 0.0, 2.0 * math.pi  # then pi - x: uniform (-pi, pi]
             else:
                 fan_in, fan_out = (shape[0], shape[1]) if len(shape) == 2 else (1, shape[0])
                 high = math.sqrt(6.0 / (fan_in + fan_out))
                 low = -high
-            out = store[name].data.reshape(-1)
+            out = self.params[name].data.reshape(-1)
             for lo in range(0, out.size, _INIT_CHUNK):
                 draw = rng.uniform(low, high, size=min(_INIT_CHUNK, out.size - lo))
                 out[lo:lo + _INIT_CHUNK] = math.pi - draw if name == "rel_phases" else draw
-        return store
 
     @property
     def relation_phases(self) -> Tensor:

@@ -263,11 +263,90 @@ def load_modality(path, modality: str, kg: KnowledgeGraph) -> ModalityFeatureTab
     """Load per-entity feature vectors for one modality.
 
     Entities without a line stay absent; they are never zero-filled.  All
-    lines must agree on the feature dimension.
+    lines must agree on the feature dimension.  Values are parsed by numpy's
+    C reader; a file it does not take as it stands is parsed again line by
+    line, which accepts what Python's float() accepts and names the first
+    faulty line.
     """
     if modality == STRUCTURE_MODALITY:
         raise DataError(f"modality id {STRUCTURE_MODALITY!r} is reserved")
+    features, rows = _parse_chunked(path, kg) or _parse_per_line(path, kg)
+    return ModalityFeatureTable(
+        modality=modality,
+        dim=features.shape[1],
+        features=features,
+        rows=rows,
+        coverage=len(rows) / kg.n_entities,
+    )
 
+
+# feature lines per np.loadtxt call: a chunk's float64 result (1 MB at 128
+# values) and its line strings stay small next to the float32 table, where
+# one call over a medium file would hold a float64 copy of all of it
+_PARSE_CHUNK = 1024
+
+
+def _parse_chunked(path, kg: KnowledgeGraph):
+    """(features, rows) of a feature file by np.loadtxt over chunks of
+    _PARSE_CHUNK lines, or None when anything is off: a read error, a wrong
+    tab count, an unknown, duplicate or empty entry, no rows, a character
+    outside plain decimal notation, a value the reader rejects, a changed
+    dimension or a non-finite value.  The caller
+    then runs the per-line parser, which reports the first fault exactly."""
+    index = kg.entity_index
+    rows: dict = {}
+    blobs, chunks = [], []
+    try:
+        for _, line in _lines(path, "modality"):
+            name, _, blob = line.partition("\t")
+            idx = index.get(name)
+            # a second tab fails the character check in _parse_values
+            if not blob or idx is None or idx in rows:
+                return None
+            rows[idx] = len(rows)
+            blobs.append(blob)
+            if len(blobs) == _PARSE_CHUNK:
+                chunks.append(_parse_values(blobs))
+                blobs = []
+        if blobs:
+            chunks.append(_parse_values(blobs))
+    except (DataError, ValueError):
+        return None
+    if not chunks or len({c.shape[1] for c in chunks}) != 1:
+        return None
+    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0], rows
+
+
+# the characters of plain decimal notation, on which np.loadtxt and float()
+# agree by construction: both strip the spaces and hand the same ASCII text
+# to CPython's string-to-double.  Outside it they part: float() takes '1_0'
+# and Unicode digits, np.loadtxt strips control characters such as '\x1c'
+# that float() rejects.  Letters other than the exponent's are left out, so
+# 'nan' and 'inf' go to the per-line parser, which rejects them.
+_PLAIN_DECIMAL = b"0123456789+-.eE ,"
+
+
+def _parse_values(blobs) -> np.ndarray:
+    """The float32 rows of comma-separated value lists, each value rounded
+    from its float64 parse as float() gives it; ValueError when a list holds
+    a character outside plain decimal notation, the reader rejects a value
+    or skips a line, or a value is not finite in float32."""
+    text = "".join(blobs)
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_DECIMAL):
+        raise ValueError("a character outside plain decimal notation")
+    values = np.loadtxt(blobs, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    if values.shape[0] != len(blobs):
+        raise ValueError("the reader skipped a line")
+    with np.errstate(over="ignore"):
+        values = values.astype(np.float32)
+    if not np.isfinite(values).all():
+        raise ValueError("a non-finite value")
+    return values
+
+
+def _parse_per_line(path, kg: KnowledgeGraph):
+    """(features, rows) of a feature file, one float() per value; the
+    DataError of its first faulty line, by file and line number."""
     vectors = []
     rows: dict = {}
     unknown = []
@@ -304,15 +383,7 @@ def load_modality(path, modality: str, kg: KnowledgeGraph) -> ModalityFeatureTab
         )
     if dim is None:
         raise DataError(f"{path}: no feature rows found")
-
-    features = np.stack(vectors).astype(np.float32)
-    return ModalityFeatureTable(
-        modality=modality,
-        dim=dim,
-        features=features,
-        rows=rows,
-        coverage=len(rows) / kg.n_entities,
-    )
+    return np.stack(vectors).astype(np.float32), rows
 
 
 def dump_vocab(kg: KnowledgeGraph, out_dir: str):

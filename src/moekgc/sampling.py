@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import ConfigError
+from .config import ConfigError, check_finite
 
 P_CLAMP = 1e-7  # probabilities are clamped to [P_CLAMP, 1 - P_CLAMP]
 
@@ -58,6 +58,7 @@ class NegativeSamplingConfig:
     max_retries: int = 200
 
     def validate(self):
+        check_finite(self)
         if self.negatives_per_positive < 1:
             raise ConfigError(f"negatives_per_positive must be >= 1, got {self.negatives_per_positive}")
         if not (0.0 < self.delta1 < self.delta2):

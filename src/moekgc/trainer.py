@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import FiniteError
-from .config import ConfigError
+from .config import ConfigError, check_finite
 from .fusion import FusionModel, ModelConfig
 from .kgdata import DataError, KnowledgeGraph, build_filter_index
 from .sampling import NegativeSamplingConfig, batch_loss, corrupt, derived_rng, negative_weights
@@ -67,6 +67,7 @@ class TrainConfig:
     mi_ref_batch: int = 256
 
     def validate(self):
+        check_finite(self)
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -133,7 +134,10 @@ class Adam:
     time, by the per-block update's elementwise float64 expressions, so the
     result is that update's bit for bit; blocks without a gradient keep
     their values and moments.  The new parameters go into a fresh buffer
-    that the store is then re-pointed at.
+    that the store is then re-pointed at.  A non-finite gradient raises
+    TrainingError naming the first such block in store order; the
+    parameters and the step count stay as they were, though the moments of
+    the chunks updated before it have moved.
     """
 
     def __init__(self, params: dict, learning_rate: float,
@@ -158,6 +162,12 @@ class Adam:
         done = 0
         for run in _grad_runs(store.blocks):
             for lo, hi, g in _grad_chunks(run):
+                g = np.asarray(g, dtype=np.float64)
+                if not np.isfinite(g).all():
+                    self.t -= 1
+                    bad = next(b.name for b in store.blocks if b.tensor.grad is not None
+                               and not np.isfinite(b.tensor.grad).all())
+                    raise TrainingError(f"non-finite gradient in block {bad}")
                 out[done:lo] = x[done:lo]  # the blocks without a gradient
                 m[lo:hi], v[lo:hi], out[lo:hi] = self._update(m[lo:hi], v[lo:hi], g, x[lo:hi],
                                                               c1, c2)
@@ -165,9 +175,8 @@ class Adam:
         out[done:] = x[done:]
         store.repoint(out)
 
-    def _update(self, m, v, grad, x, c1, c2):
-        """New (m, v, x) after one step on gradient grad; x keeps its dtype."""
-        g = np.asarray(grad, dtype=np.float64)
+    def _update(self, m, v, g, x, c1, c2):
+        """New (m, v, x) after one step on float64 gradient g; x keeps its dtype."""
         m = self.beta1 * m + (1.0 - self.beta1) * g
         v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
         update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
@@ -449,11 +458,12 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
     offset = hdr_start + hdr_len
 
     arrays = {}
+    payload = memoryview(data)  # blocks are read in place, not sliced into copies
     for name in sorted(header["blocks"]):
         meta = header["blocks"][name]
         shape = tuple(meta["shape"])
         nbytes = int(np.prod(shape, dtype=np.int64)) * 4
-        raw = data[offset:offset + nbytes]
+        raw = payload[offset:offset + nbytes]
         if len(raw) != nbytes:
             raise CheckpointError(f"{path}: block {name} is truncated")
         if zlib.crc32(raw) != meta["crc32"]:
@@ -479,7 +489,8 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
                 f"table has {tables[m].dim}"
             )
 
-    model = FusionModel(cfg, counts["entities"], counts["relations"], tables, seed=0)
+    # every block is written below, so the model is laid out with no initial draw
+    model = FusionModel._unfilled(cfg, counts["entities"], counts["relations"], tables)
     missing = set(model.params) - set(arrays)
     if missing:
         raise CheckpointError(f"{path}: missing parameter blocks {sorted(missing)}")
@@ -609,13 +620,10 @@ def _batch_step(model: FusionModel, opt: Adam, positives, negatives,
     weights = negative_weights(neg_scores.data, sampling_cfg)
     loss = batch_loss(pos_scores, neg_scores, weights, sampling_cfg)
     ad.backward(loss)
-    for name, p in model.params.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise TrainingError(f"non-finite gradient in block {name}")
     value = loss.item()
     # the gradients are in: free the forward buffers before Adam allocates
     del joint, pos_scores, neg_scores, loss
     ad.reset_tape()
-    opt.step()
+    opt.step()  # raises TrainingError on a non-finite gradient
     opt.zero_grad()
     return value

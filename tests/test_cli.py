@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import random
+import typing
 import warnings
 
 import numpy as np
@@ -442,6 +443,32 @@ def test_a_run_warns_once_about_the_unreachable_hard_class(workspace, capsys, co
         warnings.simplefilter("always")
         assert main([command, "--config", cfg_path, "--sampling-log-base", "natural"]) == 0
     assert [w.category for w in caught].count(UnreachableHardClassWarning) == 1
+
+
+_FLOAT_KEYS = [(section, f.name) for section, cls in (("training", TrainConfig),
+                                                      ("sampling", NegativeSamplingConfig))
+               for f in dataclasses.fields(cls) if typing.get_type_hints(cls)[f.name] is float]
+
+
+def test_the_float_keys_are_the_ones_a_nan_slipped_through():
+    assert {"learning_rate", "margin", "lambda_hard", "lambda_easy"} <= {k for _, k in _FLOAT_KEYS}
+
+
+@pytest.mark.parametrize("section, key", _FLOAT_KEYS)
+def test_a_non_finite_float_key_is_a_config_error(workspace, capsys, section, key):
+    tmp_path, cfg_path = workspace
+    cls = {"training": TrainConfig, "sampling": NegativeSamplingConfig}[section]
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            cls(**{key: value}).validate()
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected a finite number"):
+            load_config(with_values(tmp_path, **{section: {key: value}}))
+        for command in ("train", "sample-stats"):
+            flag = f"--{section}-{key}".replace("_", "-")
+            # --flag=-inf: argparse would read a separate "-inf" as a flag
+            assert main([command, "--config", cfg_path, f"{flag}={value}"]) == 2
+            assert f"bad value for {flag}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "sample-stats"])

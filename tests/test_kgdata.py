@@ -1,9 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 
+import moekgc.kgdata as kgdata
 from moekgc.kgdata import (
     DataError,
     FilterIndex,
+    ModalityFeatureTable,
     build_filter_index,
     dump_vocab,
     load_graph,
@@ -162,6 +166,140 @@ def test_modality_duplicate_entity_rejected(tmp_path):
     path = write(tmp_path / "m.tsv", ["a\t1,2", "a\t3,4"])
     with pytest.raises(DataError, match="duplicate"):
         load_modality(path, "image", kg)
+
+
+# ---------------------------------------------------------------- feature parsing
+
+def _outcome(parse, path, kg):
+    """(features bytes, shape, rows in order) of a parse, or its DataError text."""
+    try:
+        result = parse(path, kg)
+    except DataError as e:
+        return str(e)
+    if isinstance(result, ModalityFeatureTable):
+        result = result.features, result.rows
+    features, rows = result
+    assert features.dtype == np.float32
+    return features.tobytes(), features.shape, list(rows.items())
+
+
+def _mutate_features(rng, lines):
+    """One seeded mutation of feature lines: each kind reaches a place where
+    numpy's reader and float() could part ways, or a per-line error."""
+    i = rng.randrange(len(lines))
+    name, _, values = lines[i].partition("\t")
+    vals = values.split(",")
+    j = rng.randrange(len(vals))
+    kind = rng.choice(["empty", "comma", "underscore", "digits", "nonfinite", "short", "long",
+                       "duplicate", "unknown", "hash", "quote", "nul", "spaces", "tabs",
+                       "no_tab", "blank", "empty_name"])
+    if kind == "empty":
+        lines[i] = name + "\t"
+    elif kind == "comma":
+        lines[i] += rng.choice([",", ",,"])
+    elif kind in ("underscore", "digits", "nonfinite", "quote", "nul", "spaces", "hash"):
+        vals[j] = {
+            "underscore": lambda v: rng.choice(["1_0", "0.2_5", "1__0", "_1"]),
+            "digits": lambda v: rng.choice(["\u0661", "\u0663.5", "\uff11", "\u0661e2"]),
+            "nonfinite": lambda v: rng.choice(["nan", "-inf", "1e400", "1e39", "infinity"]),
+            "quote": lambda v: rng.choice([f'"{v}"', f"'{v}'"]),
+            "nul": lambda v: rng.choice([v + "\x00", "\x00" + v, v[:1] + "\x00" + v[1:]]),
+            "spaces": lambda v: rng.choice([f" {v} ", f"\u2003{v}", f"{v}\x0c", f"\x1c{v}"]),
+            "hash": lambda v: rng.choice(["#" + v, v + "#", "1#2"]),
+        }[kind](vals[j])
+        lines[i] = name + "\t" + ",".join(vals)
+    elif kind == "short" and len(vals) > 1:
+        lines[i] = name + "\t" + ",".join(vals[:-1])
+    elif kind == "long":
+        lines[i] = lines[i] + ",0.5"
+    elif kind == "duplicate":
+        lines[i] = lines[rng.randrange(len(lines))].split("\t")[0] + "\t" + values
+    elif kind == "unknown":
+        lines[i] = "ghost\t" + values
+    elif kind == "no_tab":
+        lines[i] = name + "," + values
+    elif kind == "tabs":
+        lines[i] = name + "\t" + values.replace(",", "\t", 1)
+    elif kind == "blank":
+        lines.insert(i, rng.choice(["", "\r"]))
+    elif kind == "empty_name":
+        lines[i] = "\t" + values
+
+
+def test_chunked_parse_matches_the_per_line_oracle_on_mutated_files(tmp_path, monkeypatch):
+    # a small chunk puts the 30 lines in eight np.loadtxt calls
+    monkeypatch.setattr(kgdata, "_PARSE_CHUNK", 4)
+    kg = make_graph(tmp_path, [f"e{i}\tr\te{i + 1}" for i in range(39)])
+    rng = random.Random(12)
+    forms = ["{:.9g}", "{!r}", "{:.3e}", "{:+.4f}", "{:.2f}"]
+    base = [f"e{i}\t" + ",".join(rng.choice(forms).format(rng.uniform(-3, 3)) for _ in range(4))
+            for i in rng.sample(range(40), 30)]
+    seen = {"fast": 0, "fallback": 0, "error": 0}
+    for trial in range(400):
+        lines = list(base)
+        for _ in range(rng.choice([0, 1, 1, 1, 2, 3])):
+            _mutate_features(rng, lines)
+        text = "".join(line + "\n" for line in lines).encode("utf-8")
+        if rng.random() < 0.15:
+            text = text.replace(b"\n", b"\r\n")
+        if rng.random() < 0.05:
+            at = rng.randrange(len(text))
+            text = text[:at] + b"\xff" + text[at:]
+        path = tmp_path / "m.tsv"
+        path.write_bytes(text)
+        with np.errstate(over="ignore"):
+            want = _outcome(kgdata._parse_per_line, str(path), kg)
+            got = _outcome(lambda p, g: load_modality(p, "image", g), str(path), kg)
+        assert got == want, (trial, lines)
+        fast = kgdata._parse_chunked(str(path), kg)
+        if fast is not None:
+            # the C reader never takes a file the oracle rejects
+            assert _outcome(lambda p, g: fast, str(path), kg) == want, (trial, lines)
+        seen["error" if isinstance(want, str) else "fast" if fast else "fallback"] += 1
+    # every route is taken: accepted in C, accepted only by float(), rejected
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("values, route, first", [
+    (" 1 , 2 ", "fast", 1.0),
+    ("1e-1,2", "fast", 0.1),
+    ("1_0,2", "fallback", 10.0),  # float() takes underscores, np.loadtxt does not
+    ("\u0661,2", "fallback", 1.0),  # and Unicode digits
+    ("\u20031,2", "fallback", 1.0),  # both strip Unicode spaces; kept off the C path
+    ("\x1c1,2", "error", None),  # np.loadtxt strips this control character, float() does not
+    ("", "error", None),  # np.loadtxt would skip the empty list, shifting every later row
+    ("1,2,", "error", None),
+    ("nan,2", "error", None),
+    ("1e39,2", "error", None),  # finite in float64, infinite in float32
+])
+def test_where_the_readers_part_the_per_line_parser_decides(tmp_path, values, route, first):
+    kg = make_graph(tmp_path, ["a\tr\tb"])
+    path = write(tmp_path / "m.tsv", ["b\t3,4", f"a\t{values}"])
+    assert (kgdata._parse_chunked(path, kg) is not None) == (route == "fast")
+    if route == "error":
+        with pytest.raises(DataError, match="m.tsv:2: "), np.errstate(over="ignore"):
+            load_modality(path, "image", kg)
+    else:
+        table = load_modality(path, "image", kg)
+        assert table.features.tobytes() == np.array([[3, 4], [first, 2]], np.float32).tobytes()
+
+
+def test_a_well_formed_file_never_reaches_the_per_line_parser(tmp_path, monkeypatch):
+    # a refactor that loses the C path fails here rather than only running slower
+    def refuse(path, kg):
+        raise AssertionError("the per-line parser ran on a well-formed file")
+
+    monkeypatch.setattr(kgdata, "_parse_per_line", refuse)
+    n = 2 * kgdata._PARSE_CHUNK + 5
+    kg = make_graph(tmp_path, [f"e{i}\tr\te{i + 1}" for i in range(n)])
+    rng = np.random.default_rng(3)
+    want = rng.normal(size=(n, 3)).astype(np.float32)
+    order = rng.permutation(n)
+    path = write(tmp_path / "m.tsv", [f"e{e}\t" + ",".join(f"{v:.9g}" for v in want[e])
+                                      for e in order])
+    table = load_modality(path, "image", kg)
+    assert table.features.tobytes() == want[order].tobytes()
+    assert list(table.rows.items()) == [(kg.entity_index[f"e{e}"], k) for k, e in enumerate(order)]
 
 
 def test_structure_modality_id_reserved(tmp_path):

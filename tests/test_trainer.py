@@ -154,6 +154,27 @@ def test_adam_load_state_keeps_its_own_moments():
     assert opt.m["w"].all() and opt.v["w"].all()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_names_the_first_non_finite_gradient_and_leaves_the_parameters(bad):
+    chunk = trainer._ADAM_CHUNK
+    # one chunk joins "b" with the start of "c"; the end of "c" is a later chunk
+    params = {n: ad.parameter(np.full(size, 0.5, dtype=np.float32))
+              for n, size in (("a", chunk - 3), ("skip", 4), ("b", 7), ("c", 2 * chunk))}
+    opt = Adam(params, learning_rate=0.1)
+    for n in ("a", "b", "c"):
+        params[n].grad = np.ones(params[n].shape, dtype=np.float32)
+    params["b"].grad[5] = bad
+    params["c"].grad[-1] = bad
+    before = opt.params.flat.copy()
+    with pytest.raises(TrainingError, match=r"^non-finite gradient in block b$"):
+        opt.step()
+    assert opt.params.flat.tobytes() == before.tobytes() and opt.t == 0
+    params["b"].grad[5] = 1.0
+    with pytest.raises(TrainingError, match=r"^non-finite gradient in block c$"):
+        opt.step()
+    assert opt.params.flat.tobytes() == before.tobytes() and opt.t == 0
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_adam_matches_the_per_block_oracle_bitwise(dtype):
     chunk = trainer._ADAM_CHUNK
@@ -745,6 +766,20 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     opt2.load_state({"step": state["adam_step"], "m": state["adam_m"], "v": state["adam_v"]})
     save_checkpoint(p2, loaded, opt2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_load_draws_no_initial_values(tmp_path, monkeypatch):
+    kg, tables, model, opt = fitted_model_and_opt(tmp_path, with_modality=True)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, opt)
+
+    def refuse(self, seed):
+        raise AssertionError("a checkpoint load drew initial values")
+
+    monkeypatch.setattr(FusionModel, "_draw", refuse)
+    loaded, _ = load_checkpoint(path, tables, kg)
+    assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+    assert [b.name for b in loaded.params.blocks] == [b.name for b in model.params.blocks]
 
 
 def test_interrupted_write_keeps_the_earlier_file_and_no_temp(tmp_path, monkeypatch):
