@@ -23,6 +23,12 @@ weights are treated as constants by default:
 the heads, the MI kernel and the weights then run under ``ad.no_grad`` and
 put nothing on the tape.  ``grad_through_weights`` runs the same calls on
 the tape.
+
+At evaluation the MI is pinned, so every entity's row depends on that
+entity alone: ``all_joint_embeddings`` fuses in blocks that
+``parallel.ordered_map`` spreads over the cores, each block through
+``_fuse``, the body of ``fuse`` that a profiler wrapping ``fuse`` from one
+thread does not see.
 """
 
 from __future__ import annotations
@@ -37,16 +43,20 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ConfigError
 from .kgdata import STRUCTURE_MODALITY, ModalityFeatureTable
+from .parallel import ordered_map, spans
 
 # joint-table entries below this threshold contribute nothing to the estimate
 MI_EPS = 1e-12
 # softmax logit of an absent source: exp underflows to exactly 0
 ABSENT_LOGIT = -1e30
-# entities per fuse call in all_joint_embeddings: at d=256 each float32
-# intermediate of a block (projection, expert hiddens and views) is 2 MB, near
-# a core's cache, where one call over 15k entities walks 15 MB arrays and
-# holds over a hundred MB of them at once
-_EMBED_BLOCK = 2048
+# entities per fuse call of the calling thread in all_joint_embeddings (a
+# pool thread's calls take parallel.POOL_SHARE of that): at d=256 each
+# float32 intermediate of a block (projection, expert hiddens and views) is
+# 1 MB, in a core's cache, where one call over 15k entities walks 15 MB
+# arrays and holds over a hundred MB of them at once.  A pool thread keeps
+# its own malloc arena as large as the biggest block it ran, so this size
+# also bounds what fanning out adds to peak memory
+_EMBED_BLOCK = 1024
 # initial values drawn per call when a parameter block is filled
 _INIT_CHUNK = 1 << 16
 
@@ -348,6 +358,11 @@ class FusionModel:
         rely on.  Returns (joint (B, d) tensor, cache dict with the numpy MI
         matrices and weights actually used).
         """
+        return self._fuse(entity_ids, mi)
+
+    def _fuse(self, entity_ids, mi: MIState = None):
+        """fuse itself, for callers on any thread: a profiler that wraps
+        fuse sees only the calls made through it."""
         entity_ids = np.asarray(entity_ids, dtype=np.int64)
         if entity_ids.ndim != 1 or entity_ids.size == 0:
             raise ValueError("fuse expects a non-empty 1-d array of entity indices")
@@ -386,9 +401,12 @@ class FusionModel:
             mi_intra_np[m] = np.array(mat.data, dtype=np.float64)
             intra_w_np[m] = np.array(w.data[0], dtype=np.float64)
             placed.append(ad.weighted_sum(w, views))
+            # off the tape nothing else holds them: free before the next bank
+            del views
 
         # (n_src, B, d), zero where a source is absent
         sources = ad.place_rows(placed, has)
+        del placed  # copied into sources
         with weighing():
             mat = _level_mi(
                 self.cfg.inter_weighting, None if mi is None else mi.inter,
@@ -416,13 +434,20 @@ class FusionModel:
         """Joint embeddings for every entity, MI estimated over context_ids.
 
         Under the pinned MI state each row depends only on its own entity,
-        so fusing in blocks of _EMBED_BLOCK rows gives the rows of one
-        fuse call over every entity, bit for bit.
+        so fusing in blocks of at most _EMBED_BLOCK rows (parallel.spans)
+        gives the rows of one fuse call over every entity, bit for bit, on
+        whichever cores parallel.ordered_map runs the blocks.
         """
         mi = self.mi_state(context_ids)
         out = np.empty((self.n_entities, self.cfg.embedding_dim), dtype=np.float64)
+
+        def embed(span):
+            b0, b1 = span
+            out[b0:b1] = self._fuse(np.arange(b0, b1), mi)[0].data
+
+        blocks = spans(self.n_entities, _EMBED_BLOCK)
         with ad.no_grad():
-            for b0 in range(0, self.n_entities, _EMBED_BLOCK):
-                b1 = min(b0 + _EMBED_BLOCK, self.n_entities)
-                out[b0:b1] = self.fuse(np.arange(b0, b1), mi)[0].data
+            # embed keeps no result, so every block may run ahead
+            for _ in ordered_map(embed, blocks, ahead=len(blocks)):
+                pass
         return out

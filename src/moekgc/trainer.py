@@ -12,7 +12,11 @@ for ties: rank = better + (tied + 1) / 2, counting the gold itself in the
 tied block.  Filtered mode drops known-true competitors before ranking.
 With the l2 norm a GEMM per block of queries settles the candidates that
 are surely better or worse than the gold and only the rest are scored
-directly; the ranks are those of scoring every candidate directly.
+directly; the ranks are those of scoring every candidate directly.  The
+embedding blocks and these ranking blocks run on every core through
+``parallel.ordered_map``, while the filter masks and the rank sums stay on
+the calling thread in query order, so a report is the same on any number
+of cores.
 
 Checkpoints are a fixed binary layout: magic, format version, a canonical
 JSON header (sorted keys, compact separators), then the parameter blocks in
@@ -37,6 +41,7 @@ from .autodiff import FiniteError
 from .config import ConfigError, check_finite
 from .fusion import FusionModel, ModelConfig
 from .kgdata import DataError, KnowledgeGraph, build_filter_index
+from .parallel import ordered_map, spans
 from .sampling import NegativeSamplingConfig, batch_loss, corrupt, derived_rng, negative_weights
 from .scoring import l2_error_bound, rotate, score, score_batch, score_candidates
 
@@ -220,8 +225,15 @@ def _mean_rank(scores: np.ndarray, gold: int, allowed: np.ndarray) -> float:
     return better + (tied + 1) / 2.0
 
 
-# queries per GEMM; a block holds three (64, n_entities) float64 arrays
-_RANK_BLOCK = 64
+# elements (queries x n_entities) per ranking block of the calling thread;
+# a pool thread's blocks take parallel.POOL_SHARE of its queries.  A
+# running block holds at most two float64 arrays of that size and keeps
+# one, its rows, until they are ranked: at 15k entities a block is 32
+# queries, and the two groups of blocks a map may hold ahead
+# (parallel.AHEAD_GROUPS) keep 96 query rows, fewer than the three
+# (64, n_entities) arrays one 64-query block held.  A desk graph's split is
+# one block, ranked without a thread
+_RANK_BLOCK = 32 * 15_000
 
 
 def _direct_rows(emb, theta, triples, norm):
@@ -241,7 +253,9 @@ def _l2_rows(emb, theta, triples):
     own bound.  A candidate nearer than the gold's distance g by more than
     2E gets +inf, one farther by more than 2E gets -inf, and the band in
     between, the gold included, is scored by the direct scorer.  _mean_rank
-    gives such a row the rank the full direct scores give.
+    gives such a row the rank the full direct scores give.  The blocks run
+    through parallel.ordered_map, each computed alone, so the rows are the
+    same on any number of cores.
     """
     n_ent, d = emb.shape
     cand_sq = np.einsum("ij,ij->i", emb, emb)
@@ -250,24 +264,26 @@ def _l2_rows(emb, theta, triples):
     h, r, t = (np.repeat(col, 2) for col in triples.T)
     tail_query = np.tile([True, False], len(triples))
     gold = np.where(tail_query, t, h)
-    dist_buf = np.empty((min(_RANK_BLOCK, len(gold)), n_ent))
-    prod_buf = np.empty_like(dist_buf)
-    for b0 in range(0, len(gold), _RANK_BLOCK):
-        blk = slice(b0, b0 + _RANK_BLOCK)
+
+    def block(span):
+        b0, b1 = span
+        blk = slice(b0, b1)
         # a head query turns its tail back by -theta: rotation is an isometry
         phase = theta[r[blk]]
         phase[~tail_query[blk]] *= -1.0
         q = rotate(emb[np.where(tail_query[blk], h[blk], t[blk])], phase)
         q_sq = np.einsum("ij,ij->i", q, q)
         # (||q||^2 + ||c||^2) - 2 q.c, rounded in that order
-        dist = np.add(q_sq[:, None], cand_sq, out=dist_buf[:len(q)])
-        prod = np.matmul(q, emb.T, out=prod_buf[:len(q)])
+        dist = np.add(q_sq[:, None], cand_sq)
+        prod = np.matmul(q, emb.T)
         prod *= 2.0
         dist -= prod
+        del prod  # each full-width array goes once used: blocks run side by side
         at_gold = (np.arange(len(q)), gold[blk])
         margin = 2.0 * l2_error_bound(np.sqrt(q_sq), max_norm, d)
         nearer = dist < (dist[at_gold] - margin)[:, None]
         band = dist > (dist[at_gold] + margin)[:, None]
+        del dist
         band |= nearer
         np.logical_not(band, out=band)
         band[at_gold] = True
@@ -285,7 +301,11 @@ def _l2_rows(emb, theta, triples):
             part = slice(c, c + n_ent)
             rows[qi[part], ci[part]] = score(emb[heads[part]], theta[r[qs[part]]],
                                              emb[tails[part]])
-        for i in range(len(q)):
+        return rows
+
+    blocks = spans(len(gold), max(1, _RANK_BLOCK // n_ent))
+    for (b0, _), rows in zip(blocks, ordered_map(block, blocks)):
+        for i in range(len(rows)):
             j = b0 + i
             side = "tail" if tail_query[j] else "head"
             yield int(h[j]), int(r[j]), int(t[j]), side, rows[i]
@@ -324,17 +344,20 @@ def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
     rr_sum = 0.0
     hits = {1: 0, 3: 0, 10: 0}
     queries = 0
-    for h, r, t, side, scores in query_rows:
-        gold = t if side == "tail" else h
-        allowed = np.ones(n_ent, dtype=bool)
-        if mode == "filtered":
-            allowed[known[offsets[queries]:offsets[queries + 1]]] = False
-            allowed[gold] = True
-        rank = _mean_rank(scores, gold, allowed)
-        rr_sum += 1.0 / rank
-        for k in hits:
-            hits[k] += 1 if rank <= k else 0
-        queries += 1
+    # closed on the way out, also when this loop raises: an open block map
+    # keeps its pool thread, this thread's CPU pin and the tape switched off
+    with contextlib.closing(query_rows):
+        for h, r, t, side, scores in query_rows:
+            gold = t if side == "tail" else h
+            allowed = np.ones(n_ent, dtype=bool)
+            if mode == "filtered":
+                allowed[known[offsets[queries]:offsets[queries + 1]]] = False
+                allowed[gold] = True
+            rank = _mean_rank(scores, gold, allowed)
+            rr_sum += 1.0 / rank
+            for k in hits:
+                hits[k] += 1 if rank <= k else 0
+            queries += 1
     return {
         "mrr": rr_sum / queries,
         "hits1": hits[1] / queries,

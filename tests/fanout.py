@@ -1,0 +1,32 @@
+"""Force evaluation's blocks through the thread pool on a small graph.
+
+``blocks(workers, n_entities)`` sets the block map's worker count and cuts
+the embedding and ranking blocks small, so that a graph of a few dozen
+entities runs several groups of blocks.  With workers=1 the same blocks run
+inline on the calling thread: the serial run a threaded one must equal.
+"""
+
+import contextlib
+
+import pytest
+
+import moekgc.fusion as fusion
+import moekgc.parallel as parallel
+import moekgc.trainer as trainer
+
+# worker counts every fan-out test runs under: the serial run, then the pool
+SETTINGS = (1, 2)
+
+
+@contextlib.contextmanager
+def blocks(workers, n_entities, embed_rows=4, rank_queries=7):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel, "workers", lambda: workers)
+        mp.setattr(fusion, "_EMBED_BLOCK", embed_rows)
+        mp.setattr(trainer, "_RANK_BLOCK", rank_queries * n_entities)
+        yield
+
+
+def settings(n_entities):
+    """The default blocks, then small blocks under each of SETTINGS."""
+    return (contextlib.nullcontext(),) + tuple(blocks(w, n_entities) for w in SETTINGS)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import random
+import threading
 import typing
 import warnings
 
@@ -11,12 +12,15 @@ import numpy as np
 import pytest
 import yaml
 
+import moekgc.autodiff as ad
 from moekgc.cli import build_parser, load_config, load_data, main
 from moekgc.config import ConfigError
 from moekgc.fusion import FusionModel, ModelConfig
 from moekgc.sampling import NegativeSamplingConfig, UnreachableHardClassWarning
 from moekgc.scoring import score_candidates
 from moekgc.trainer import TrainConfig, _mean_rank, mi_context_ids, save_checkpoint
+
+import fanout
 
 
 def run_train(cfg_path):
@@ -309,6 +313,45 @@ def test_eval_of_an_overflowing_checkpoint_exits_1(workspace, capsys):
     with np.errstate(over="ignore"):
         assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
     assert "affine produced a non-finite value" in capsys.readouterr().err
+
+
+def test_eval_that_overflows_in_a_pool_block_exits_1(workspace, capsys, monkeypatch):
+    # the MI context is a and b, so only c's embedding block overflows: with
+    # two workers, blocks of two entities on the calling thread and one on
+    # the pool, c's block runs on the pool
+    tmp_path, cfg_path = workspace
+    with open(cfg_path) as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["training"]["mi_ref_batch"] = 2
+    with open(cfg_path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+    (tmp_path / "img.tsv").write_text("a\t0.1,0.2,0.9\nb\t0.8,0.1,0.1\nc\t3e30,3e30,3e30\n")
+    kg, tables = load_data(load_config(cfg_path))
+    assert [kg.entity_index[e] for e in "abcd"] == [0, 1, 2, 3]
+    model = FusionModel(ModelConfig(embedding_dim=8, experts=2, mi_bins=4, modalities=["img"]),
+                        kg.n_entities, kg.n_relations, tables, seed=0)
+    model.params["proj.img.w1"].data[...] = 1e9  # finite products for a and b
+    ckpt = str(tmp_path / "huge.mkgc")
+    save_checkpoint(ckpt, model)
+    failed_on = []
+    check_finite = ad._check_finite
+
+    def noting(arr, op):
+        try:
+            check_finite(arr, op)
+        except ad.FiniteError:
+            failed_on.append(threading.current_thread().name)
+            raise
+
+    monkeypatch.setattr(ad, "_check_finite", noting)
+    # a block that warned instead of taking the caller's errstate would
+    # raise the warning here and end in another exit code
+    with fanout.blocks(2, kg.n_entities, embed_rows=2), np.errstate(over="ignore"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    assert "affine produced a non-finite value" in capsys.readouterr().err
+    assert len(failed_on) == 1 and failed_on[0].startswith("moekgc-block")
 
 
 # ---------------------------------------------------------------- predict

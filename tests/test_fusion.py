@@ -17,6 +17,7 @@ from moekgc.fusion import (
     weights_from_row_sums,
 )
 from moekgc.kgdata import ModalityFeatureTable
+import fanout
 from oracles import square
 from synthetic import clustered_graph
 
@@ -500,10 +501,13 @@ def test_all_joint_embeddings_in_blocks_match_one_fuse_call():
     context = rng.choice(n, 64, replace=False)
     with ad.no_grad():
         oracle, _ = model.fuse(np.arange(n), model.mi_state(context))
-    got = model.all_joint_embeddings(context)
-    assert got.dtype == np.float64
     want = np.asarray(oracle.data, dtype=np.float64)
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the blocks run inline, then two at a time on the pool
+    for workers in fanout.SETTINGS:
+        with fanout.blocks(workers, n, embed_rows=fusion._EMBED_BLOCK):
+            got = model.all_joint_embeddings(context)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_stop_gradient_keeps_distribution_heads_frozen():

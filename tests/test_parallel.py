@@ -1,0 +1,278 @@
+import contextvars
+import os
+import threading
+import time
+
+import pytest
+
+import moekgc.autodiff as ad
+import moekgc.parallel as parallel
+from moekgc.parallel import ordered_map
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the map's worker count."""
+    def set_to(n):
+        monkeypatch.setattr(parallel, "workers", lambda: n)
+    return set_to
+
+
+class Blocks:
+    """A block function that records which blocks ran, on which thread,
+    and how many are running right now."""
+
+    def __init__(self, fail=None, slow=(), delay=0.2, fail_after=0.0):
+        self.fail, self.slow, self.delay = fail or {}, set(slow), delay
+        self.fail_after = fail_after
+        self.lock = threading.Lock()
+        self.running = 0
+        self.started, self.finished, self.threads = set(), set(), set()
+        self.recording = {}  # block -> whether the tape recorded as it ended
+
+    def __call__(self, i):
+        with self.lock:
+            self.running += 1
+            self.started.add(i)
+            self.threads.add(threading.current_thread().name)
+        try:
+            if i in self.slow:
+                time.sleep(self.delay)
+            if i in self.fail:
+                time.sleep(self.fail_after)
+                raise self.fail[i]
+            return i * i, ad._RECORDING
+        finally:
+            with self.lock:
+                self.running -= 1
+                self.finished.add(i)
+                self.recording[i] = ad._RECORDING
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+@pytest.mark.parametrize("n_items", [0, 1, 2, 5, 9])
+def test_ordered_map_yields_every_result_in_order(workers, n_workers, n_items):
+    workers(n_workers)
+    fn = Blocks(slow=[0, 3], delay=0.02)  # a slow first block must not reorder
+    got = list(ordered_map(fn, range(n_items)))
+    assert [r for r, _ in got] == [i * i for i in range(n_items)]
+    assert fn.running == 0
+    # the pool runs a block only when a group has more than one
+    assert any(t.startswith("moekgc-block") for t in fn.threads) == (min(n_workers, n_items) > 1)
+
+
+def test_ordered_map_runs_blocks_untaped_and_restores_recording(workers):
+    workers(2)
+    assert ad._RECORDING
+    got = list(ordered_map(Blocks(), range(4)))
+    assert [recording for _, recording in got] == [False] * 4
+    assert ad._RECORDING and ad.tape_size() == 0
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_the_caller_runs_every_w_th_item_and_the_pool_the_rest(workers, n_workers):
+    workers(n_workers)
+    got = list(ordered_map(lambda i: (i, threading.current_thread().name), range(7)))
+    assert [i for i, _ in got] == list(range(7))
+    assert all((name == threading.current_thread().name) == (i % n_workers == 0)
+               for i, name in got)
+
+
+def test_the_caller_runs_ahead_while_a_pool_item_is_late_but_no_further(workers):
+    # two workers, two groups ahead: while pool item 1 sleeps, the caller
+    # runs its items 2 and 4, which lie within four items of item 1, and
+    # not item 6; the pool's own next item, 3, waits for item 1 as well
+    workers(2)
+    started, lock = [], threading.Lock()
+
+    def fn(i):
+        with lock:
+            started.append(i)
+        if i == 1:
+            time.sleep(0.3)
+            with lock:
+                return sorted(started)
+        return None
+
+    got = list(ordered_map(fn, range(10), ahead=2))
+    assert got[1] == [0, 1, 2, 4]
+    assert sorted(started) == list(range(10))
+
+
+def test_an_open_map_keeps_the_tape_off_until_it_ends(workers):
+    workers(2)
+    left = ordered_map(Blocks(), range(4))
+    next(left)
+    assert not ad._RECORDING
+    assert len(list(left)) == 3
+    assert ad._RECORDING
+
+
+def test_blocks_see_the_callers_context(workers):
+    workers(2)
+    var = contextvars.ContextVar("probe", default="unset")
+    var.set("caller")
+    got = list(ordered_map(lambda i: (var.get(), threading.current_thread().name), range(2)))
+    assert [v for v, _ in got] == ["caller", "caller"]
+    assert got[1][1].startswith("moekgc-block")
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_failing_block_is_re_raised_after_every_started_block_ends(workers, failing):
+    # four workers: block `failing` raises once all four first blocks are
+    # under way, and the other three run on; the map waits for them before
+    # it re-raises that very exception, and starts no block after it
+    workers(4)
+    boom = ad.FiniteError("injected")
+    fn = Blocks(fail={failing: boom}, slow=[b for b in range(4) if b != failing],
+                delay=0.3, fail_after=0.05)
+    with pytest.raises(ad.FiniteError) as info:
+        list(ordered_map(fn, range(8)))
+    assert info.value is boom
+    assert fn.running == 0 and fn.finished == {0, 1, 2, 3}
+    assert fn.started == {0, 1, 2, 3}
+    # the map waited under no_grad: no block saw the tape recording
+    assert not any(fn.recording.values()) and ad._RECORDING
+
+
+def test_the_first_failure_in_block_order_wins(workers):
+    workers(3)
+    first, second = ValueError("block 1"), ValueError("block 2")
+    fn = Blocks(fail={1: first, 2: second}, slow=[1])  # block 2 fails first in time
+    with pytest.raises(ValueError) as info:
+        list(ordered_map(fn, range(3)))
+    assert info.value is first and fn.running == 0
+
+
+def test_a_map_with_one_block_or_one_worker_starts_no_thread(monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+    workers(4)
+    assert list(r for r, _ in ordered_map(Blocks(), [3])) == [9]
+    workers(1)
+    assert list(r for r, _ in ordered_map(Blocks(), range(5))) == [0, 1, 4, 9, 16]
+
+
+@pytest.mark.parametrize("env, pinned", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": " 1 "}, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
+    ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "0"}, False),
+    ({"OMP_NUM_THREADS": ""}, False),
+])
+def test_fan_out_needs_blas_pinned_to_one_thread(monkeypatch, env, pinned):
+    for var in parallel.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
+    assert parallel.blas_pinned() is pinned
+    assert parallel.workers() == (2 if pinned else 1)
+
+
+def test_cores_are_the_affinity_set_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert parallel.cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert parallel.cores() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert parallel.cores() == 1
+
+
+def block_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("moekgc-block")]
+
+
+def test_no_pool_thread_outlives_a_map(workers):
+    # each map that fans out owns its pool: a forked child or the next
+    # caller inherits no thread, also from a map left after its first group
+    workers(3)
+    assert list(r for r, _ in ordered_map(Blocks(), range(7))) == [i * i for i in range(7)]
+    assert block_threads() == []
+    left = ordered_map(Blocks(), range(7))
+    assert next(left)[0] == 0
+    left.close()
+    assert block_threads() == []
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 5, 16, 17, 100])
+def test_spans_give_the_pool_smaller_spans_and_cover_the_range(workers, n_workers, n):
+    workers(n_workers)
+    got = parallel.spans(n, 5)
+    assert got[0][0] == 0 and got[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+    pool = round(5 * parallel.POOL_SHARE)
+    want = ([5] + [pool] * (n_workers - 1)) * n
+    assert [b - a for a, b in got[:-1]] == want[:len(got) - 1]
+    assert 0 < got[-1][1] - got[-1][0] <= want[len(got) - 1]
+
+
+def test_spans_on_one_worker_are_equal_blocks(workers):
+    workers(1)
+    assert parallel.spans(12, 5) == [(0, 5), (5, 10), (10, 12)]
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="CPU affinity is Linux-only")
+
+
+@pytest.fixture
+def all_cpus():
+    """Put the calling thread on every CPU it may use, whatever an earlier
+    test left; its CPU set is restored afterwards.  Returns that set."""
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, range(os.cpu_count()))
+    yield os.sched_getaffinity(0)
+    os.sched_setaffinity(0, saved)
+
+
+@needs_affinity
+def test_a_map_pins_each_thread_to_one_cpu_and_restores_the_caller(workers, all_cpus):
+    workers(2)
+    before = all_cpus
+    cpus = sorted(before)
+    seen = list(ordered_map(lambda i: (os.sched_getaffinity(0),
+                                       threading.current_thread().name), range(4)))
+    # per group: the calling thread on the first CPU, the pool on the next
+    assert [s for s, _ in seen] == [{cpus[0]}, {cpus[1 % len(cpus)]}] * 2
+    assert seen[1][1].startswith("moekgc-block")
+    assert os.sched_getaffinity(0) == before
+
+
+@needs_affinity
+def test_the_callers_cpus_come_back_after_a_failure_or_an_early_close(workers, all_cpus):
+    workers(2)
+    before = all_cpus
+    with pytest.raises(ValueError):
+        list(ordered_map(Blocks(fail={1: ValueError("block 1")}), range(4)))
+    assert os.sched_getaffinity(0) == before
+    left = ordered_map(Blocks(), range(4))
+    next(left)
+    assert len(os.sched_getaffinity(0)) == 1  # pinned while the map is open
+    left.close()
+    assert os.sched_getaffinity(0) == before
+
+
+def test_a_map_fans_out_unpinned_where_affinity_is_missing(monkeypatch, workers):
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    workers(2)
+    fn = Blocks()
+    assert [r for r, _ in ordered_map(fn, range(5))] == [i * i for i in range(5)]
+    assert any(t.startswith("moekgc-block") for t in fn.threads)
+
+
+@needs_affinity
+def test_a_cpu_that_cannot_be_taken_is_skipped(monkeypatch, workers):
+    def refuse(tid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    workers(2)
+    assert [r for r, _ in ordered_map(Blocks(), range(5))] == [i * i for i in range(5)]

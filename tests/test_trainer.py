@@ -5,11 +5,16 @@ import math
 import os
 import re
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import moekgc.autodiff as ad
+import moekgc.fusion as fusion
+import moekgc.parallel as parallel
 import moekgc.trainer as trainer
 from moekgc.cli import apply_overrides, build_parser, load_config, load_data, main, section_configs
 from moekgc.config import ConfigError
@@ -32,6 +37,7 @@ from moekgc.trainer import (
     train,
 )
 
+import fanout
 from oracles import PerBlockAdam, copy_mean_rank, rank_by_sort, square
 from synthetic import clustered_graph
 
@@ -427,7 +433,7 @@ def test_filtered_ranks_are_never_worse_than_raw():
 
 
 def near_tie_graph(norm, dtype, scale):
-    """40 entities in near-tied groups and 40 test triples (two rank blocks).
+    """40 entities in near-tied groups and 40 test triples.
 
     Entity 1 duplicates entity 0, entities 2 and 3 sit one ulp above and
     below it in every coordinate, entity 4 is zero, 5-9 repeat one row; the
@@ -495,12 +501,16 @@ def direct_queries(model, kg, mode):
 @pytest.mark.parametrize("mode", ["filtered", "raw"])
 def test_evaluate_ranks_equal_direct_ranks_on_near_ties(monkeypatch, mode, norm, dtype, scale):
     # the l2 path ranks from GEMM distances plus an exactly rescored band;
-    # every per-query rank must equal the full direct scorer's
+    # every per-query rank must equal the full direct scorer's, in one block
+    # and in small blocks run inline or on the pool
     kg, model = near_tie_graph(norm, dtype, scale)
     want = direct_queries(model, kg, mode)
     calls = record_rank_calls(monkeypatch)
-    evaluate(model, kg, "test", mode)
-    assert [c[3] for c in calls] == [w[2] for w in want]
+    for setting in fanout.settings(kg.n_entities):
+        calls.clear()
+        with setting:
+            evaluate(model, kg, "test", mode)
+        assert [c[3] for c in calls] == [w[2] for w in want]
     # the fixture does tie: some gold shares its score with another candidate
     assert any(rank % 1 for rank in (w[2] for w in want))
 
@@ -516,8 +526,11 @@ def test_evaluate_ranks_equal_direct_ranks_on_spread_norms(monkeypatch, mode, dt
     model.params["entities"].data = emb
     want = direct_queries(model, kg, mode)
     calls = record_rank_calls(monkeypatch)
-    evaluate(model, kg, "test", mode)
-    assert [c[3] for c in calls] == [w[2] for w in want]
+    for setting in fanout.settings(kg.n_entities):
+        calls.clear()
+        with setting:
+            evaluate(model, kg, "test", mode)
+        assert [c[3] for c in calls] == [w[2] for w in want]
     assert any(rank % 1 for rank in (w[2] for w in want))
 
 
@@ -544,13 +557,208 @@ def test_evaluate_calls_mean_rank_once_per_query_in_order(monkeypatch):
     kg, model = near_tie_graph("l2", np.float32, 1.0)
     want = direct_queries(model, kg, "filtered")
     calls = record_rank_calls(monkeypatch)
-    report = evaluate(model, kg, "test", "filtered")
-    assert len(calls) == report["queries"] == 2 * len(kg.test)
-    assert [c[1] for c in calls] == [g for h, _, t in kg.test.tolist() for g in (t, h)]
-    for (scores, gold, allowed, rank), (w_gold, w_allowed, w_rank) in zip(calls, want):
-        assert scores.shape == (kg.n_entities,)
-        np.testing.assert_array_equal(allowed, w_allowed)
-        assert (gold, rank) == (w_gold, w_rank)
+    for setting in fanout.settings(kg.n_entities):
+        calls.clear()
+        with setting:
+            report = evaluate(model, kg, "test", "filtered")
+        assert len(calls) == report["queries"] == 2 * len(kg.test)
+        assert [c[1] for c in calls] == [g for h, _, t in kg.test.tolist() for g in (t, h)]
+        for (scores, gold, allowed, rank), (w_gold, w_allowed, w_rank) in zip(calls, want):
+            assert scores.shape == (kg.n_entities,)
+            np.testing.assert_array_equal(allowed, w_allowed)
+            assert (gold, rank) == (w_gold, w_rank)
+
+
+def modality_graph():
+    """The near-tie graph's triples with an image modality on 30 of its 40
+    entities, and a model that fuses it."""
+    kg, _ = near_tie_graph("l2", np.float32, 1.0)
+    rng = np.random.default_rng(41)
+    ids = np.sort(rng.choice(kg.n_entities, 30, replace=False))
+    feats = rng.normal(size=(30, 5)).astype(np.float32)
+    img = ModalityFeatureTable(modality="img", dim=5, features=feats,
+                               rows={int(e): i for i, e in enumerate(ids)}, coverage=0.75)
+    cfg = ModelConfig(embedding_dim=8, experts=3, mi_bins=4, modalities=["img"])
+    return kg, FusionModel(cfg, kg.n_entities, kg.n_relations, {"img": img}, seed=2)
+
+
+def test_threaded_evaluation_equals_the_serial_run(monkeypatch):
+    # the same small blocks, run inline and on the pool: the embeddings, the
+    # report and every _mean_rank call must match bit for bit
+    kg, model = modality_graph()
+    context = mi_context_ids(kg, 16)
+    calls = record_rank_calls(monkeypatch)
+    threads = set()
+    fuse = FusionModel._fuse
+
+    def noting(self, *args):
+        threads.add(threading.current_thread().name)
+        return fuse(self, *args)
+
+    monkeypatch.setattr(FusionModel, "_fuse", noting)
+    runs = []
+    for w in fanout.SETTINGS:
+        calls.clear()
+        with fanout.blocks(w, kg.n_entities):
+            emb = model.all_joint_embeddings(context)
+            report = evaluate(model, kg, "test", "filtered", mi_ref_batch=16)
+        runs.append((emb, report, list(calls)))
+    (emb1, report1, calls1), (emb2, report2, calls2) = runs
+    assert any(t.startswith("moekgc-block") for t in threads)
+    assert emb1.tobytes() == emb2.tobytes()
+    assert report1 == report2
+    assert len(calls1) == len(calls2) == 2 * len(kg.test)
+    for (s1, g1, a1, r1), (s2, g2, a2, r2) in zip(calls1, calls2):
+        assert s1.tobytes() == s2.tobytes() and a1.tobytes() == a2.tobytes()
+        assert (g1, r1) == (g2, r2)
+
+
+def test_many_workers_with_fast_thread_switches_match_the_serial_run():
+    # more workers than cores, the interpreter switching threads every
+    # microsecond: blocks write disjoint rows of one embedding array, and a
+    # lost or misplaced write would change the bytes or the report
+    kg, model = modality_graph()
+    context = mi_context_ids(kg, 16)
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for w in (1, 8):
+            with fanout.blocks(w, kg.n_entities, embed_rows=3, rank_queries=2):
+                runs.append((model.all_joint_embeddings(context).tobytes(),
+                             evaluate(model, kg, "test", "filtered", mi_ref_batch=16)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
+
+
+def running_fuse(monkeypatch, fail_at):
+    """Patch FusionModel._fuse to count the blocks in flight and to raise a
+    FiniteError in the block that starts at entity fail_at."""
+    state = {"running": 0, "started": [], "lock": threading.Lock()}
+    fuse = FusionModel._fuse
+
+    def counting(self, entity_ids, mi=None):
+        with state["lock"]:
+            state["running"] += 1
+            state["started"].append(int(entity_ids[0]))
+        try:
+            if mi is not None:
+                # every block is under way before one fails, and the others
+                # outlast it
+                time.sleep(0.05)
+                if entity_ids[0] == fail_at:
+                    raise ad.FiniteError("injected")
+                time.sleep(0.1)
+            return fuse(self, entity_ids, mi)
+        finally:
+            with state["lock"]:
+                state["running"] -= 1
+
+    monkeypatch.setattr(FusionModel, "_fuse", counting)
+    return state
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_failing_block_leaves_evaluation_clean(monkeypatch, failing):
+    # 40 entities in blocks of 14 on the calling thread and 7 on the pool,
+    # on two workers: blocks 1 and 2 start together.  Whichever of them
+    # raises, evaluate raises that FiniteError only after the other has
+    # ended, no later block starts, nothing is left on the tape, and
+    # recording is back on
+    kg, model = modality_graph()
+    state = running_fuse(monkeypatch, fail_at=14 * failing)
+    with fanout.blocks(2, kg.n_entities, embed_rows=14):
+        with pytest.raises(ad.FiniteError, match="injected"):
+            evaluate(model, kg, "test", "filtered", mi_ref_batch=16)
+    assert state["running"] == 0
+    assert sorted(state["started"][1:]) == [0, 14]  # after the MI context's fuse
+    assert ad.tape_size() == 0 and ad._RECORDING
+
+
+def test_a_failing_ranking_block_leaves_evaluation_clean(monkeypatch):
+    kg, model = modality_graph()
+    rotate = trainer.rotate
+
+    def failing_on_the_pool(emb, phase):
+        if threading.current_thread() is not threading.main_thread():
+            raise ad.FiniteError("injected in a ranking block")
+        return rotate(emb, phase)
+
+    monkeypatch.setattr(trainer, "rotate", failing_on_the_pool)
+    with fanout.blocks(2, kg.n_entities):
+        with pytest.raises(ad.FiniteError, match="ranking block"):
+            evaluate(model, kg, "test", "filtered", mi_ref_batch=16)
+    assert ad.tape_size() == 0 and ad._RECORDING
+
+
+def test_a_failing_rank_loop_closes_the_block_map(monkeypatch):
+    # evaluate's own loop raises between two ranking blocks: the map is
+    # closed before the error leaves evaluate, so no pool thread and no CPU
+    # pin outlives the call, even while the traceback keeps its frame
+    kg, model = modality_graph()
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    mean_rank = trainer._mean_rank
+    ranked = []
+
+    def failing_at_the_third(scores, gold, allowed):
+        if len(ranked) == 2:
+            raise ad.FiniteError("injected in the rank loop")
+        ranked.append(gold)
+        return mean_rank(scores, gold, allowed)
+
+    monkeypatch.setattr(trainer, "_mean_rank", failing_at_the_third)
+    with fanout.blocks(2, kg.n_entities, rank_queries=2):
+        with pytest.raises(ad.FiniteError, match="rank loop") as info:
+            evaluate(model, kg, "test", "filtered", mi_ref_batch=16)
+        assert info.traceback  # the frames are still held here
+        assert [t for t in threading.enumerate() if t.name.startswith("moekgc-block")] == []
+        if affinity is not None:
+            assert os.sched_getaffinity(0) == affinity
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Make building a thread pool raise, on two cores with BLAS pinned."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
+    for var in parallel.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    return monkeypatch
+
+
+def test_desk_evaluation_starts_no_thread(no_pool):
+    # the c09 desk graph is one embedding block and one ranking block
+    kg, tables = clustered_graph(seed=0)
+    cfg = ModelConfig(embedding_dim=16, experts=3, mi_bins=8, modalities=sorted(tables))
+    model = FusionModel(cfg, kg.n_entities, kg.n_relations, tables, seed=0)
+    evaluate(model, kg, "test", "filtered", mi_ref_batch=64)
+    evaluate(model, kg, "valid", "raw", mi_ref_batch=64)
+    # in smaller blocks the same graph fans out: the gate above is real
+    no_pool.setattr(fusion, "_EMBED_BLOCK", 16)
+    with pytest.raises(AssertionError, match="thread pool"):
+        evaluate(model, kg, "test", "filtered", mi_ref_batch=64)
+
+
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None},
+    {"OPENBLAS_NUM_THREADS": "2"},
+    {"OMP_NUM_THREADS": "4"},
+    {"MKL_NUM_THREADS": "0"},
+])
+def test_evaluation_with_blas_not_pinned_starts_no_thread(no_pool, env):
+    for var, value in env.items():
+        if value is None:
+            no_pool.delenv(var)
+        else:
+            no_pool.setenv(var, value)
+    kg, model = modality_graph()
+    no_pool.setattr(fusion, "_EMBED_BLOCK", 4)
+    no_pool.setattr(trainer, "_RANK_BLOCK", 7 * kg.n_entities)
+    evaluate(model, kg, "test", "filtered", mi_ref_batch=16)
 
 
 def test_evaluate_rejects_bad_mode_and_empty_split():
