@@ -91,14 +91,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        # shares the buffer; cuts the graph
-        t = Tensor.__new__(Tensor)
-        t.data = self.data
-        t.grad = None
-        t.requires_grad = False
-        return t
-
     def zero_grad(self):
         self.grad = None
 

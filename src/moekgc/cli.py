@@ -341,8 +341,6 @@ def cmd_sample_stats(cfg, args) -> int:
     fi = build_filter_index(kg)
 
     n_pos = min(args.positives, len(kg.train))
-    if n_pos == 0:
-        raise DataError("no training triples to sample from")
     # rows 0..n_pos-1 at epoch 0: the negatives training draws for them first
     negatives = corrupt(kg.train[:n_pos], sampling_cfg.negatives_per_positive, fi,
                         kg.n_entities, train_cfg.seed, epoch=0,

@@ -192,15 +192,18 @@ def build_filter_index(kg: KnowledgeGraph) -> FilterIndex:
 def load_graph(train_path, valid_path, test_path, allow_unseen: bool = False) -> KnowledgeGraph:
     """Load the three splits and assign vocab indices by first appearance.
 
-    valid_path and test_path may be None for graphs without those splits.
-    No valid or test triple may also be a train triple.  Unless allow_unseen
-    is set, every entity and relation in valid/test must also appear in train.
+    valid_path and test_path may be None for graphs without those splits,
+    and those splits may be empty; the train split must hold a triple.  No
+    valid or test triple may also be a train triple.  Unless allow_unseen is
+    set, every entity and relation in valid/test must also appear in train.
     """
     raw = {
         "train": _read_triple_lines(train_path),
         "valid": _read_triple_lines(valid_path),
         "test": _read_triple_lines(test_path),
     }
+    if not raw["train"]:
+        raise DataError(f"{train_path}: the train split has no triples")
     paths = {"train": train_path, "valid": valid_path, "test": test_path}
 
     entity_index: dict = {}

@@ -31,8 +31,9 @@ import json
 import math
 import os
 import struct
+import typing
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,41 +109,21 @@ def _grad_runs(blocks):
         yield run
 
 
-def _grad_chunks(run):
-    """(lo, hi, gradient) for each _ADAM_CHUNK piece of a run, lo and hi
-    being offsets into the store's buffer.  A piece inside one block reads a
-    view of that block's gradient; a piece across blocks joins their slices."""
-    i = 0
-    for lo in range(run[0].lo, run[-1].hi, _ADAM_CHUNK):
-        hi = min(lo + _ADAM_CHUNK, run[-1].hi)
-        while run[i].hi <= lo:
-            i += 1
-        first = run[i]
-        if hi <= first.hi:
-            yield lo, hi, first.tensor.grad.reshape(-1)[lo - first.lo:hi - first.lo]
-            continue
-        parts, j = [first.tensor.grad.reshape(-1)[lo - first.lo:]], i + 1
-        while run[j].hi < hi:
-            parts.append(run[j].tensor.grad)
-            j += 1
-        parts.append(run[j].tensor.grad.reshape(-1)[:hi - run[j].lo])
-        yield lo, hi, np.concatenate(parts, axis=None, dtype=np.float64)
-
-
 class Adam:
     """Adam with bias correction; epsilon added outside the sqrt.
 
     It runs on a ParamStore; a plain name -> tensor dict is first gathered
     into one.  The moments are two float64 buffers laid out like the store's,
-    with a named view per block in m and v.  A step updates each maximal run
-    of consecutive blocks that have a gradient, _ADAM_CHUNK elements at a
-    time, by the per-block update's elementwise float64 expressions, so the
-    result is that update's bit for bit; blocks without a gradient keep
-    their values and moments.  The new parameters go into a fresh buffer
-    that the store is then re-pointed at.  A non-finite gradient raises
-    TrainingError naming the first such block in store order; the
-    parameters and the step count stay as they were, though the moments of
-    the chunks updated before it have moved.
+    with a named view per block in m and v.  A step joins the gradients of
+    each maximal run of consecutive blocks that have one into one array, in
+    their own dtype, and updates the run _ADAM_CHUNK elements at a time, each
+    chunk cast to float64 and put through the per-block update's elementwise
+    float64 expressions, so the result is that update's bit for bit; blocks
+    without a gradient keep their values and moments.  The new parameters go
+    into a fresh buffer that the store is then re-pointed at.  A non-finite
+    gradient raises TrainingError naming the first such block in store
+    order; the parameters and the step count stay as they were, though the
+    moments of the chunks updated before it have moved.
     """
 
     def __init__(self, params: dict, learning_rate: float,
@@ -166,8 +147,10 @@ class Adam:
         out = np.empty_like(x)
         done = 0
         for run in _grad_runs(store.blocks):
-            for lo, hi, g in _grad_chunks(run):
-                g = np.asarray(g, dtype=np.float64)
+            grad, base = np.concatenate([b.tensor.grad for b in run], axis=None), run[0].lo
+            for lo in range(base, run[-1].hi, _ADAM_CHUNK):
+                hi = min(lo + _ADAM_CHUNK, run[-1].hi)
+                g = np.asarray(grad[lo - base:hi - base], dtype=np.float64)
                 if not np.isfinite(g).all():
                     self.t -= 1
                     bad = next(b.name for b in store.blocks if b.tensor.grad is not None
@@ -236,21 +219,23 @@ def _mean_rank(scores: np.ndarray, gold: int, allowed: np.ndarray) -> float:
 _RANK_BLOCK = 32 * 15_000
 
 
-def _direct_rows(emb, theta, triples, norm):
-    """(h, r, t, side, scores) per query, per triple the tail query then the
-    head query, each scored over every candidate by the direct scorer."""
-    for h, r, t in triples.tolist():
-        yield h, r, t, "tail", score_candidates(emb, theta[r], emb[h], "tail", norm)
-        yield h, r, t, "head", score_candidates(emb, theta[r], emb[t], "head", norm)
+def _direct_rows(emb, theta, fixed, relation, tail, norm):
+    """Each query's scores over every candidate by the direct scorer, in
+    query order: query i ranks the tails of (fixed[i], relation[i]) where
+    tail[i] is true, else the heads of (relation[i], fixed[i])."""
+    for f, r, is_tail in zip(fixed.tolist(), relation.tolist(), tail.tolist()):
+        yield score_candidates(emb, theta[r], emb[f], "tail" if is_tail else "head", norm)
 
 
-def _l2_rows(emb, theta, triples):
+def _l2_rows(emb, theta, fixed, relation, gold, tail):
     """_direct_rows for the l2 norm, ranked exactly but scored mostly by GEMM.
 
-    Squared distances ||q||^2 + ||c||^2 - 2 q.c come from one matrix product
-    per block of queries.  Each query has one error bound E, l2_error_bound
-    at the largest candidate norm, which is no smaller than any candidate's
-    own bound.  A candidate nearer than the gold's distance g by more than
+    It takes the same query arrays, plus gold[i], the entity query i ranks,
+    and yields bare rows in query order too.  Squared distances
+    ||q||^2 + ||c||^2 - 2 q.c come from one matrix product per block of
+    queries.  Each query has one error bound E, l2_error_bound at the
+    largest candidate norm, which is no smaller than any candidate's own
+    bound.  A candidate nearer than the distance g of gold[i] by more than
     2E gets +inf, one farther by more than 2E gets -inf, and the band in
     between, the gold included, is scored by the direct scorer.  _mean_rank
     gives such a row the rank the full direct scores give.  The blocks run
@@ -260,18 +245,13 @@ def _l2_rows(emb, theta, triples):
     n_ent, d = emb.shape
     cand_sq = np.einsum("ij,ij->i", emb, emb)
     max_norm = np.sqrt(cand_sq.max())
-    # per query: per triple the tail query, then the head query
-    h, r, t = (np.repeat(col, 2) for col in triples.T)
-    tail_query = np.tile([True, False], len(triples))
-    gold = np.where(tail_query, t, h)
 
     def block(span):
-        b0, b1 = span
-        blk = slice(b0, b1)
+        blk = slice(*span)
         # a head query turns its tail back by -theta: rotation is an isometry
-        phase = theta[r[blk]]
-        phase[~tail_query[blk]] *= -1.0
-        q = rotate(emb[np.where(tail_query[blk], h[blk], t[blk])], phase)
+        phase = theta[relation[blk]]
+        phase[~tail[blk]] *= -1.0
+        q = rotate(emb[fixed[blk]], phase)
         q_sq = np.einsum("ij,ij->i", q, q)
         # (||q||^2 + ||c||^2) - 2 q.c, rounded in that order
         dist = np.add(q_sq[:, None], cand_sq)
@@ -294,21 +274,17 @@ def _l2_rows(emb, theta, triples):
         # the band as (head, relation, tail) rows, at most n_ent rows per call
         # so that a wide band costs no more memory than a full direct row
         qi, ci = np.divmod(np.flatnonzero(band), n_ent)
-        qs = qi + b0
-        heads = np.where(tail_query[qs], h[qs], ci)
-        tails = np.where(tail_query[qs], ci, t[qs])
+        qs = qi + span[0]
+        heads = np.where(tail[qs], fixed[qs], ci)
+        tails = np.where(tail[qs], ci, fixed[qs])
         for c in range(0, len(qs), n_ent):
             part = slice(c, c + n_ent)
-            rows[qi[part], ci[part]] = score(emb[heads[part]], theta[r[qs[part]]],
+            rows[qi[part], ci[part]] = score(emb[heads[part]], theta[relation[qs[part]]],
                                              emb[tails[part]])
         return rows
 
-    blocks = spans(len(gold), max(1, _RANK_BLOCK // n_ent))
-    for (b0, _), rows in zip(blocks, ordered_map(block, blocks)):
-        for i in range(len(rows)):
-            j = b0 + i
-            side = "tail" if tail_query[j] else "head"
-            yield int(h[j]), int(r[j]), int(t[j]), side, rows[i]
+    for rows in ordered_map(block, spans(len(gold), max(1, _RANK_BLOCK // n_ent))):
+        yield from rows
 
 
 def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
@@ -325,39 +301,39 @@ def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
     triples = kg.split(split)
     if len(triples) == 0:
         raise DataError(f"split {split!r} has no triples to evaluate")
-    if filter_index is None:
-        filter_index = build_filter_index(kg)
+    # per triple the tail query (fixed head, gold tail), then the head query
+    fixed = triples[:, [0, 2]].ravel()
+    gold = triples[:, [2, 0]].ravel()
+    relation = np.repeat(triples[:, 1], 2)
+    tail = np.tile([True, False], len(triples))
     if mode == "filtered":
-        # per triple the tail query's known answers, then the head query's
-        offsets, known = filter_index.answers(triples[:, [0, 2]], triples[:, 1:2],
-                                              np.array([True, False]))
+        if filter_index is None:
+            filter_index = build_filter_index(kg)
+        offsets, known = filter_index.answers(fixed, relation, tail)
 
     emb = model.all_joint_embeddings(mi_context_ids(kg, mi_ref_batch))
     theta = np.asarray(model.relation_phases.data, dtype=np.float64)
-    norm = model.cfg.norm
     n_ent = emb.shape[0]
-    if norm == "l2":
-        query_rows = _l2_rows(emb, theta, triples)
+    if model.cfg.norm == "l2":
+        query_rows = _l2_rows(emb, theta, fixed, relation, gold, tail)
     else:
-        query_rows = _direct_rows(emb, theta, triples, norm)
+        query_rows = _direct_rows(emb, theta, fixed, relation, tail, model.cfg.norm)
 
     rr_sum = 0.0
     hits = {1: 0, 3: 0, 10: 0}
-    queries = 0
     # closed on the way out, also when this loop raises: an open block map
     # keeps its pool thread, this thread's CPU pin and the tape switched off
     with contextlib.closing(query_rows):
-        for h, r, t, side, scores in query_rows:
-            gold = t if side == "tail" else h
+        for i, (scores, g) in enumerate(zip(query_rows, gold.tolist())):
             allowed = np.ones(n_ent, dtype=bool)
             if mode == "filtered":
-                allowed[known[offsets[queries]:offsets[queries + 1]]] = False
-                allowed[gold] = True
-            rank = _mean_rank(scores, gold, allowed)
+                allowed[known[offsets[i]:offsets[i + 1]]] = False
+                allowed[g] = True
+            rank = _mean_rank(scores, g, allowed)
             rr_sum += 1.0 / rank
             for k in hits:
                 hits[k] += 1 if rank <= k else 0
-            queries += 1
+    queries = len(gold)
     return {
         "mrr": rr_sum / queries,
         "hits1": hits[1] / queries,
@@ -371,8 +347,8 @@ def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
 
 # ---------------------------------------------------------------- checkpoint
 
-# the model settings a checkpoint header records
-_CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig))
+# the model settings a checkpoint header records, each with its type
+_CONFIG_TYPES = typing.get_type_hints(ModelConfig)
 
 
 @contextlib.contextmanager
@@ -398,26 +374,51 @@ def _canonical_header(header: dict) -> bytes:
 
 
 def _check_header(path, header):
-    """Raise CheckpointError unless header holds every field load reads."""
+    """Raise CheckpointError unless header holds every field load reads, each
+    of the JSON type load reads it as: a config value of its ModelConfig
+    field's type (a bool is no int), modalities a list of strings, a block
+    shape a list of non-negative ints, and adam_step null or a non-negative
+    int, in which case every parameter block has its two moment blocks."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     for key in ("blocks", "config", "counts", "modality_dims"):
         if not isinstance(header.get(key), dict):
             raise CheckpointError(f"{path}: header field {key!r} is missing or not an object")
-    for name, meta in header["blocks"].items():
+
+    def count(value):
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+    blocks, config, counts = header["blocks"], header["config"], header["counts"]
+    for name, meta in blocks.items():
         if not (isinstance(meta, dict) and isinstance(meta.get("shape"), list)
-                and isinstance(meta.get("crc32"), int)):
-            raise CheckpointError(f"{path}: header entry of block {name} is malformed")
-    config, counts = header["config"], header["counts"]
-    lacking = [f"config.{k}" for k in _CONFIG_KEYS if k != "modalities" and k not in config]
-    lacking += [f"counts.{k}" for k in ("entities", "relations") if not isinstance(counts.get(k), int)]
-    if not isinstance(config.get("modalities"), list):
-        lacking.append("config.modalities (a list)")
-    else:
-        lacking += [f"modality_dims.{m}" for m in config["modalities"]
-                    if m not in header["modality_dims"]]
+                and all(count(n) for n in meta["shape"]) and isinstance(meta.get("crc32"), int)):
+            raise CheckpointError(f"{path}: header field blocks.{name} is malformed: it needs "
+                                  f"a shape of non-negative ints and an int crc32, got {meta!r}")
+    lacking = [f"config.{k}" for k in _CONFIG_TYPES if k not in config]
+    lacking += [f"counts.{k}" for k in ("entities", "relations") if not count(counts.get(k))]
     if lacking:
         raise CheckpointError(f"{path}: header lacks {', '.join(lacking)}")
+    for key, kind in _CONFIG_TYPES.items():
+        value = config[key]
+        if (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)
+                or (kind is list and not all(isinstance(m, str) for m in value))):
+            raise CheckpointError(f"{path}: header field config.{key} is not of type "
+                                  f"{'list of str' if kind is list else kind.__name__}: {value!r}")
+    lacking = [f"modality_dims.{m} (a non-negative int)" for m in config["modalities"]
+               if not count(header["modality_dims"].get(m))]
+    if lacking:
+        raise CheckpointError(f"{path}: header lacks {', '.join(lacking)}")
+    step = header.get("adam_step")
+    if step is None:
+        return
+    if not count(step):
+        raise CheckpointError(f"{path}: header field adam_step is neither null "
+                              f"nor a non-negative int: {step!r}")
+    for name in blocks:
+        for moment in (f"adam.m.{name}", f"adam.v.{name}"):
+            if not name.startswith("adam.") and moment not in blocks:
+                raise CheckpointError(f"{path}: header field adam_step is {step} "
+                                      f"but block {moment} is missing")
 
 
 def save_checkpoint(path, model: FusionModel, optimizer: Adam = None, extra: dict = None):
@@ -436,7 +437,7 @@ def save_checkpoint(path, model: FusionModel, optimizer: Adam = None, extra: dic
     cfg = model.cfg
     header = {
         "blocks": table,
-        "config": {key: getattr(cfg, key) for key in _CONFIG_KEYS},
+        "config": {key: getattr(cfg, key) for key in _CONFIG_TYPES},
         "counts": {"entities": model.n_entities, "relations": model.n_relations},
         "modality_dims": {m: model.tables[m].dim for m in cfg.modalities},
         "adam_step": optimizer.t if optimizer is not None else None,
@@ -485,7 +486,7 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
     for name in sorted(header["blocks"]):
         meta = header["blocks"][name]
         shape = tuple(meta["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4
+        nbytes = math.prod(shape) * 4  # a Python int: a huge shape reads as truncated
         raw = payload[offset:offset + nbytes]
         if len(raw) != nbytes:
             raise CheckpointError(f"{path}: block {name} is truncated")
@@ -494,7 +495,7 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
         arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
         offset += nbytes
 
-    cfg = ModelConfig(**{key: header["config"][key] for key in _CONFIG_KEYS})
+    cfg = ModelConfig(**{key: header["config"][key] for key in _CONFIG_TYPES})
     counts = header["counts"]
     if kg is not None:
         if kg.n_entities != counts["entities"] or kg.n_relations != counts["relations"]:

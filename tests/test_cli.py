@@ -277,19 +277,32 @@ def test_eval_version_mismatch_exits_4(workspace, capsys):
     assert main(["eval", "--config", cfg_path, "--checkpoint", str(ckpt)]) == 4
 
 
-def test_eval_header_without_config_exits_1(workspace, capsys):
+def trained_checkpoint_with_header(workspace, edit):
+    """The checkpoint of a fresh run, with edit applied to its JSON header."""
     tmp_path, cfg_path = workspace
     run_train(cfg_path)
     ckpt = latest_run(tmp_path) / "checkpoint.mkgc"
     blob = ckpt.read_bytes()
     n = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16:16 + n])
-    del header["config"]
+    edit(header)
     hdr = json.dumps(header).encode("utf-8")
     ckpt.write_bytes(blob[:8] + len(hdr).to_bytes(8, "little") + hdr + blob[16 + n:])
+    return str(ckpt)
+
+
+def test_eval_header_without_config_exits_1(workspace, capsys):
+    ckpt = trained_checkpoint_with_header(workspace, lambda h: h.pop("config"))
     capsys.readouterr()
-    assert main(["eval", "--config", cfg_path, "--checkpoint", str(ckpt)]) == 1
+    assert main(["eval", "--config", workspace[1], "--checkpoint", ckpt]) == 1
     assert "config" in capsys.readouterr().err
+
+
+def test_eval_header_with_a_mistyped_field_exits_1(workspace, capsys):
+    ckpt = trained_checkpoint_with_header(workspace, lambda h: h["config"].update(experts="2"))
+    capsys.readouterr()
+    assert main(["eval", "--config", workspace[1], "--checkpoint", ckpt]) == 1
+    assert "header field config.experts is not of type int" in capsys.readouterr().err
 
 
 def test_eval_of_an_empty_split_is_a_data_error(workspace, capsys):
@@ -300,6 +313,23 @@ def test_eval_of_an_empty_split_is_a_data_error(workspace, capsys):
     capsys.readouterr()
     assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt, "--split", "test"]) == 3
     assert "split 'test' has no triples to evaluate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "\n\r\n\n"], ids=["empty", "blank-lines"])
+def test_an_empty_train_split_is_a_data_error_for_every_command(workspace, capsys, text):
+    # train would fit a 0-entity model to a NaN loss and sample-stats would
+    # fail in fuse; each exits 3 naming the file, and no run directory appears
+    tmp_path, cfg_path = workspace
+    run_train(cfg_path)
+    ckpt = str(latest_run(tmp_path) / "checkpoint.mkgc")
+    runs = sorted((tmp_path / "runs").iterdir())
+    train = tmp_path / "train.tsv"
+    train.write_text(text)
+    for command, *flags in (["train"], ["eval", "--checkpoint", ckpt], ["sample-stats"]):
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path] + flags) == 3, command
+        assert f"{train}: the train split has no triples" in capsys.readouterr().err
+    assert sorted((tmp_path / "runs").iterdir()) == runs
 
 
 def test_eval_of_an_overflowing_checkpoint_exits_1(workspace, capsys):

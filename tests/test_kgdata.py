@@ -46,6 +46,14 @@ def test_small_file_loads_and_indexes(tmp_path):
     assert not fi.contains(1, 1, 0)
 
 
+@pytest.mark.parametrize("lines", [[], ["", "\r"]], ids=["empty", "blank-lines"])
+def test_only_the_train_split_must_hold_a_triple(tmp_path, lines):
+    with pytest.raises(DataError, match=r"train\.tsv: the train split has no triples"):
+        make_graph(tmp_path, lines, valid=["a\tr\tb"])
+    kg = make_graph(tmp_path, ["a\tr\tb"], valid=lines, test=lines)
+    assert kg.valid.shape == kg.test.shape == (0, 3)
+
+
 def test_vocab_order_spans_splits_in_order(tmp_path):
     kg = load_graph(
         write(tmp_path / "tr.tsv", ["b\tr1\ta"]),

@@ -534,6 +534,18 @@ def test_evaluate_ranks_equal_direct_ranks_on_spread_norms(monkeypatch, mode, dt
     assert any(rank % 1 for rank in (w[2] for w in want))
 
 
+def test_raw_evaluation_builds_no_filter_index(monkeypatch):
+    def refuse(kg):
+        raise AssertionError("a filter index was built")
+
+    monkeypatch.setattr(trainer, "build_filter_index", refuse)
+    for norm in ("l2", "l1"):
+        kg, model = near_tie_graph(norm, np.float32, 1.0)
+        assert evaluate(model, kg, "test", "raw")["queries"] == 2 * len(kg.test)
+    with pytest.raises(AssertionError, match="filter index"):
+        evaluate(model, kg, "test", "filtered")
+
+
 def test_mean_rank_counts_equal_the_copied_pool():
     # ties, NaN scores (never better, never tied), rows where everything but
     # the gold is filtered, and a gold filtered out with the rest
@@ -1100,6 +1112,46 @@ def test_header_missing_nested_field_is_a_checkpoint_error(tmp_path, section, ke
     save_checkpoint(path, model)
     rewrite_header(path, lambda h: h[section].pop(key))
     with pytest.raises(CheckpointError, match=f"{section}.{key}"):
+        load_checkpoint(path, tables, kg)
+
+
+def set_config(**values):
+    return lambda h: h["config"].update(values)
+
+
+def set_shape(shape):
+    return lambda h: h["blocks"]["entities"].update(shape=shape)
+
+
+@pytest.mark.parametrize("field,edit", [
+    ("config.experts", set_config(experts="2")),
+    ("config.experts", set_config(experts=True)),  # a bool is no int
+    ("config.embedding_dim", set_config(embedding_dim=4.0)),
+    ("config.mi_bins", set_config(mi_bins=2.5)),
+    ("config.norm", set_config(norm=2)),
+    ("config.grad_through_weights", set_config(grad_through_weights=0)),
+    ("config.modalities", set_config(modalities="img")),
+    ("config.modalities", set_config(modalities=["img", 3])),
+    ("blocks.entities", set_shape(["x"])),
+    ("blocks.entities", set_shape([2, None])),
+    ("blocks.entities", set_shape([-4, -6])),
+    ("block entities is truncated", set_shape([2 ** 64, 6])),
+    ("counts.entities", lambda h: h["counts"].update(entities=False)),
+    ("modality_dims.img", lambda h: h["modality_dims"].update(img="5")),
+    ("adam_step", lambda h: h.update(adam_step="3")),
+    ("adam_step", lambda h: h.update(adam_step=-1)),
+    ("adam_step is 3 but block adam.m.", lambda h: h.update(adam_step=3)),
+], ids=["experts-str", "experts-bool", "embedding_dim-float", "mi_bins-float", "norm-int",
+        "grad_through_weights-int", "modalities-str", "modalities-int-item", "shape-str",
+        "shape-null", "shape-negative", "shape-huge", "entities-bool", "modality_dims-str",
+        "adam_step-str", "adam_step-negative", "adam_step-without-moments"])
+def test_header_field_of_the_wrong_type_is_a_checkpoint_error_naming_it(tmp_path, field, edit):
+    # the block CRCs stay intact: only the JSON header is edited
+    kg, tables, model, _ = fitted_model_and_opt(tmp_path, with_modality=True)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match=re.escape(field)):
         load_checkpoint(path, tables, kg)
 
 
