@@ -447,7 +447,7 @@ class FusionModel:
 
         blocks = spans(self.n_entities, _EMBED_BLOCK)
         with ad.no_grad():
-            # embed keeps no result, so every block may run ahead
+            # embed keeps no result, so every pool block is submitted at once
             for _ in ordered_map(embed, blocks, ahead=len(blocks)):
                 pass
         return out

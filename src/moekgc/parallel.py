@@ -1,12 +1,12 @@
 """An ordered block map that spreads independent blocks over the CPU cores.
 
 ``ordered_map(fn, items)`` yields ``fn(item)`` for each item, in order.
-With w workers, item i belongs to the calling thread when i % w is 0 and
-to pool thread i % w otherwise.  Each thread runs its own items in order,
-at most `ahead` groups of w items past the one the caller takes next, and
-while the caller waits for a pool thread's item it runs its own next ones.
-Every item is the same call whichever thread runs it, so the results are
-those of the plain loop, bit for bit.
+With w workers, the calling thread runs item i itself when i % w is 0, in
+its turn, and a pool of w - 1 threads runs the others, each on whichever
+pool thread is free.  A pool item is submitted once the caller takes the
+item `ahead` groups of w before it, so no item runs further ahead than
+that.  Every item is the same call whichever thread runs it, so the
+results are those of the plain loop, bit for bit.
 
 ``spans(n, block)`` cuts n rows into such items: the calling thread's
 spans have `block` rows and the pool's POOL_SHARE of that.  The pool runs
@@ -109,91 +109,40 @@ def ordered_map(fn, items, ahead=AHEAD_GROUPS):
         for item in items:
             yield fn(item)
         return
-    share = _Share(fn, items, w, ahead)
+    lock, failed = threading.Lock(), [len(items)]  # the lowest failed item
+
+    def run(i):
+        if i > failed[0]:
+            return None  # an earlier item failed: the caller never takes this one
+        try:
+            return fn(items[i])
+        except BaseException:
+            with lock:
+                failed[0] = min(failed[0], i)
+            raise
+
+    window, pending = ahead * w, {}
     with ad.no_grad(), _one_cpu_each() as pin, \
             ThreadPoolExecutor(w - 1, thread_name_prefix="moekgc-block",
                                initializer=pin) as pool:
+
+        def submit(i):
+            if i < len(items) and i % w:
+                # in the caller's context (numpy's errstate included)
+                pending[i] = pool.submit(contextvars.copy_context().run, run, i)
+
         try:
-            for k in range(1, w):
-                # pool thread k runs items k, k + w, ... in the caller's context
-                # (numpy's errstate included)
-                pool.submit(contextvars.copy_context().run, share.pool_items, k)
+            for i in range(window):
+                submit(i)
             for i in range(len(items)):
-                yield share.take(i)
+                out = pending.pop(i).result() if i % w else run(i)
+                submit(i + window)
+                yield out
         finally:
             # a failure, or the caller closed the map: start no more items;
             # leaving the pool waits for the running ones
-            share.stop_at(0)
-
-
-class _Share:
-    """The items of one map: item i is run by the calling thread when i % w
-    is 0, else by pool thread i % w.  No item starts `ahead` groups or more
-    past the first result not yet taken, and none past a failed item."""
-
-    def __init__(self, fn, items, w, ahead):
-        self.fn, self.items, self.w = fn, items, w
-        self.ahead = ahead * w
-        self.cond = threading.Condition()
-        self.done = {}  # item -> (raised, result or exception)
-        self.taken = 0  # items handed to the caller of the map
-        self.mine = 0  # the calling thread's next item to run
-        self.limit = len(items)  # no item from here on starts
-
-    def _may_start(self, i):
-        return i < self.limit and i < self.taken + self.ahead
-
-    def stop_at(self, i):
-        with self.cond:
-            self.limit = min(self.limit, i)
-            self.cond.notify_all()
-
-    def _run(self, i):
-        """Run item i and keep its result, or its failure."""
-        try:
-            out = False, self.fn(self.items[i])
-        except BaseException as exc:
-            out = True, exc
-        with self.cond:
-            self.done[i] = out
-            if out[0]:
-                self.limit = min(self.limit, i)
-            self.cond.notify_all()
-
-    def pool_items(self, k):
-        """Pool thread k's loop over its items."""
-        for i in range(k, len(self.items), self.w):
-            with self.cond:
-                while i < self.limit and not self._may_start(i):
-                    self.cond.wait()  # for the caller to take more
-                if i >= self.limit:
-                    return
-            self._run(i)
-
-    def take(self, i):
-        """Item i's result.  While a pool thread still has it, the calling
-        thread runs its own next items."""
-        while True:
-            with self.cond:
-                if i in self.done:
-                    raised, value = self.done.pop(i)
-                    break
-                j = self.mine
-                if j != i and not self._may_start(j):
-                    self.cond.wait()
-                    continue
-                self.mine += self.w
-            if j == i:
-                # every item before i is taken: a failure here is the first
-                raised, value = False, self.fn(self.items[i])
-                break
-            self._run(j)
-        with self.cond:
-            self.taken = i + 1
-            self.cond.notify_all()
-        if raised:
-            raise value
-        return value
+            for future in pending.values():
+                future.cancel()
 
 
 @contextlib.contextmanager

@@ -188,6 +188,8 @@ class Adam:
 def mi_context_ids(kg: KnowledgeGraph, n: int) -> np.ndarray:
     """First n distinct entity ids in training-file order (heads, then tails,
     row by row).  Fixing this context makes evaluation deterministic."""
+    if n < 1:
+        raise ConfigError(f"mi_ref_batch must be >= 1, got {n}")
     seen, out = set(), []
     for h, _, t in kg.train:
         for e in (int(h), int(t)):
@@ -212,10 +214,10 @@ def _mean_rank(scores: np.ndarray, gold: int, allowed: np.ndarray) -> float:
 # a pool thread's blocks take parallel.POOL_SHARE of its queries.  A
 # running block holds at most two float64 arrays of that size and keeps
 # one, its rows, until they are ranked: at 15k entities a block is 32
-# queries, and the two groups of blocks a map may hold ahead
-# (parallel.AHEAD_GROUPS) keep 96 query rows, fewer than the three
-# (64, n_entities) arrays one 64-query block held.  A desk graph's split is
-# one block, ranked without a thread
+# queries, and the pool's blocks of the two groups a map may run ahead
+# (parallel.AHEAD_GROUPS) keep 32 query rows on two cores, fewer than the
+# three (64, n_entities) arrays one 64-query block held.  A desk graph's
+# split is one block, ranked without a thread
 _RANK_BLOCK = 32 * 15_000
 
 
@@ -503,6 +505,14 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
                 f"checkpoint was trained on {counts['entities']} entities / "
                 f"{counts['relations']} relations, graph has {kg.n_entities} / {kg.n_relations}"
             )
+    # the counts size the model: the blocks read above must bear them out first
+    d = cfg.embedding_dim
+    for name, want in (("entities", [counts["entities"], d]),
+                       ("rel_phases", [counts["relations"], d // 2])):
+        got = header["blocks"].get(name, {}).get("shape")
+        if got != want:
+            raise CheckpointError(f"{path}: block {name} has shape {got}, but counts "
+                                  f"and config.embedding_dim give {want}")
     for m in cfg.modalities:
         if m not in tables:
             raise ConfigError(f"checkpoint needs modality {m!r} but no table was given")
@@ -557,6 +567,8 @@ def train(kg: KnowledgeGraph, tables: dict, model_cfg: ModelConfig,
     model_cfg.validate()
     train_cfg.validate()
     sampling_cfg.validate()
+    if len(kg.train) == 0:
+        raise DataError("the train split has no triples")
     model = FusionModel(model_cfg, kg.n_entities, kg.n_relations, tables, seed=train_cfg.seed)
     opt = Adam(model.params, train_cfg.learning_rate)
     fi = build_filter_index(kg)

@@ -431,6 +431,20 @@ def test_predict_rejects_top_below_one(workspace, capsys, top):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_eval_and_predict_reject_an_mi_ref_batch_below_one(workspace, capsys, value):
+    tmp_path, cfg_path = workspace
+    _, _, ckpt = tied_checkpoint(tmp_path, cfg_path)
+    for command, *flags in (["eval"], ["predict", "--relation", "links", "--head", "a"]):
+        capsys.readouterr()
+        # --flag=-5: argparse would read a separate "-5" as a flag
+        assert main([command, "--config", cfg_path, "--checkpoint", ckpt,
+                     f"--training-mi-ref-batch={value}"] + flags) == 2, command
+        captured = capsys.readouterr()
+        assert f"mi_ref_batch must be >= 1, got {value}" in captured.err
+        assert captured.out == ""
+
+
 def test_predict_lists_ranked_candidates(workspace, capsys):
     tmp_path, cfg_path = workspace
     run_train(cfg_path)

@@ -1,5 +1,8 @@
+import contextlib
 import contextvars
 import os
+import random
+import sys
 import threading
 import time
 
@@ -78,25 +81,49 @@ def test_the_caller_runs_every_w_th_item_and_the_pool_the_rest(workers, n_worker
                for i, name in got)
 
 
-def test_the_caller_runs_ahead_while_a_pool_item_is_late_but_no_further(workers):
-    # two workers, two groups ahead: while pool item 1 sleeps, the caller
-    # runs its items 2 and 4, which lie within four items of item 1, and
-    # not item 6; the pool's own next item, 3, waits for item 1 as well
-    workers(2)
-    started, lock = [], threading.Lock()
+@pytest.mark.parametrize("n_workers, ahead, slow", [
+    (2, 1, 0), (2, 2, 0), (2, 1, 2), (2, 2, 2),
+    (3, 1, 0), (3, 2, 0), (3, 1, 3), (3, 2, 3), (3, 1, 1), (3, 2, 1)])
+def test_while_an_item_runs_long_the_pool_starts_only_its_window(
+        workers, n_workers, ahead, slow):
+    # while item `slow` runs, the caller has taken items 0..slow-1: the pool
+    # may start items below slow + ahead * w and no other, however long it
+    # takes.  Behind a caller item the pool's items of that window all start
+    window = slow + ahead * n_workers
+    workers(n_workers)
+    want = {i for i in range(window) if i <= slow or (i % n_workers and not slow % n_workers)}
+    started, lock = set(), threading.Lock()
 
     def fn(i):
         with lock:
-            started.append(i)
-        if i == 1:
-            time.sleep(0.3)
+            started.add(i)
+        if i == slow:
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                with lock:
+                    if want <= started:
+                        break
+                time.sleep(0.005)
+            time.sleep(0.1)  # time for an item past the window to start, were it let
             with lock:
-                return sorted(started)
+                return set(started)
         return None
 
-    got = list(ordered_map(fn, range(10), ahead=2))
-    assert got[1] == [0, 1, 2, 4]
-    assert sorted(started) == list(range(10))
+    n = window + 3 * ahead * n_workers
+    got = list(ordered_map(fn, range(n), ahead=ahead))
+    assert want <= got[slow] <= set(range(window))
+    assert started == set(range(n))
+
+
+def test_closing_a_map_starts_none_of_its_queued_items(workers):
+    # the pool's one thread is busy with item 1 when the map is closed after
+    # item 0: items 3, 5, ... were queued and never start
+    workers(2)
+    fn = Blocks(slow=[1])
+    left = ordered_map(fn, range(10), ahead=5)
+    assert next(left)[0] == 0
+    left.close()
+    assert 0 in fn.started and fn.started <= {0, 1}
 
 
 def test_an_open_map_keeps_the_tape_off_until_it_ends(workers):
@@ -276,3 +303,60 @@ def test_a_cpu_that_cannot_be_taken_is_skipped(monkeypatch, workers):
     monkeypatch.setattr(os, "sched_setaffinity", refuse)
     workers(2)
     assert [r for r, _ in ordered_map(Blocks(), range(5))] == [i * i for i in range(5)]
+
+
+def _take(results, close_after):
+    """The results a consumer takes, up to close_after of them, and the
+    exception that ended it or None; results is closed afterwards."""
+    got = []
+    with contextlib.closing(results):
+        try:
+            for r in results:
+                if len(got) == close_after:
+                    break
+                got.append(r)
+        except ValueError as exc:
+            return got, exc
+    return got, None
+
+
+@pytest.fixture
+def fast_switches():
+    """Hand the GIL over every 10 us while the test runs: more interleavings."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@needs_affinity
+def test_ordered_map_matches_the_plain_loop_on_random_maps(workers, all_cpus, fast_switches):
+    # random worker counts, windows, failing items, timings and early closes:
+    # the map yields what the plain loop yields, raises the very exception
+    # the loop raises, starts no item past its window, and leaves no
+    # thread, no tape switched off and no pin
+    rng = random.Random(1515)
+    for _ in range(60):
+        n_workers, n = rng.randint(2, 4), rng.randint(0, 14)
+        workers(n_workers)
+        ahead = rng.choice([1, 2, max(n, 1)])
+        fails = {i: ValueError(f"item {i}") for i in range(n) if rng.random() < 0.15}
+        delays = [rng.choice([0.0, 0.0, 0.001, 0.003]) for _ in range(n)]
+        close_after = rng.choice([None, rng.randint(0, n)])
+        started = set()
+
+        def fn(i):
+            started.add(i)
+            time.sleep(delays[i])
+            if i in fails:
+                raise fails[i]
+            return i * i
+
+        want = _take((fn(i) for i in range(n)), close_after)
+        started.clear()
+        got = _take(ordered_map(fn, range(n), ahead=ahead), close_after)
+        assert got[0] == want[0] and got[1] is want[1]
+        # the consumer asked for one item past those it kept
+        assert max(started, default=0) < len(got[0]) + 1 + ahead * n_workers
+        assert block_threads() == []
+        assert ad._RECORDING and os.sched_getaffinity(0) == all_cpus

@@ -328,6 +328,16 @@ def test_mi_context_ids_follow_file_order():
     np.testing.assert_array_equal(mi_context_ids(kg, 100), [3, 1, 2, 0])
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_an_mi_context_below_one_entity_is_a_config_error(n):
+    # it would silently become every train entity
+    kg = make_kg([(3, 0, 1), (1, 0, 2), (0, 0, 3)], n_entities=5, test=[(3, 0, 2)])
+    with pytest.raises(ConfigError, match=f"mi_ref_batch must be >= 1, got {n}"):
+        mi_context_ids(kg, n)
+    with pytest.raises(ConfigError, match="mi_ref_batch"):
+        evaluate(structure_model(kg), kg, "test", "raw", mi_ref_batch=n)
+
+
 # ---------------------------------------------------------------- evaluate
 
 def random_graph_and_model(rng, n_entities, n_relations=3, n_triples=12, dim=6):
@@ -796,6 +806,14 @@ def test_zero_epochs_leaves_the_model_at_initialization():
         np.testing.assert_array_equal(result.model.params[name].data, p.data)
 
 
+def test_train_on_a_graph_with_no_train_triples_is_a_data_error():
+    # it would return a history with a NaN loss
+    kg = make_kg([], test=[(0, 0, 1)], n_entities=3, n_relations=1)
+    with pytest.raises(DataError, match="the train split has no triples"):
+        train(kg, {}, ModelConfig(embedding_dim=8, experts=2, mi_bins=4, modalities=[]),
+              TrainConfig(max_epochs=1, seed=3), sampling_cfg())
+
+
 def test_loss_decreases_on_a_tiny_graph():
     kg = make_kg([(0, 0, 1), (1, 0, 2), (2, 0, 0)], n_entities=3)
     result = train(
@@ -1153,6 +1171,22 @@ def test_header_field_of_the_wrong_type_is_a_checkpoint_error_naming_it(tmp_path
     rewrite_header(path, edit)
     with pytest.raises(CheckpointError, match=re.escape(field)):
         load_checkpoint(path, tables, kg)
+
+
+@pytest.mark.parametrize("block, edit", [
+    ("entities", lambda h: h["counts"].update(entities=2 ** 40)),
+    ("rel_phases", lambda h: h["counts"].update(relations=2 ** 40)),
+    ("entities", set_config(embedding_dim=8)),
+], ids=["entities", "relations", "embedding_dim"])
+def test_header_counts_the_blocks_do_not_bear_out_are_a_checkpoint_error(tmp_path, block, edit):
+    # with no graph to cross-check, the counts alone would size the model:
+    # 2**40 entities ran out of memory laying it out
+    kg, tables, model, _ = fitted_model_and_opt(tmp_path, with_modality=True)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match=f"block {block} has shape"):
+        load_checkpoint(path, tables)
 
 
 def test_modality_dim_mismatch_names_both_dims(tmp_path):
