@@ -9,6 +9,10 @@ Values are float32 by default.  The sum accumulates in float64 before casting
 back.  ``using_dtype(np.float64)`` switches the default dtype,
 which gradient-checking tests use to keep the finite-difference oracle out of
 float32 noise.
+
+Every dense layer (``affine``) large enough to pay for a hand-off runs its
+forward and backward in blocks that ``parallel.ordered_map`` spreads over
+the cores; the blocks give the bytes of one unsplit product.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from collections.abc import Mapping
 from typing import Sequence
 
 import numpy as np
+
+from . import parallel
 
 _DTYPE = np.float32
 _TAPE: list["_Node"] = []
@@ -51,6 +57,10 @@ def no_grad():
         yield
     finally:
         _RECORDING = prev
+
+
+# the tape is module-global: no block of a map that fans out may record
+parallel.hold_while_open(no_grad)
 
 
 def reset_tape():
@@ -418,6 +428,45 @@ def matmul(a, b) -> Tensor:
     return record(out, (a, b), grad_fn, "matmul")
 
 
+# multiply-adds per matrix that each block of a split dense layer does at
+# least.  Below three times this, a layer runs whole on the calling thread:
+# a map that fans out costs about 0.25 ms to start and stop its thread, on
+# a par with a pool block of this size (2-vCPU Xeon, one BLAS thread), and
+# a desk layer is microseconds.  The bound also keeps every block out of
+# OpenBLAS's small-matrix kernels (M*N*K up to 1e6), which sum a long K
+# axis in another order than the blocked kernels of the whole product, and
+# at 2 rows or columns, away from numpy's matrix-vector path
+_BLOCK_WORK = 1 << 23
+
+
+def _spans(n, width):
+    """One group of spans of range(n) for the block map (parallel.group),
+    where each index costs `width` multiply-adds per matrix."""
+    return parallel.group(n, max(2, -(-_BLOCK_WORK // max(width, 1))))
+
+
+def _run(fn, spans):
+    """fn(span) for every span, on the block map."""
+    for _ in parallel.ordered_map(fn, spans):
+        pass
+
+
+def _matmul_into(a, b, dest):
+    """dest = a @ b, summed down to dest's shape as _unbroadcast sums it.
+    Two (k, ., .) stacks into a 2-d dest go one product at a time, added in
+    stack order as the sum over the stack adds them, so that no stack of
+    products is held: a pool thread keeps a malloc arena as large as the
+    largest block it ran."""
+    if max(a.ndim, b.ndim) == dest.ndim:
+        np.matmul(a, b, out=dest)
+    elif dest.ndim == 2 and a.ndim == b.ndim == 3 and len(a) == len(b):
+        np.matmul(a[0], b[0], out=dest)
+        for i in range(1, len(a)):
+            dest += a[i] @ b[i]
+    else:
+        dest[...] = _unbroadcast(a @ b, dest.shape)
+
+
 def affine(x, w, b, relu: bool = False) -> Tensor:
     """One dense layer as one tape node: x @ w + b, then max(., 0) if relu.
 
@@ -428,17 +477,36 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
     relu of a finite array is finite.  The backward is the chain rule of
     matmul, add and relu in their float32 operations; the relu mask is read
     back from the output, which is > 0 exactly where the pre-activation is.
+
+    A layer with work for more than one worker (_spans) runs on the block
+    map instead.  The forward and the backward's relu mask and x gradient
+    are cut into spans of output rows, and the w gradient x^T @ g into
+    spans of its columns: each block is then the whole product's rows or
+    columns, summed over the same axis in the same order, so the bytes are
+    those of the whole layer on any number of workers.  A cut along the
+    summed rows of x^T @ g would change them.  The bias gradient is one sum
+    on the calling thread.  Blocks call only numpy and this module's
+    private helpers.  The whole layer is the oracle the split one is tested
+    against.
     """
     x, w, b = ensure_tensor(x), ensure_tensor(w), ensure_tensor(b)
     if x.ndim not in (2, 3) or w.ndim not in (2, 3):
         raise ValueError(f"affine expects 2-d or 3-d operands, got {x.shape} @ {w.shape}")
-    out = x.data @ w.data
+    n, f, h = x.shape[-2], x.shape[-1], w.shape[-1]
+    rows = _spans(n, f * h)
+    if len(rows) == 1:
+        out = x.data @ w.data
+    else:
+        out = np.empty(np.broadcast_shapes(x.shape[:-2], w.shape[:-2]) + (n, h),
+                       dtype=np.result_type(x.data, w.data))
     if np.broadcast_shapes(out.shape, b.shape) != out.shape:
         raise ValueError(f"bias of shape {b.shape} does not fit the product {out.shape}")
-    out += b.data
-    _check_finite(out, "affine")
-    if relu:
-        np.maximum(out, 0.0, out=out)  # subgradient 0 at exactly 0
+
+    def finish(part, bias):
+        part += bias
+        _check_finite(part, "affine")
+        if relu:
+            np.maximum(part, 0.0, out=part)  # subgradient 0 at exactly 0
 
     def grad_fn(g):
         if relu:
@@ -450,7 +518,46 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
                 if w.requires_grad else None,
                 _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-    return _wrap(out, (x, w, b), grad_fn)
+    if len(rows) == 1:
+        finish(out, b.data)
+        return _wrap(out, (x, w, b), grad_fn)
+    # a bias with a row per output row is cut with them
+    cut_bias = b.ndim > 1 and b.shape[-2] > 1
+
+    def forward(span):
+        r = np.s_[..., span[0]:span[1], :]
+        np.matmul(x.data[r], w.data, out=out[r])
+        finish(out[r], b.data[r] if cut_bias else b.data)
+
+    _run(forward, rows)
+
+    def split_grad_fn(g):
+        g_out = np.empty_like(g) if relu else g
+        g_x = np.empty(x.shape, np.result_type(g, w.data)) if x.requires_grad else None
+        w_t = np.swapaxes(w.data, -1, -2)
+
+        def by_rows(span):
+            r = np.s_[..., span[0]:span[1], :]
+            if relu:
+                np.multiply(g[r], out[r] > 0.0, out=g_out[r])
+            if g_x is not None:
+                _matmul_into(g_out[r], w_t, g_x[r])
+
+        if relu or g_x is not None:
+            _run(by_rows, rows)
+        g_w = None
+        if w.requires_grad:
+            g_w = np.empty(w.shape, np.result_type(x.data, g))
+            x_t = np.swapaxes(x.data, -1, -2)
+
+            def by_cols(span):
+                c = np.s_[..., span[0]:span[1]]
+                _matmul_into(x_t, g_out[c], g_w[c])
+
+            _run(by_cols, _spans(h, f * n))
+        return g_x, g_w, _unbroadcast(g_out, b.data.shape) if b.requires_grad else None
+
+    return _wrap(out, (x, w, b), split_grad_fn)
 
 
 def stack(tensors) -> Tensor:

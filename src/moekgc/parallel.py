@@ -1,5 +1,8 @@
 """An ordered block map that spreads independent blocks over the CPU cores.
 
+Evaluation maps its embedding and ranking blocks over it, and every dense
+layer of training (``ad.affine``) its row and column blocks.
+
 ``ordered_map(fn, items)`` yields ``fn(item)`` for each item, in order.
 With w workers, the calling thread runs item i itself when i % w is 0, in
 its turn, and a pool of w - 1 threads runs the others, each on whichever
@@ -18,6 +21,10 @@ keeps one call's time close to the next.  On a 2-vCPU Xeon KVM guest, over
 range of the host-paced rate read 144-151 queries/s with equal spans,
 87-97 with POOL_SHARE 0.5 and 39-46 on one thread, at medians of 813-854,
 651-652 and 432-442 queries/s.
+
+``group(n, least)`` cuts n rows into one such group, one span per worker,
+for work that is one call, such as one matrix product: training's dense
+layers.  It uses fewer workers where a span would be shorter than `least`.
 
 A map runs inline, starting no thread, when it has one item, when the
 process may use one CPU, or when BLAS is not pinned to one thread: numpy's
@@ -40,10 +47,18 @@ so no thread outlives a map and a forked child inherits none; against a
 pool kept for the life of the process, an eval-medium ``evaluate`` took
 the same time (medians 0.337 and 0.335 s over 15 alternating calls each).
 
-The tape is module-global, so an open map holds ``ad.no_grad``, also
-while its caller runs between two items: no block, on any thread,
-records.  Once an item raises, no later item starts; the map waits for
-the running ones and re-raises the first failure in item order.
+One map fans out at a time.  A map opened while another fans out runs its
+items inline and starts no thread, whichever thread opens it: the
+caller's, between or inside its own items, or a pool thread, inside one
+of the pool's.  So an evaluation block that runs a dense layer runs it
+whole on its own thread, and no pool or CPU pin nests in another.
+
+A map that fans out holds every context given to ``hold_while_open`` for
+as long as it is open, also while its caller runs between two items.
+autodiff gives its ``no_grad``: the tape is module-global, so no block,
+on any thread, records.  Once an item raises, no later item starts; the
+map waits for the running ones and re-raises the first failure in item
+order.
 """
 
 from __future__ import annotations
@@ -55,8 +70,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from . import autodiff as ad
-
 # the variables numpy's BLAS libraries read their thread count from
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # a pool thread's span, as a share of the calling thread's (above)
@@ -64,6 +77,17 @@ POOL_SHARE = 0.5
 # groups of items a map may run past the one its caller takes next: the
 # results held bound its memory
 AHEAD_GROUPS = 2
+
+# held by the one map that fans out (above)
+_FANNING = threading.Lock()
+# the contexts every map that fans out holds while open (hold_while_open)
+_HELD = []
+
+
+def hold_while_open(context):
+    """Have every map that fans out enter context() for as long as it is
+    open."""
+    _HELD.append(context)
 
 
 def cores() -> int:
@@ -82,7 +106,10 @@ def blas_pinned() -> bool:
 
 
 def workers() -> int:
-    """Threads a map may run blocks on, the calling thread included."""
+    """Threads a map may run blocks on, the calling thread included: 1
+    while another map fans out."""
+    if _FANNING.locked():
+        return 1
     return cores() if blas_pinned() else 1
 
 
@@ -100,15 +127,45 @@ def spans(n, block):
     return out
 
 
+def group(n, least):
+    """Cut range(n) into one group of spans for ordered_map: the calling
+    thread's span, then POOL_SHARE of it for each pool thread, on as many
+    workers as leave every span at least `least` long.  The calling
+    thread's span takes the rows left over.  One span (0, n) when not even
+    two workers can."""
+    if n * POOL_SHARE < least * (1 + POOL_SHARE):
+        # most dense layers: found without workers(), which reads the
+        # environment and the CPU set
+        return [(0, n)]
+    w = workers()
+    while w > 1:
+        pool = int(n * POOL_SHARE / (1 + (w - 1) * POOL_SHARE))
+        if pool >= least:
+            break
+        w -= 1
+    else:
+        return [(0, n)]
+    own = n - (w - 1) * pool
+    return [(0, own)] + [(own + i * pool, own + (i + 1) * pool) for i in range(w - 1)]
+
+
 def ordered_map(fn, items, ahead=AHEAD_GROUPS):
     """Yield fn(item) for every item, in order (above), running at most
     `ahead` groups of items past the one the caller takes next."""
     items = list(items)
     w = min(workers(), len(items)) if len(items) > 1 else 1
-    if w <= 1:
+    if w <= 1 or not _FANNING.acquire(blocking=False):
         for item in items:
             yield fn(item)
         return
+    try:
+        yield from _fan_out(fn, items, w, ahead)
+    finally:
+        _FANNING.release()
+
+
+def _fan_out(fn, items, w, ahead):
+    """ordered_map on w workers, the calling thread included."""
     lock, failed = threading.Lock(), [len(items)]  # the lowest failed item
 
     def run(i):
@@ -122,9 +179,11 @@ def ordered_map(fn, items, ahead=AHEAD_GROUPS):
             raise
 
     window, pending = ahead * w, {}
-    with ad.no_grad(), _one_cpu_each() as pin, \
+    with contextlib.ExitStack() as held, _one_cpu_each() as pin, \
             ThreadPoolExecutor(w - 1, thread_name_prefix="moekgc-block",
                                initializer=pin) as pool:
+        for context in _HELD:
+            held.enter_context(context())
 
         def submit(i):
             if i < len(items) and i % w:

@@ -1,15 +1,20 @@
-"""Force evaluation's blocks through the thread pool on a small graph.
+"""Force the block map's fan-out on a small graph.
 
-``blocks(workers, n_entities)`` sets the block map's worker count and cuts
-the embedding and ranking blocks small, so that a graph of a few dozen
-entities runs several groups of blocks.  With workers=1 the same blocks run
-inline on the calling thread: the serial run a threaded one must equal.
+``blocks(workers, n_entities)`` sets the block map's worker count, cuts the
+embedding and ranking blocks small, so that a graph of a few dozen
+entities runs several groups of blocks, and lowers the size at which a
+dense layer splits (``ad._BLOCK_WORK``) to nothing, so that every layer of
+two rows or more splits: on the pool in training and in evaluation's MI
+context, inline inside evaluation's own blocks.  With workers=1 the same
+blocks run inline on the calling thread: the serial run a threaded one
+must equal.
 """
 
 import contextlib
 
 import pytest
 
+import moekgc.autodiff as ad
 import moekgc.fusion as fusion
 import moekgc.parallel as parallel
 import moekgc.trainer as trainer
@@ -24,6 +29,7 @@ def blocks(workers, n_entities, embed_rows=4, rank_queries=7):
         mp.setattr(parallel, "workers", lambda: workers)
         mp.setattr(fusion, "_EMBED_BLOCK", embed_rows)
         mp.setattr(trainer, "_RANK_BLOCK", rank_queries * n_entities)
+        mp.setattr(ad, "_BLOCK_WORK", 1)
         yield
 
 

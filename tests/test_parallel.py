@@ -1,11 +1,14 @@
+import ast
 import contextlib
 import contextvars
 import os
+import pathlib
 import random
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import moekgc.autodiff as ad
@@ -360,3 +363,200 @@ def test_ordered_map_matches_the_plain_loop_on_random_maps(workers, all_cpus, fa
         assert max(started, default=0) < len(got[0]) + 1 + ahead * n_workers
         assert block_threads() == []
         assert ad._RECORDING and os.sched_getaffinity(0) == all_cpus
+
+
+# ------------------------------------------------------ maps inside maps
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_a_map_opened_while_another_fans_out_runs_inline(monkeypatch, workers, n_workers):
+    # every item of the outer map, on the calling thread or on the pool,
+    # opens a map of its own: its items run on the thread that opened it,
+    # and the outer map's pool is the only one ever built
+    workers(n_workers)
+    pools = []
+
+    class Counted(parallel.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Counted)
+
+    def inner(i):
+        return threading.current_thread().name
+
+    def outer(i):
+        return threading.current_thread().name, list(ordered_map(inner, range(5)))
+
+    got = list(ordered_map(outer, range(2 * n_workers)))
+    assert len(pools) == 1
+    assert any(here.startswith("moekgc-block") for here, _ in got)
+    assert all(ran == [here] * 5 for here, ran in got)
+    # once the outer map is done, a map fans out again
+    assert any(t.startswith("moekgc-block") for t in ordered_map(inner, range(4)))
+    assert len(pools) == 2 and block_threads() == []
+
+
+def test_workers_reads_one_while_a_map_fans_out(monkeypatch):
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
+    for var in parallel.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    got = list(ordered_map(lambda i: parallel.workers(), range(4)))
+    assert got == [1] * 4
+    assert parallel.workers() == 2
+
+
+def test_parallel_imports_nothing_from_the_package():
+    # autodiff runs its dense layers on the map: an import back would be a cycle
+    tree = ast.parse(pathlib.Path(parallel.__file__).read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert imports and not [n for n in imports if n.level or (n.module or "").startswith("moekgc")]
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [2, 7, 12, 13, 17, 100, 10_632])
+@pytest.mark.parametrize("least", [2, 3, 5])
+def test_group_gives_each_worker_one_span_of_at_least_least(workers, n_workers, n, least):
+    workers(n_workers)
+    got = parallel.group(n, least)
+    assert got[0][0] == 0 and got[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+    sizes = [b - a for a, b in got]
+    if len(got) == 1:
+        # not even two workers could leave the pool `least` rows
+        assert n_workers == 1 or int(n * parallel.POOL_SHARE / (1 + parallel.POOL_SHARE)) < least
+        return
+    pool = sizes[1]
+    assert len(got) <= n_workers and set(sizes[1:]) == {pool} and pool >= least
+    # the pool's spans are POOL_SHARE of the calling thread's, rounded down:
+    # the calling thread takes what is left over
+    share = parallel.POOL_SHARE
+    assert pool == int(n * share / (1 + (len(got) - 1) * share)) and sizes[0] >= pool / share
+
+
+# ------------------------------------------- dense layers on the block map
+
+# (x without its rows, w, b; None in b stands for the rows): the
+# projection, the expert bank, the heads, and a bias with a row per row
+SPLIT_SHAPES = {"2d": ((5,), (5, 8), (8,)),
+                "bank": ((5,), (3, 5, 8), (3, 1, 8)),
+                "head": ((3, 5), (3, 5, 8), (3, 1, 8)),
+                "row_bias": ((5,), (3, 5, 8), (3, None, 8))}
+
+
+def affine_run(shapes, n, relu, const_x):
+    """An affine over n rows and its backward under a fixed upstream
+    gradient: the output and each operand's gradient, as bytes."""
+    x_shape, w_shape, b_shape = shapes
+    x_shape = x_shape[:-1] + (n,) + x_shape[-1:]
+    b_shape = tuple(n if d is None else d for d in b_shape)
+    rng = np.random.default_rng(16)
+    x, w, b = (rng.normal(size=s).astype(np.float32) for s in (x_shape, w_shape, b_shape))
+    # a zero row of x meets zero bias entries: pre-activations exactly at 0
+    x[..., 0, :] = 0.0
+    b[..., ::2] = 0.0
+    ad.reset_tape()
+    ops = [ad.Tensor(x) if const_x else ad.parameter(x), ad.parameter(w), ad.parameter(b)]
+    out = ad.affine(*ops, relu=relu)
+    upstream = rng.normal(size=out.shape).astype(np.float32)
+    ad.backward((out * ad.Tensor(upstream)).sum())
+    ad.reset_tape()
+    return [out.data.tobytes()] + [None if op.grad is None else op.grad.tobytes() for op in ops]
+
+
+@pytest.mark.parametrize("n", [12, 13, 17])
+@pytest.mark.parametrize("const_x", [False, True])
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("kind", sorted(SPLIT_SHAPES))
+def test_split_affine_equals_the_inline_layer_bitwise(monkeypatch, workers, kind, relu,
+                                                      const_x, n):
+    # the inline run, then every pass cut into one span per worker: the
+    # output, dX, dW and db keep their bytes, and the pool ran blocks
+    workers(1)
+    want = affine_run(SPLIT_SHAPES[kind], n, relu, const_x)
+    assert (want[1] is None) == const_x
+    monkeypatch.setattr(ad, "_BLOCK_WORK", 1)
+    threads, cuts = set(), []
+    group, matmul_into = parallel.group, ad._matmul_into
+
+    def noting_group(n, least):
+        cuts.append(group(n, least))
+        return cuts[-1]
+
+    def noting_matmul(a, b, dest):
+        threads.add(threading.current_thread().name)
+        return matmul_into(a, b, dest)
+
+    monkeypatch.setattr(parallel, "group", noting_group)
+    monkeypatch.setattr(ad, "_matmul_into", noting_matmul)
+    for n_workers in (2, 3):
+        workers(n_workers)
+        cuts.clear()
+        threads.clear()
+        assert affine_run(SPLIT_SHAPES[kind], n, relu, const_x) == want
+        # the rows of the forward and the backward, and the dW columns
+        assert len(cuts) == 2
+        assert all(len(spans) == n_workers for spans in cuts)
+        assert any(t.startswith("moekgc-block") for t in threads)
+        assert block_threads() == [] and ad._RECORDING
+
+
+def test_a_desk_sized_layer_stays_on_the_calling_thread(monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    workers(2)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+    affine_run(SPLIT_SHAPES["bank"], 48, relu=True, const_x=False)
+    # with a lower bound the same layer splits: the gate above is real
+    monkeypatch.setattr(ad, "_BLOCK_WORK", 48 // 3 * 5 * 8)
+    with pytest.raises(AssertionError, match="thread pool"):
+        affine_run(SPLIT_SHAPES["bank"], 48, relu=True, const_x=False)
+
+
+@needs_affinity
+@pytest.mark.parametrize("relu", [False, True])
+def test_a_non_finite_pool_block_raises_and_records_nothing(monkeypatch, workers, all_cpus,
+                                                            relu):
+    # 12 rows on two workers: the calling thread takes rows 0-7 and the pool
+    # rows 8-11; only row 10 overflows, to -inf, which relu would clamp to 0
+    workers(2)
+    monkeypatch.setattr(ad, "_BLOCK_WORK", 1)
+    assert parallel.group(12, 2) == [(0, 8), (8, 12)]
+    failed_on = []
+    check_finite = ad._check_finite
+
+    def noting(arr, op):
+        try:
+            check_finite(arr, op)
+        except ad.FiniteError:
+            failed_on.append(threading.current_thread().name)
+            raise
+
+    monkeypatch.setattr(ad, "_check_finite", noting)
+    x = np.ones((12, 2), dtype=np.float32)
+    x[10] = 3.0e38
+    ops = (ad.parameter(x), ad.parameter(np.full((2, 3), -2.0, dtype=np.float32)),
+           ad.parameter(np.zeros(3, dtype=np.float32)))
+    with np.errstate(over="ignore"), pytest.raises(ad.FiniteError, match="affine"):
+        ad.affine(*ops, relu=relu)
+    assert len(failed_on) == 1 and failed_on[0].startswith("moekgc-block")
+    assert ad.tape_size() == 0 and ad._RECORDING
+    assert os.sched_getaffinity(0) == all_cpus and block_threads() == []
+
+
+def test_split_affine_on_more_workers_than_cores_with_fast_switches(monkeypatch, workers,
+                                                                    fast_switches):
+    # eight workers, the interpreter switching threads every 10 us: blocks
+    # write disjoint rows and columns of shared arrays, and a lost or
+    # misplaced write would change the bytes
+    workers(1)
+    shapes = ((5,), (3, 5, 32), (3, 1, 32))
+    want = affine_run(shapes, 40, relu=True, const_x=False)
+    monkeypatch.setattr(ad, "_BLOCK_WORK", 1)
+    workers(8)
+    assert len(parallel.group(40, 2)) == len(parallel.group(32, 2)) == 8
+    for _ in range(20):
+        assert affine_run(shapes, 40, relu=True, const_x=False) == want
+    assert block_threads() == []

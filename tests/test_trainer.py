@@ -320,6 +320,41 @@ def test_desk_step_tape_is_short_and_released_before_adam(monkeypatch):
     assert seen["adam"] == 0
 
 
+def test_desk_training_with_split_layers_equals_one_thread(tmp_path, monkeypatch):
+    # the c09 full model with every dense layer split (fanout.blocks), on
+    # 1, 2 and 3 workers: the same history and checkpoint bytes, the pool
+    # running blocks, and 41 tape nodes in every step
+    kg, tables = clustered_graph(seed=0)
+    cfg = ModelConfig(embedding_dim=16, experts=3, mi_bins=8, modalities=["attr", "attr_dup"])
+    tc = TrainConfig(learning_rate=0.1, batch_size=16, max_epochs=4, eval_every=2, seed=0,
+                     mi_ref_batch=64)
+    samp = sampling_cfg(negatives_per_positive=8, margin=6.0)
+    nodes, threads = [], set()
+    backward, matmul_into = ad.backward, ad._matmul_into
+
+    def counting_backward(loss):
+        nodes.append(ad.tape_size())
+        backward(loss)
+
+    def noting_matmul(a, b, dest):
+        threads.add(threading.current_thread().name)
+        return matmul_into(a, b, dest)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    monkeypatch.setattr(ad, "_matmul_into", noting_matmul)
+    runs = []
+    for w in (1, 2, 3):
+        nodes.clear()
+        threads.clear()
+        with fanout.blocks(w, kg.n_entities):
+            result = train(kg, tables, cfg, tc, samp)
+        save_checkpoint(tmp_path / f"{w}.mkgc", result.model)
+        runs.append((result.history, (tmp_path / f"{w}.mkgc").read_bytes()))
+        assert nodes and set(nodes) == {41}
+        assert any(t.startswith("moekgc-block") for t in threads) == (w > 1)
+    assert len(runs[0][0]) == tc.max_epochs and runs[1] == runs[0] and runs[2] == runs[0]
+
+
 # ---------------------------------------------------------------- context
 
 def test_mi_context_ids_follow_file_order():
