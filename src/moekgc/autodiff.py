@@ -171,15 +171,15 @@ class ParamStore(Mapping):
     array of another shape raises StoreError there.
     """
 
-    def __init__(self, shapes: dict, banks: dict = None, dtype=None):
-        """A zero parameter per name -> shape, in buffer order, of dtype or
-        the default dtype; banks maps a key to member names."""
+    def __init__(self, shapes: dict, banks: dict = None):
+        """A zero parameter per name -> shape, in buffer order, of the
+        default dtype; banks maps a key to member names."""
         self._blocks, lo = {}, 0
         for name, shape in shapes.items():
             self._blocks[name] = b = _Block(name, parameter(np.empty(0)), lo, tuple(shape))
             lo = b.hi
         self.blocks = tuple(self._blocks.values())
-        self.repoint(np.zeros(lo, dtype=_DTYPE if dtype is None else dtype))
+        self.repoint(np.zeros(lo, dtype=_DTYPE))
         self._banks = {}
         for key, names in (banks or {}).items():
             members = [self._blocks[n] for n in names]
@@ -190,22 +190,6 @@ class ParamStore(Mapping):
             shape = (len(members),) + (first.shape if len(first.shape) > 1 else (1,) + first.shape)
             self._banks[key] = (first.lo, members[-1].hi, shape,
                                 tuple(b.tensor for b in members))
-
-    @classmethod
-    def holding(cls, tensors: dict) -> "ParamStore":
-        """A store of the given name -> tensor map, in its order: the values
-        are copied into the buffer and each tensor is re-pointed at its view.
-        The tensors must share one dtype."""
-        dtypes = {t.data.dtype for t in tensors.values()}
-        if len(dtypes) > 1:
-            raise StoreError(f"a store holds one dtype, got {sorted(map(str, dtypes))}")
-        store = cls({n: t.data.shape for n, t in tensors.items()},
-                    dtype=dtypes.pop() if dtypes else None)
-        for b in store.blocks:
-            b.view[...] = tensors[b.name].data
-            b.tensor = tensors[b.name]
-        store.repoint(store.flat)
-        return store
 
     def __getitem__(self, name) -> Tensor:
         return self._blocks[name].tensor

@@ -5,8 +5,8 @@ from a YAML file with sections data / model / training / sampling; every
 scalar key is also exposed as a --section-key flag (underscores become
 dashes) that overrides the file.  Unknown sections or keys are rejected.
 
-Exit codes: 0 ok, 2 bad configuration, 3 bad input data, 4 checkpoint
-format version mismatch, 1 anything else that failed.
+Exit codes: 0 ok, 2 bad configuration or output location, 3 bad input data,
+4 checkpoint format version mismatch, 1 anything else that failed.
 """
 
 from __future__ import annotations
@@ -225,6 +225,11 @@ def load_data(cfg: dict):
     return kg, tables
 
 
+def _unwritable(e: OSError, path) -> ConfigError:
+    """An output location the OS refused, as a config error naming it."""
+    return ConfigError(f"{e.filename or path}: cannot write output there ({e.strerror})")
+
+
 def make_run_dir(seed: int) -> str:
     root = os.environ.get(RUNS_ENV, "runs")
     base = os.path.join(root, f"{time.strftime('%Y%m%d-%H%M%S')}-{seed}")
@@ -232,7 +237,10 @@ def make_run_dir(seed: int) -> str:
     while os.path.exists(path):
         path = f"{base}-{n}"
         n += 1
-    os.makedirs(path)
+    try:
+        os.makedirs(path)
+    except OSError as e:
+        raise _unwritable(e, path) from None
     return path
 
 
@@ -304,7 +312,6 @@ def cmd_predict(cfg, args) -> int:
 
     emb = model.all_joint_embeddings(mi_context_ids(kg, cfg["training"]["mi_ref_batch"]))
     theta = np.asarray(model.relation_phases.data, dtype=np.float64)
-    fi = build_filter_index(kg)
 
     if args.head is not None:
         fixed, side = entity_id(args.head), "tail"
@@ -315,7 +322,7 @@ def cmd_predict(cfg, args) -> int:
     keep = np.ones(kg.n_entities, dtype=bool)
     if args.mode == "filtered":
         # hide answers that are already in the graph
-        keep[fi.answers(fixed, r, side == "tail")[1]] = False
+        keep[build_filter_index(kg).answers(fixed, r, side == "tail")[1]] = False
     kept_ids = np.flatnonzero(keep)
     for e in kept_ids[np.argsort(-scores[kept_ids], kind="stable")[:args.top]]:
         print(f"{_mean_rank(scores, e, keep):g},{kg.entities[e]},{scores[e]:.6f}")
@@ -361,7 +368,10 @@ def cmd_sample_stats(cfg, args) -> int:
 
 def cmd_vocab_dump(cfg, args) -> int:
     kg, _ = load_data(cfg)
-    ents, rels = dump_vocab(kg, args.out)
+    try:
+        ents, rels = dump_vocab(kg, args.out)
+    except OSError as e:
+        raise _unwritable(e, args.out) from None
     print(ents)
     print(rels)
     return 0

@@ -230,6 +230,24 @@ def _row_lookup(table: ModalityFeatureTable, n_entities: int) -> np.ndarray:
     return lookup
 
 
+def param_shapes(cfg: ModelConfig, n_entities: int, n_relations: int, modality_dims: dict):
+    """Every parameter block's (name, shape), yielded lazily in the order
+    its initial values are drawn."""
+    d, k, c = cfg.embedding_dim, cfg.experts, cfg.mi_bins
+    yield "entities", (n_entities, d)
+    yield "rel_phases", (n_relations, d // 2)
+    for m in cfg.modalities:
+        yield from ((f"proj.{m}.w1", (modality_dims[m], d)), (f"proj.{m}.b1", (d,)),
+                    (f"proj.{m}.w2", (d, d)), (f"proj.{m}.b2", (d,)))
+        for i in range(k):
+            yield from ((f"expert.{m}.{i}.w1", (d, d)), (f"expert.{m}.{i}.b1", (d,)),
+                        (f"expert.{m}.{i}.w2", (d, d)), (f"expert.{m}.{i}.b2", (d,)),
+                        (f"view_dist.{m}.{i}.w", (d, c)), (f"view_dist.{m}.{i}.b", (c,)))
+        yield from ((f"modal_dist.{m}.w", (d, c)), (f"modal_dist.{m}.b", (c,)))
+    yield from ((f"modal_dist.{STRUCTURE_MODALITY}.w", (d, c)),
+                (f"modal_dist.{STRUCTURE_MODALITY}.b", (c,)))
+
+
 @dataclass
 class MIState:
     """Batch-level MI estimates reused across entities (and at evaluation)."""
@@ -270,25 +288,12 @@ class FusionModel:
 
     # -- parameters
 
-    def _shapes(self) -> dict:
-        """Every block's shape, in the order its initial values are drawn."""
-        d, k, c = self.cfg.embedding_dim, self.cfg.experts, self.cfg.mi_bins
-        shapes = {"entities": (self.n_entities, d), "rel_phases": (self.n_relations, d // 2)}
-        for m in self.cfg.modalities:
-            dim_m = self.tables[m].dim
-            shapes.update({f"proj.{m}.w1": (dim_m, d), f"proj.{m}.b1": (d,),
-                           f"proj.{m}.w2": (d, d), f"proj.{m}.b2": (d,)})
-            for i in range(k):
-                shapes.update({f"expert.{m}.{i}.w1": (d, d), f"expert.{m}.{i}.b1": (d,),
-                               f"expert.{m}.{i}.w2": (d, d), f"expert.{m}.{i}.b2": (d,),
-                               f"view_dist.{m}.{i}.w": (d, c), f"view_dist.{m}.{i}.b": (c,)})
-            shapes.update({f"modal_dist.{m}.w": (d, c), f"modal_dist.{m}.b": (c,)})
-        shapes.update({f"modal_dist.{STRUCTURE_MODALITY}.w": (d, c),
-                       f"modal_dist.{STRUCTURE_MODALITY}.b": (c,)})
-        return shapes
+    def _param_shapes(self):
+        return param_shapes(self.cfg, self.n_entities, self.n_relations,
+                            {m: t.dim for m, t in self.tables.items()})
 
     def _zero_store(self) -> ad.ParamStore:
-        shapes, k = self._shapes(), self.cfg.experts
+        shapes, k = dict(self._param_shapes()), self.cfg.experts
         # the store holds each bank's members side by side, role by role; the
         # distribution heads come last, so that the blocks which train by
         # default form one run for Adam
@@ -311,7 +316,7 @@ class FusionModel:
         value as one draw over the whole block would give it, so that no
         float64 copy of the entity table is ever held."""
         rng = np.random.Generator(np.random.PCG64(seed))
-        for name, shape in self._shapes().items():
+        for name, shape in self._param_shapes():
             if name == "rel_phases":
                 low, high = 0.0, 2.0 * math.pi  # then pi - x: uniform (-pi, pi]
             else:

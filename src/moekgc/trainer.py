@@ -40,7 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import FiniteError
 from .config import ConfigError, check_finite
-from .fusion import FusionModel, ModelConfig
+from .fusion import FusionModel, ModelConfig, param_shapes
 from .kgdata import DataError, KnowledgeGraph, build_filter_index
 from .parallel import ordered_map, spans
 from .sampling import NegativeSamplingConfig, batch_loss, corrupt, derived_rng, negative_weights
@@ -94,6 +94,8 @@ class TrainConfig:
 # stay in a core's cache, where whole-block expressions over the 3.8M-element
 # medium entity table stream each one through memory
 _ADAM_CHUNK = 8192
+# Adam's decay rates of the two moments and the epsilon of its denominator
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def _grad_runs(blocks):
@@ -110,14 +112,14 @@ def _grad_runs(blocks):
 
 
 class Adam:
-    """Adam with bias correction; epsilon added outside the sqrt.
+    """Adam with bias correction over a ParamStore; epsilon added outside the
+    sqrt, with the module constants BETA1, BETA2 and EPS.
 
-    It runs on a ParamStore; a plain name -> tensor dict is first gathered
-    into one.  The moments are two float64 buffers laid out like the store's,
-    with a named view per block in m and v.  A step joins the gradients of
-    each maximal run of consecutive blocks that have one into one array, in
-    their own dtype, and updates the run _ADAM_CHUNK elements at a time, each
-    chunk cast to float64 and put through the per-block update's elementwise
+    The moments are two float64 buffers laid out like the store's, with a
+    named view per block in m and v.  A step joins the gradients of each
+    maximal run of consecutive blocks that have one into one array, in their
+    own dtype, and updates the run _ADAM_CHUNK elements at a time, each chunk
+    cast to float64 and put through the per-block update's elementwise
     float64 expressions, so the result is that update's bit for bit; blocks
     without a gradient keep their values and moments.  The new parameters go
     into a fresh buffer that the store is then re-pointed at.  A non-finite
@@ -126,11 +128,9 @@ class Adam:
     moments of the chunks updated before it have moved.
     """
 
-    def __init__(self, params: dict, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params if isinstance(params, ad.ParamStore) else ad.ParamStore.holding(params)
+    def __init__(self, params: ad.ParamStore, learning_rate: float):
+        self.params = params
         self.lr = float(learning_rate)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         # moments kept in float64 regardless of the parameter dtype
         self._m = np.zeros(self.params.flat.size, dtype=np.float64)
@@ -141,8 +141,8 @@ class Adam:
         store = self.params
         store.sync()
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         x, m, v = store.flat, self._m, self._v
         out = np.empty_like(x)
         done = 0
@@ -165,9 +165,9 @@ class Adam:
 
     def _update(self, m, v, g, x, c1, c2):
         """New (m, v, x) after one step on float64 gradient g; x keeps its dtype."""
-        m = self.beta1 * m + (1.0 - self.beta1) * g
-        v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-        update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
+        update = self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         return m, v, (x.astype(np.float64) - update).astype(x.dtype)
 
     def zero_grad(self):
@@ -380,7 +380,7 @@ def _check_header(path, header):
     of the JSON type load reads it as: a config value of its ModelConfig
     field's type (a bool is no int), modalities a list of strings, a block
     shape a list of non-negative ints, and adam_step null or a non-negative
-    int, in which case every parameter block has its two moment blocks."""
+    int.  Which blocks there are, and their shapes, load checks later."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     for key in ("blocks", "config", "counts", "modality_dims"):
@@ -411,16 +411,9 @@ def _check_header(path, header):
     if lacking:
         raise CheckpointError(f"{path}: header lacks {', '.join(lacking)}")
     step = header.get("adam_step")
-    if step is None:
-        return
-    if not count(step):
+    if step is not None and not count(step):
         raise CheckpointError(f"{path}: header field adam_step is neither null "
                               f"nor a non-negative int: {step!r}")
-    for name in blocks:
-        for moment in (f"adam.m.{name}", f"adam.v.{name}"):
-            if not name.startswith("adam.") and moment not in blocks:
-                raise CheckpointError(f"{path}: header field adam_step is {step} "
-                                      f"but block {moment} is missing")
 
 
 def save_checkpoint(path, model: FusionModel, optimizer: Adam = None, extra: dict = None):
@@ -505,14 +498,6 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
                 f"checkpoint was trained on {counts['entities']} entities / "
                 f"{counts['relations']} relations, graph has {kg.n_entities} / {kg.n_relations}"
             )
-    # the counts size the model: the blocks read above must bear them out first
-    d = cfg.embedding_dim
-    for name, want in (("entities", [counts["entities"], d]),
-                       ("rel_phases", [counts["relations"], d // 2])):
-        got = header["blocks"].get(name, {}).get("shape")
-        if got != want:
-            raise CheckpointError(f"{path}: block {name} has shape {got}, but counts "
-                                  f"and config.embedding_dim give {want}")
     for m in cfg.modalities:
         if m not in tables:
             raise ConfigError(f"checkpoint needs modality {m!r} but no table was given")
@@ -522,22 +507,29 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
                 f"modality {m!r} dimension mismatch: checkpoint has {want}, "
                 f"table has {tables[m].dim}"
             )
+    # the header's integers size the model, so the blocks read above bear
+    # them out before anything is allocated: the shape map is walked lazily,
+    # and a header that asks for more or larger blocks than the file holds
+    # fails at the first block the file lacks or holds in another shape
+    step = header.get("adam_step")
+    for name, want in param_shapes(cfg, counts["entities"], counts["relations"],
+                                   header["modality_dims"]):
+        for block in (name,) if step is None else (name, f"adam.m.{name}", f"adam.v.{name}"):
+            if block not in arrays:
+                why = "" if block == name else f"header field adam_step is {step} but "
+                raise CheckpointError(f"{path}: {why}block {block} is missing")
+            got = arrays[block].shape
+            if got != want:
+                raise CheckpointError(f"{path}: block {block} has shape {list(got)}, but the "
+                                      f"header's config and counts give {list(want)}")
 
     # every block is written below, so the model is laid out with no initial draw
     model = FusionModel._unfilled(cfg, counts["entities"], counts["relations"], tables)
-    missing = set(model.params) - set(arrays)
-    if missing:
-        raise CheckpointError(f"{path}: missing parameter blocks {sorted(missing)}")
     for name, p in model.params.items():
-        if tuple(arrays[name].shape) != tuple(p.data.shape):
-            raise CheckpointError(
-                f"{path}: block {name} has shape {arrays[name].shape}, "
-                f"expected {p.data.shape}"
-            )
         p.data[...] = arrays[name]  # into the store
 
-    state = {"header": header, "adam_step": header.get("adam_step")}
-    if state["adam_step"] is not None:
+    state = {"header": header, "adam_step": step}
+    if step is not None:
         state["adam_m"] = {n: arrays[f"adam.m.{n}"].astype(np.float64) for n in model.params}
         state["adam_v"] = {n: arrays[f"adam.v.{n}"].astype(np.float64) for n in model.params}
     return model, state

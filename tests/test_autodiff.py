@@ -399,11 +399,7 @@ def test_store_writes_a_rebound_parameter_back_or_names_the_mismatch():
         store.sync()
 
 
-def test_store_rejects_mixed_dtypes_and_scattered_banks():
-    with ad.using_dtype(np.float64):
-        wide = ad.parameter(np.ones(2))
-    with pytest.raises(ad.StoreError, match="one dtype"):
-        ad.ParamStore.holding({"a": ad.parameter(np.ones(2)), "b": wide})
+def test_store_rejects_scattered_banks():
     with pytest.raises(ad.StoreError, match="bank x.\\* is not a run"):
         ad.ParamStore({"x.0": (3,), "y": (3,), "x.1": (3,)}, {"x.*": ["x.0", "x.1"]})
 

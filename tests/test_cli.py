@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import moekgc.autodiff as ad
+import moekgc.cli as cli
 from moekgc.cli import build_parser, load_config, load_data, main
 from moekgc.config import ConfigError
 from moekgc.fusion import FusionModel, ModelConfig
@@ -305,6 +306,20 @@ def test_eval_header_with_a_mistyped_field_exits_1(workspace, capsys):
     assert "header field config.experts is not of type int" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, block", [({"experts": 10 ** 5}, "expert.img.2.w1"),
+                                         ({"mi_bins": 10 ** 12}, "view_dist.img.0.w")],
+                         ids=["experts", "mi_bins"])
+def test_eval_of_a_header_the_blocks_do_not_bear_out_exits_1(workspace, capsys, edit, block):
+    # the model such a header describes would not fit in memory
+    ckpt = trained_checkpoint_with_header(workspace, lambda h: h["config"].update(edit))
+    capsys.readouterr()
+    assert main(["eval", "--config", workspace[1], "--checkpoint", ckpt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and f"block {block} " in line
+
+
 def test_eval_of_an_empty_split_is_a_data_error(workspace, capsys):
     tmp_path, cfg_path = workspace
     run_train(cfg_path)
@@ -443,6 +458,25 @@ def test_eval_and_predict_reject_an_mi_ref_batch_below_one(workspace, capsys, va
         captured = capsys.readouterr()
         assert f"mi_ref_batch must be >= 1, got {value}" in captured.err
         assert captured.out == ""
+
+
+def test_raw_predict_builds_no_filter_index(workspace, capsys, monkeypatch):
+    tmp_path, cfg_path = workspace
+    _, _, ckpt = tied_checkpoint(tmp_path, cfg_path)
+    argv = ["predict", "--config", cfg_path, "--checkpoint", ckpt, "--relation", "links",
+            "--head", "a", "--top", "4"]
+    capsys.readouterr()
+    assert main(argv + ["--mode", "raw"]) == 0
+    want = capsys.readouterr().out
+
+    def refuse(kg):
+        raise AssertionError("the filter index was built")
+
+    monkeypatch.setattr(cli, "build_filter_index", refuse)
+    assert main(argv + ["--mode", "raw"]) == 0
+    assert capsys.readouterr().out == want
+    with pytest.raises(AssertionError, match="the filter index was built"):
+        main(argv + ["--mode", "filtered"])
 
 
 def test_predict_lists_ranked_candidates(workspace, capsys):
@@ -623,6 +657,29 @@ def test_vocab_dump_round_trips_names(workspace, capsys, tmp_path):
     assert ents["0"] == "a" and len(ents) == 4
     rels = dict(line.split("\t") for line in (out / "relations.tsv").read_text().splitlines())
     assert set(rels.values()) == {"links", "near"}
+
+
+@pytest.mark.parametrize("command, reason", [("vocab-dump", "File exists"),
+                                             ("train", "Not a directory")])
+def test_an_output_location_that_is_a_regular_file_is_a_config_error(workspace, capsys,
+                                                                      monkeypatch, command,
+                                                                      reason):
+    # a regular file where a directory must go, not permissions: a test run
+    # as root may write anywhere
+    tmp_path, cfg_path = workspace
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    flags = ["--out", str(taken)]
+    if command == "train":
+        monkeypatch.setenv("MOEKGC_RUNS", str(taken))
+        flags = []
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path] + flags) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: {taken}") and reason in line
+    assert taken.read_text() == "a file\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ---------------------------------------------------------------- malformed input

@@ -8,6 +8,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,9 +74,18 @@ def sampling_cfg(**kw):
 
 # ---------------------------------------------------------------- adam
 
+def store_of(arrays):
+    """A ParamStore of the default dtype holding each name -> array, in order."""
+    store = ad.ParamStore({n: np.shape(a) for n, a in arrays.items()})
+    for n, a in arrays.items():
+        store[n].data[...] = a
+    return store
+
+
 def test_adam_drives_a_quadratic_to_zero():
-    x = ad.parameter(np.array([1.0], dtype=np.float32))
-    opt = Adam({"x": x}, learning_rate=0.1)
+    store = store_of({"x": np.array([1.0])})
+    x = store["x"]
+    opt = Adam(store, learning_rate=0.1)
     for _ in range(100):
         ad.reset_tape()
         loss = square(x).sum()
@@ -93,8 +103,9 @@ def test_adam_matches_a_hand_stepped_reference():
     grads = [rng.normal(size=shape) for _ in range(12)]
 
     with ad.using_dtype(np.float64):
-        p = ad.parameter(start.copy())
-    opt = Adam({"w": p}, learning_rate=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        store = store_of({"w": start})
+    p = store["w"]
+    opt = Adam(store, learning_rate=0.01)
 
     x = start.copy()
     m = np.zeros(shape)
@@ -112,9 +123,9 @@ def test_adam_matches_a_hand_stepped_reference():
 
 
 def test_adam_skips_blocks_without_gradients():
-    a = ad.parameter(np.ones(2, dtype=np.float32))
-    b = ad.parameter(np.ones(2, dtype=np.float32))
-    opt = Adam({"a": a, "b": b}, learning_rate=0.5)
+    store = store_of({"a": np.ones(2), "b": np.ones(2)})
+    a, b = store["a"], store["b"]
+    opt = Adam(store, learning_rate=0.5)
     a.grad = np.ones(2)
     opt.step()
     assert not np.array_equal(a.data, np.ones(2))
@@ -126,7 +137,7 @@ def test_blocked_adam_matches_the_whole_block_update_bitwise():
     chunk = trainer._ADAM_CHUNK
     # several chunks and a short last one, exactly one chunk, and one small block
     shapes = {"big": (3, chunk + 5), "one_chunk": (chunk,), "small": (4, 3)}
-    params = {n: ad.parameter(rng.normal(size=s)) for n, s in shapes.items()}
+    params = store_of({n: rng.normal(size=s) for n, s in shapes.items()})
     opt = Adam(params, learning_rate=0.01)
     # the unblocked update: whole-block float64 expressions, in this order
     want = {n: p.data.copy() for n, p in params.items()}
@@ -150,9 +161,10 @@ def test_blocked_adam_matches_the_whole_block_update_bitwise():
 
 def test_adam_load_state_keeps_its_own_moments():
     # moments of a chunked block are updated in place: never the caller's arrays
-    w = ad.parameter(np.zeros(trainer._ADAM_CHUNK + 1))
+    store = store_of({"w": np.zeros(trainer._ADAM_CHUNK + 1)})
+    w = store["w"]
     m0, v0 = np.zeros(w.shape), np.zeros(w.shape)
-    opt = Adam({"w": w}, learning_rate=0.1)
+    opt = Adam(store, learning_rate=0.1)
     opt.load_state({"step": 0, "m": {"w": m0}, "v": {"w": v0}})
     w.grad = np.ones(w.shape, dtype=np.float32)
     opt.step()
@@ -164,8 +176,8 @@ def test_adam_load_state_keeps_its_own_moments():
 def test_adam_names_the_first_non_finite_gradient_and_leaves_the_parameters(bad):
     chunk = trainer._ADAM_CHUNK
     # one chunk joins "b" with the start of "c"; the end of "c" is a later chunk
-    params = {n: ad.parameter(np.full(size, 0.5, dtype=np.float32))
-              for n, size in (("a", chunk - 3), ("skip", 4), ("b", 7), ("c", 2 * chunk))}
+    sizes = (("a", chunk - 3), ("skip", 4), ("b", 7), ("c", 2 * chunk))
+    params = store_of({n: np.full(size, 0.5) for n, size in sizes})
     opt = Adam(params, learning_rate=0.1)
     for n in ("a", "b", "c"):
         params[n].grad = np.ones(params[n].shape, dtype=np.float32)
@@ -192,7 +204,7 @@ def test_fused_adam_matches_the_per_block_oracle_bitwise(dtype):
     rng = np.random.default_rng(21)
     start = {n: rng.normal(size=s) for n, s in shapes.items()}
     with ad.using_dtype(dtype):
-        fused = {n: ad.parameter(a) for n, a in start.items()}
+        fused = store_of(start)
         blockwise = {n: ad.parameter(a) for n, a in start.items()}
     opt = Adam(fused, learning_rate=0.01)
     oracle = PerBlockAdam(blockwise, learning_rate=0.01, chunk=chunk)
@@ -1208,20 +1220,44 @@ def test_header_field_of_the_wrong_type_is_a_checkpoint_error_naming_it(tmp_path
         load_checkpoint(path, tables, kg)
 
 
+def peak_bytes(call):
+    """The tracemalloc peak while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("block, edit", [
     ("entities", lambda h: h["counts"].update(entities=2 ** 40)),
     ("rel_phases", lambda h: h["counts"].update(relations=2 ** 40)),
     ("entities", set_config(embedding_dim=8)),
-], ids=["entities", "relations", "embedding_dim"])
+    ("expert.img.2.w1", set_config(experts=10 ** 5)),
+    ("expert.img.2.w1", set_config(experts=2 ** 40)),
+    ("view_dist.img.0.w", set_config(mi_bins=10 ** 12)),
+    # the same bytes in another shape: the block's CRC still holds
+    ("adam.v.proj.img.w1", lambda h: h["blocks"]["adam.v.proj.img.w1"].update(shape=[6, 5])),
+], ids=["entities", "relations", "embedding_dim", "experts-1e5", "experts-2e40", "mi_bins-1e12",
+        "moment-shape"])
 def test_header_counts_the_blocks_do_not_bear_out_are_a_checkpoint_error(tmp_path, block, edit):
-    # with no graph to cross-check, the counts alone would size the model:
-    # 2**40 entities ran out of memory laying it out
-    kg, tables, model, _ = fitted_model_and_opt(tmp_path, with_modality=True)
+    # with no graph to cross-check, the header's integers alone would size
+    # the model: 2**40 entities ran out of memory laying it out.  The blocks
+    # are checked against them before anything is allocated, so a rejected
+    # load peaks below a load of the unedited file
+    kg, tables, model, opt = fitted_model_and_opt(tmp_path, with_modality=True)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model)
+    save_checkpoint(path, model, opt)
+    whole = peak_bytes(lambda: load_checkpoint(path, tables))
     rewrite_header(path, edit)
-    with pytest.raises(CheckpointError, match=f"block {block} has shape"):
-        load_checkpoint(path, tables)
+    named = rf"block {re.escape(block)} (has shape|is missing)"
+
+    def rejected():
+        with pytest.raises(CheckpointError, match=named):
+            load_checkpoint(path, tables)
+
+    assert peak_bytes(rejected) < whole
 
 
 def test_modality_dim_mismatch_names_both_dims(tmp_path):
