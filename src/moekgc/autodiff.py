@@ -597,23 +597,83 @@ def softmax(a, axis=-1) -> Tensor:
     return record(s, (a,), grad_fn, "softmax")
 
 
+# gradient elements (indices x row width) from which gather_rows scatters by
+# levels; below it, one flat np.add.at is faster (a desk gather of 128 rows
+# of 16: 0.02 ms flat, 0.06 ms by levels, 2-vCPU Xeon)
+_LEVEL_ELEMENTS = 1 << 16
+# rows a level must have to be added by fancy index; the later uses of the
+# rows used more often than that go to the flat scatter
+_LEVEL_ROWS = 64
+# rows per fancy-index add: a level is added in pieces of this many rows,
+# so that its temporaries stay near 1 MB
+_PIECE_ROWS = 1024
+
+
+def _scatter_rows(idx, g, shape, dtype):
+    """The zero table of shape and dtype with row g[i] added to row idx[i]
+    for every i, each row's additions in index order, as a row-wise
+    np.add.at makes them.
+
+    A large scatter goes by levels: level r holds the r-th use of every row
+    used more than r times, so a level's rows are unique and one fancy-index
+    add adds it.  Levels are added in order, each from a table that holds
+    the sums of the levels before, which is the same float additions in the
+    same order, from the same +0.0 start (so signed zeros agree too).  It
+    builds no (n * width) index, and a level costs a few fancy-index passes
+    over its rows, _PIECE_ROWS at a time.  The uses past the last level of
+    _LEVEL_ROWS rows or more, and every use in a small scatter, go to one
+    flat np.add.at over a row-major index of their elements, still in index
+    order.
+    """
+    buf = np.zeros(shape, dtype=dtype)  # C order: a view below
+    rest = idx
+    width = math.prod(shape[1:])
+    if idx.size * width >= _LEVEL_ELEMENTS:
+        order = np.argsort(idx, kind="stable")
+        rows = idx[order]
+        new = np.empty(len(rows), dtype=bool)
+        new[:1] = True
+        np.not_equal(rows[1:], rows[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        # each sorted use's rank among the uses of its row, then the uses
+        # grouped by rank: level by level, rows ascending within a level
+        use = np.arange(len(rows)) - np.repeat(starts, np.diff(starts, append=len(rows)))
+        by_level = np.argsort(use, kind="stable")
+        lo = 0
+        for size in np.bincount(use).tolist():
+            if size < _LEVEL_ROWS:
+                break
+            for c0 in range(lo, lo + size, _PIECE_ROWS):
+                part = by_level[c0:min(c0 + _PIECE_ROWS, lo + size)]
+                if lo:
+                    buf[rows[part]] += g[order[part]]
+                else:
+                    # 0.0 + x, written as x + 0.0 without reading the zero rows
+                    first = g[order[part]]
+                    first += 0.0
+                    buf[rows[part]] = first
+            lo += size
+        # the positions in g left, by level: each row's uses still in order
+        left = order[by_level[lo:]]
+        rest, g = idx[left], g[left]
+    if rest.size:
+        flat = rest.reshape(-1, 1) * width + np.arange(width)
+        np.add.at(buf.reshape(-1), flat.reshape(-1), g.reshape(-1))
+    return buf
+
+
 def gather_rows(table, indices) -> Tensor:
     """Select rows by integer index; the gradient scatter-adds back.
 
-    Repeated indices are fine, their gradients sum.
+    Repeated indices are fine, their gradients sum, in index order
+    (_scatter_rows).
     """
     table = ensure_tensor(table)
     idx = np.asarray(indices, dtype=np.int64)
     out = table.data[idx]
 
     def grad_fn(g):
-        # one flat scatter: each table element still sums its gradients in
-        # index order, as a row-wise np.add.at would, at half the cost
-        width = math.prod(table.data.shape[1:])
-        flat = idx.reshape(-1, 1) * width + np.arange(width)
-        buf = np.zeros(table.data.shape, dtype=table.data.dtype)  # C order: a view below
-        np.add.at(buf.reshape(-1), flat.reshape(-1), g.reshape(-1))
-        return (buf,)
+        return (_scatter_rows(idx, g, table.data.shape, table.data.dtype),)
 
     return record(out, (table,), grad_fn, "gather_rows")
 

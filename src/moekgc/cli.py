@@ -26,6 +26,7 @@ import yaml
 
 from .autodiff import FiniteError
 from .config import ConfigError
+from .files import atomic_write
 from .fusion import FusionModel, ModelConfig
 from .kgdata import (
     DataError,
@@ -49,7 +50,6 @@ from .trainer import (
     TrainConfig,
     TrainingError,
     _mean_rank,
-    atomic_write,
     evaluate,
     load_checkpoint,
     mi_context_ids,
@@ -227,7 +227,8 @@ def load_data(cfg: dict):
 
 def _unwritable(e: OSError, path) -> ConfigError:
     """An output location the OS refused, as a config error naming it."""
-    return ConfigError(f"{e.filename or path}: cannot write output there ({e.strerror})")
+    return ConfigError(f"{e.filename2 or e.filename or path}: cannot write output there "
+                       f"({e.strerror})")
 
 
 def make_run_dir(seed: int) -> str:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_write
+
 # the learnable embedding table is addressed under this modality id
 STRUCTURE_MODALITY = "structure"
 
@@ -390,10 +392,15 @@ def _parse_per_line(path, kg: KnowledgeGraph):
 
 
 def dump_vocab(kg: KnowledgeGraph, out_dir: str):
-    """Write index<TAB>name sidecar files for entities and relations."""
+    """Write index<TAB>name sidecar files for entities and relations.
+
+    Both files are written before either replaces what was there, so a
+    failed dump leaves neither changed (files.atomic_write, nested)."""
     os.makedirs(out_dir, exist_ok=True)
-    for fname, names in (("entities.tsv", kg.entities), ("relations.tsv", kg.relations)):
-        with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
+    paths = os.path.join(out_dir, "entities.tsv"), os.path.join(out_dir, "relations.tsv")
+    with atomic_write(paths[0], "w", encoding="utf-8") as ents, \
+            atomic_write(paths[1], "w", encoding="utf-8") as rels:
+        for fh, names in ((ents, kg.entities), (rels, kg.relations)):
             for i, name in enumerate(names):
                 fh.write(f"{i}\t{name}\n")
-    return os.path.join(out_dir, "entities.tsv"), os.path.join(out_dir, "relations.tsv")
+    return paths

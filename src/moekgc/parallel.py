@@ -1,7 +1,8 @@
 """An ordered block map that spreads independent blocks over the CPU cores.
 
-Evaluation maps its embedding and ranking blocks over it, and every dense
-layer of training (``ad.affine``) its row and column blocks.
+Evaluation maps its embedding and ranking blocks over it, every dense
+layer of training (``ad.affine``) its row and column blocks, and Adam
+(``trainer.Adam``) the element spans of its update.
 
 ``ordered_map(fn, items)`` yields ``fn(item)`` for each item, in order.
 With w workers, the calling thread runs item i itself when i % w is 0, in
@@ -24,7 +25,8 @@ range of the host-paced rate read 144-151 queries/s with equal spans,
 
 ``group(n, least)`` cuts n rows into one such group, one span per worker,
 for work that is one call, such as one matrix product: training's dense
-layers.  It uses fewer workers where a span would be shorter than `least`.
+layers and Adam's update.  It uses fewer workers where a span would be
+shorter than `least`.
 
 A map runs inline, starting no thread, when it has one item, when the
 process may use one CPU, or when BLAS is not pinned to one thread: numpy's

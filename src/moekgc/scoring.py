@@ -147,6 +147,22 @@ def score_candidates(candidates: np.ndarray, theta: np.ndarray, fixed: np.ndarra
     raise ValueError(f"corrupt_side must be head or tail, got {corrupt_side!r}")
 
 
+# rows per block of score_batch: a block's arrays of a medium batch (128
+# columns) stay in a core's cache between the element operations
+_SCORE_ROWS = 1024
+
+
+def _row_blocks(*arrays):
+    """The arrays (None passes through) cut into blocks of _SCORE_ROWS rows,
+    one tuple of views per block; the arrays themselves when one block
+    holds them, so a desk batch slices nothing."""
+    n = len(arrays[0])
+    if n <= _SCORE_ROWS:
+        return (arrays,)
+    return [tuple(None if a is None else a[lo:lo + _SCORE_ROWS] for a in arrays)
+            for lo in range(0, n, _SCORE_ROWS)]
+
+
 def score_batch(heads: Tensor, phases: Tensor, tails: Tensor, norm: str = "l2") -> Tensor:
     """Differentiable batch scoring; (B, d) x (B, d/2) x (B, d) -> (B, 1).
 
@@ -158,6 +174,11 @@ def score_batch(heads: Tensor, phases: Tensor, tails: Tensor, norm: str = "l2") 
     rule in closed form, in its operation order.  The node keeps the difference
     halves dr and di, cos and sin of the phases, and the per-row distances
     (l2) or per-coordinate magnitudes (l1).
+
+    Both passes run _SCORE_ROWS rows at a time (_row_blocks) and write each
+    block's rows of preallocated arrays, each gradient's two halves in
+    place.  Every element operation and every row sum is that of the whole
+    batch.
     """
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}")
@@ -167,37 +188,54 @@ def score_batch(heads: Tensor, phases: Tensor, tails: Tensor, norm: str = "l2") 
     if heads.ndim != 2 or tails.shape != heads.shape or phases.shape != hr.shape:
         raise ValueError(f"score_batch expects (B, d), (B, d/2), (B, d) operands, got "
                          f"{heads.shape}, {phases.shape}, {tails.shape}")
-    c, s = np.cos(phases.data), np.sin(phases.data)
-    # dr = (hr c - hi s) - tr and di = (hr s + hi c) - ti, each rounding as there
-    dr = hr * c
-    dr -= hi * s
-    dr -= tr
-    di = hr * s
-    di += hi * c
-    di -= ti
-    mags_sq = dr * dr
-    mags_sq += di * di
-    if norm == "l2":
-        # float64 accumulation cast back, as ad.tensor_sum does
-        dist = np.sqrt(np.sum(mags_sq, axis=1, keepdims=True, dtype=np.float64).astype(dr.dtype))
-        kink = dist
-    else:
-        kink = np.sqrt(mags_sq, out=mags_sq)
-        dist = np.sum(kink, axis=1, keepdims=True, dtype=np.float64).astype(dr.dtype)
+    c, s = np.empty_like(phases.data), np.empty_like(phases.data)
+    dr = np.empty(hr.shape, np.result_type(hr, c))
+    di = np.empty_like(dr)
+    dist = np.empty((len(dr), 1), dr.dtype)
+    kink = dist if norm == "l2" else np.empty_like(dr)
+    for p, cb, sb, hrb, hib, trb, tib, drb, dib, distb, kinkb in _row_blocks(
+            phases.data, c, s, hr, hi, tr, ti, dr, di, dist, kink):
+        np.cos(p, out=cb)
+        np.sin(p, out=sb)
+        # dr = (hr c - hi s) - tr and di = (hr s + hi c) - ti, each rounding as there
+        np.multiply(hrb, cb, out=drb)
+        drb -= hib * sb
+        drb -= trb
+        np.multiply(hrb, sb, out=dib)
+        dib += hib * cb
+        dib -= tib
+        mags_sq = drb * drb
+        mags_sq += dib * dib
+        if norm == "l2":
+            # float64 accumulation cast back, as ad.tensor_sum does
+            np.sqrt(np.sum(mags_sq, axis=1, keepdims=True, dtype=np.float64).astype(dr.dtype),
+                    out=distb)
+        else:
+            np.sqrt(mags_sq, out=kinkb)
+            distb[...] = np.sum(kinkb, axis=1, keepdims=True, dtype=np.float64)
 
     def grad_fn(g):
-        # through the negation and the sqrt at the kink, 0 where it is 0,
-        # then the sum's broadcast along the row and the squares
-        g = np.where(kink > 0, -g * 0.5 / np.where(kink > 0, kink, 1.0), 0.0) * 2.0
-        g_dr, g_di = g * dr, g * di
-        g_heads = g_phases = g_tails = None
-        if heads.requires_grad:
-            g_heads = np.concatenate([g_di * s + g_dr * c, g_di * c - g_dr * s], axis=1)
-        if phases.requires_grad:
-            # through sin (g_di hr - g_dr hi) and cos (g_di hi + g_dr hr)
-            g_phases = (g_di * hr - g_dr * hi) * c - (g_di * hi + g_dr * hr) * s
-        if tails.requires_grad:
-            g_tails = -np.concatenate([g_dr, g_di], axis=1)
+        dtype = np.result_type(g, kink, dr)
+        g_heads = np.empty(heads.shape, dtype) if heads.requires_grad else None
+        g_phases = np.empty(phases.shape, dtype) if phases.requires_grad else None
+        g_tails = np.empty(tails.shape, dtype) if tails.requires_grad else None
+        half = dr.shape[1]
+        for gb, kb, drb, dib, cb, sb, hrb, hib, ghb, gpb, gtb in _row_blocks(
+                g, kink, dr, di, c, s, hr, hi, g_heads, g_phases, g_tails):
+            # through the negation and the sqrt at the kink, 0 where it is 0,
+            # then the sum's broadcast along the row and the squares
+            gb = np.where(kb > 0, -gb * 0.5 / np.where(kb > 0, kb, 1.0), 0.0) * 2.0
+            g_dr, g_di = gb * drb, gb * dib
+            if ghb is not None:
+                np.add(g_di * sb, g_dr * cb, out=ghb[:, :half])
+                np.subtract(g_di * cb, g_dr * sb, out=ghb[:, half:])
+            if gpb is not None:
+                # through sin (g_di hr - g_dr hi) and cos (g_di hi + g_dr hr)
+                np.subtract((g_di * hrb - g_dr * hib) * cb, (g_di * hib + g_dr * hrb) * sb,
+                            out=gpb)
+            if gtb is not None:
+                np.negative(g_dr, out=gtb[:, :half])
+                np.negative(g_di, out=gtb[:, half:])
         return g_heads, g_phases, g_tails
 
     return ad.record(-dist, (heads, phases, tails), grad_fn, "score_batch")

@@ -5,9 +5,10 @@ embedding and ranking blocks small, so that a graph of a few dozen
 entities runs several groups of blocks, and lowers the size at which a
 dense layer splits (``ad._BLOCK_WORK``) to nothing, so that every layer of
 two rows or more splits: on the pool in training and in evaluation's MI
-context, inline inside evaluation's own blocks.  With workers=1 the same
-blocks run inline on the calling thread: the serial run a threaded one
-must equal.
+context, inline inside evaluation's own blocks.  It also cuts Adam's chunks
+(``trainer._ADAM_CHUNK``) to 64 elements, so that a desk model's update
+splits too.  With workers=1 the same blocks run inline on the calling
+thread: the serial run a threaded one must equal.
 """
 
 import contextlib
@@ -30,6 +31,7 @@ def blocks(workers, n_entities, embed_rows=4, rank_queries=7):
         mp.setattr(fusion, "_EMBED_BLOCK", embed_rows)
         mp.setattr(trainer, "_RANK_BLOCK", rank_queries * n_entities)
         mp.setattr(ad, "_BLOCK_WORK", 1)
+        mp.setattr(trainer, "_ADAM_CHUNK", 64)
         yield
 
 

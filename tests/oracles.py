@@ -6,14 +6,18 @@ replaced and must match bit for bit: ``composite_score_batch`` (the scorer
 as a chain of autodiff's primitive ops), ``composite_place_rows`` (the
 sources tensor of fuse as per-source scatters and a stack),
 ``PerBlockAdam`` (the optimizer updating one parameter block at a time),
-``concatenated_score`` (the direct scorer with a temporary per operation)
-and ``copy_mean_rank`` (the tie rank from a copy of the allowed scores).
+``flat_scatter_rows`` (the gradient of a row gather as one np.add.at over
+an index of every element), ``concatenated_score`` (the direct scorer with
+a temporary per operation) and ``copy_mean_rank`` (the tie rank from a copy
+of the allowed scores).
 
 The primitive tape ops those composite oracles chain (``square``, ``sqrt``,
 ``cos``, ``sin``, ``slice_cols``, ``relu`` and friends) live here too: the
 library runs only their fused forms, ``ad.affine`` and ``score_batch``.
 Each records one node through ``ad.record``.
 """
+
+import math
 
 import numpy as np
 
@@ -273,6 +277,17 @@ def composite_place_rows(parts, present):
         out[rows] = part.data
         blocks.append(ad.record(out, (part,), lambda g, rows=rows: (g[rows],), "scatter_rows"))
     return ad.stack(blocks)
+
+
+def flat_scatter_rows(idx, g, shape, dtype):
+    """The zero table of shape and dtype with row g[i] added to row idx[i]
+    for every i, as gather_rows' backward once made it: one np.add.at over
+    an (n * width) index of every element, in index order."""
+    width = math.prod(shape[1:])
+    flat = np.asarray(idx, dtype=np.int64).reshape(-1, 1) * width + np.arange(width)
+    buf = np.zeros(shape, dtype=dtype)
+    np.add.at(buf.reshape(-1), flat.reshape(-1), np.asarray(g).reshape(-1))
+    return buf
 
 
 class PerBlockAdam:

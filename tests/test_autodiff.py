@@ -8,8 +8,8 @@ import pytest
 from moekgc import autodiff as ad
 from moekgc import scoring
 from oracles import (clamp_min, composite_place_rows, composite_score_batch, cos,
-                     finite_difference_grads, relative_block_error, relu, sigmoid, sin,
-                     slice_cols, sqrt, square, tensor_mean)
+                     finite_difference_grads, flat_scatter_rows, relative_block_error, relu,
+                     sigmoid, sin, slice_cols, sqrt, square, tensor_mean)
 
 
 @pytest.fixture(autouse=True)
@@ -255,8 +255,21 @@ def test_affine_matches_matmul_add_relu_bitwise(shapes, relu, const_x):
 @pytest.mark.parametrize("const", [None, 0, 1, 2], ids=["all", "heads", "phases", "tails"])
 @pytest.mark.parametrize("norm", scoring.NORMS)
 def test_score_batch_matches_the_composite_oracle(norm, const):
+    assert_score_batch_matches_the_composite_oracle(norm, const, 40)
+
+
+@pytest.mark.parametrize("const", [None, 0, 1, 2], ids=["all", "heads", "phases", "tails"])
+@pytest.mark.parametrize("norm", scoring.NORMS)
+def test_score_batch_in_row_blocks_matches_the_composite_oracle(norm, const):
+    # three blocks, the last one short
+    n = 2500
+    assert 2 * scoring._SCORE_ROWS < n < 3 * scoring._SCORE_ROWS
+    assert_score_batch_matches_the_composite_oracle(norm, const, n)
+
+
+def assert_score_batch_matches_the_composite_oracle(norm, const, n):
     rng = np.random.default_rng(12)
-    n, d = 40, 16
+    d = 16
     heads = rng.normal(size=(n, d)).astype(np.float32)
     tails = rng.normal(size=(n, d)).astype(np.float32)
     phases = rng.uniform(-np.pi, np.pi, (n, d // 2)).astype(np.float32)
@@ -319,6 +332,77 @@ def test_gather_rows_grad_matches_row_scatter(shape, dtype):
         ad.backward((picked * ad.Tensor(g)).sum())
     np.testing.assert_array_equal(table.grad.view(np.uint8),
                                   row_scatter(table.data, idx, g).view(np.uint8))
+
+
+def _power_law(rng, n, rows, exponent=1.1):
+    p = 1.0 / np.arange(1, rows + 1) ** exponent
+    return rng.permutation(rows)[rng.choice(rows, n, p=p / p.sum())]
+
+
+def _scatter_cases():
+    """(name, idx, g, table shape, table dtype), seeded."""
+    rng = np.random.default_rng(31)
+    cases = [
+        # a medium negative gather: tens of levels, the most used rows
+        # past the last full level
+        ("power_law", _power_law(rng, 8192, 6000), (8192, 16), (6000, 16), np.float32),
+        ("sorted_unique", np.sort(rng.choice(5000, 2600, replace=False)), (2600, 32),
+         (5000, 32), np.float32),
+        # hundreds of uses of each row: every level past the first few is
+        # short, so most uses go to the flat scatter
+        ("few_rows", rng.integers(0, 200, 60_000), (60_000, 2), (200, 2), np.float32),
+        ("float64_into_float32", _power_law(rng, 3000, 500), (3000, 24), (500, 24), np.float64),
+        ("empty", np.zeros(0, dtype=np.int64), (0, 8), (10, 8), np.float32),
+        # a desk negative gather
+        ("desk", _power_law(rng, 128, 100), (128, 16), (100, 16), np.float32),
+        ("one_d", _power_law(rng, 70_000, 900), (70_000,), (900,), np.float32),
+    ]
+    out = []
+    for name, idx, g_shape, shape, g_dtype in cases:
+        g = rng.normal(size=g_shape).astype(g_dtype)
+        if g.size:
+            # -0.0 alone and after +0.0, infinities of both signs (inf - inf
+            # is nan) and nans of both signs, at spread positions
+            flat = g.reshape(-1)
+            at = rng.choice(flat.size, 12, replace=False)
+            flat[at] = [-0.0, -0.0, 0.0, -0.0, np.inf, -np.inf, np.inf, np.nan, -np.nan,
+                        np.nan, -0.0, -np.inf]
+        out.append((name, idx, g, shape, np.float32))
+    return out
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["default", "all_levels"])
+@pytest.mark.parametrize("case", _scatter_cases(), ids=lambda c: c[0])
+def test_scatter_rows_matches_the_flat_scatter_bitwise(case, forced, monkeypatch):
+    # forced: every scatter by levels, down to one-row levels, in pieces of
+    # three rows
+    if forced:
+        monkeypatch.setattr(ad, "_LEVEL_ELEMENTS", 0)
+        monkeypatch.setattr(ad, "_LEVEL_ROWS", 1)
+        monkeypatch.setattr(ad, "_PIECE_ROWS", 3)
+    _, idx, g, shape, dtype = case
+    got = ad._scatter_rows(idx, g, shape, dtype)
+    want = flat_scatter_rows(idx, g, shape, dtype)
+    assert got.dtype == want.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_the_scatter_cases_reach_every_path():
+    # at the default sizes: levels added in several pieces, the flat scatter
+    # of the uses past the last full level, and the small flat scatter of a
+    # desk gather
+    def level_rows(idx):
+        uses = np.bincount(idx)
+        return [int((uses > r).sum()) for r in range(uses.max())]
+
+    cases = {name: (idx, g) for name, idx, g, *_ in _scatter_cases()}
+    for name, (idx, g) in cases.items():
+        assert (g.size >= ad._LEVEL_ELEMENTS) == (name not in ("empty", "desk")), name
+    sizes = level_rows(cases["power_law"][0])
+    assert sizes[0] > ad._PIECE_ROWS and sizes[1] >= ad._LEVEL_ROWS > sizes[-1]
+    assert level_rows(cases["sorted_unique"][0]) == [2600]
+    sizes = level_rows(cases["few_rows"][0])
+    assert sizes[0] >= ad._LEVEL_ROWS > sizes[-1] and len(sizes) > 200
 
 
 def test_place_rows_rejects_parts_that_do_not_fit_the_mask():

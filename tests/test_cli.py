@@ -659,6 +659,26 @@ def test_vocab_dump_round_trips_names(workspace, capsys, tmp_path):
     assert set(rels.values()) == {"links", "near"}
 
 
+@pytest.mark.parametrize("earlier", [None, "0\tearlier\n"], ids=["absent", "present"])
+def test_a_vocab_dump_that_fails_changes_neither_file(workspace, capsys, tmp_path, earlier):
+    # relations.tsv is a directory: entities.tsv is written in full, but
+    # it replaces nothing before relations.tsv has, and that rename fails
+    _, cfg_path = workspace
+    out = tmp_path / "vocab"
+    (out / "relations.tsv").mkdir(parents=True)
+    if earlier is not None:
+        (out / "entities.tsv").write_text(earlier)
+    capsys.readouterr()
+    assert main(["vocab-dump", "--config", cfg_path, "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: {out / 'relations.tsv'}: ")
+    assert sorted(p.name for p in out.iterdir()) == (["entities.tsv"] if earlier else []) + [
+        "relations.tsv"]
+    if earlier is not None:
+        assert (out / "entities.tsv").read_text() == earlier
+    assert not any((out / "relations.tsv").iterdir())
+
+
 @pytest.mark.parametrize("command, reason", [("vocab-dump", "File exists"),
                                              ("train", "Not a directory")])
 def test_an_output_location_that_is_a_regular_file_is_a_config_error(workspace, capsys,

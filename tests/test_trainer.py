@@ -19,6 +19,7 @@ import moekgc.parallel as parallel
 import moekgc.trainer as trainer
 from moekgc.cli import apply_overrides, build_parser, load_config, load_data, main, section_configs
 from moekgc.config import ConfigError
+from moekgc.files import atomic_write
 from moekgc.fusion import FusionModel, ModelConfig
 from moekgc.kgdata import DataError, KnowledgeGraph, ModalityFeatureTable, build_filter_index
 from moekgc.sampling import NegativeSamplingConfig, corrupt
@@ -30,7 +31,6 @@ from moekgc.trainer import (
     TrainConfig,
     TrainingError,
     _mean_rank,
-    atomic_write,
     evaluate,
     load_checkpoint,
     mi_context_ids,
@@ -181,16 +181,74 @@ def test_adam_names_the_first_non_finite_gradient_and_leaves_the_parameters(bad)
     opt = Adam(params, learning_rate=0.1)
     for n in ("a", "b", "c"):
         params[n].grad = np.ones(params[n].shape, dtype=np.float32)
+    opt.step()  # moments and step count away from their start
     params["b"].grad[5] = bad
     params["c"].grad[-1] = bad
-    before = opt.params.flat.copy()
+
+    def state():
+        return opt.params.flat.tobytes(), opt._m.tobytes(), opt._v.tobytes(), opt.t
+
+    before = state()
     with pytest.raises(TrainingError, match=r"^non-finite gradient in block b$"):
         opt.step()
-    assert opt.params.flat.tobytes() == before.tobytes() and opt.t == 0
+    # nothing moved: not the parameters, the step count, nor the moments of
+    # "a", whose chunks come before the bad one
+    assert state() == before and opt.t == 1
     params["b"].grad[5] = 1.0
     with pytest.raises(TrainingError, match=r"^non-finite gradient in block c$"):
         opt.step()
-    assert opt.params.flat.tobytes() == before.tobytes() and opt.t == 0
+    assert state() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_adam_on_the_block_map_matches_the_per_block_oracle_bitwise(workers, monkeypatch):
+    # the update split over the block map (fanout.blocks: chunks of 64
+    # elements) gives the per-block oracle's bytes, the pool running spans
+    threads = set()
+    update = Adam._update
+
+    def noting_update(self, *args):
+        threads.add(threading.current_thread().name)
+        return update(self, *args)
+
+    monkeypatch.setattr(Adam, "_update", noting_update)
+    # spans write disjoint parts of the moments and the new buffer: switch
+    # threads often, so that an update lost between them would show
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    rng = np.random.default_rng(23)
+    try:
+        run_adam_on_the_block_map(workers, rng)
+    finally:
+        sys.setswitchinterval(switch)
+    assert any(t.startswith("moekgc-block") for t in threads) == (workers > 1)
+
+
+def run_adam_on_the_block_map(workers, rng):
+    """Adam and PerBlockAdam side by side over four steps, bytes compared
+    after each."""
+    with fanout.blocks(workers, 1):
+        chunk = trainer._ADAM_CHUNK
+        # one run of blocks that straddle chunks and spans, a block without
+        # a gradient, then a second, short run
+        shapes = {"big": (7, 5 * chunk + 3), "odd": (3 * chunk - 1,), "small": (5, 3),
+                  "never": (chunk + 1,), "tail": (2, chunk + 7)}
+        start = {n: rng.normal(size=s) for n, s in shapes.items()}
+        fused = store_of(start)
+        blockwise = {n: ad.parameter(a) for n, a in start.items()}
+        opt = Adam(fused, learning_rate=0.01)
+        oracle = PerBlockAdam(blockwise, learning_rate=0.01, chunk=chunk)
+        for t in range(4):
+            for n, shape in shapes.items():
+                g = None if n == "never" else rng.normal(size=shape).astype(np.float32)
+                fused[n].grad = g
+                blockwise[n].grad = None if g is None else g.copy()
+            opt.step()
+            oracle.step()
+            for n in shapes:
+                assert fused[n].data.tobytes() == blockwise[n].data.tobytes(), (t, n)
+                assert opt.m[n].tobytes() == oracle.m[n].tobytes(), (t, n)
+                assert opt.v[n].tobytes() == oracle.v[n].tobytes(), (t, n)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
