@@ -437,30 +437,29 @@ def _run(fn, spans):
 
 def _matmul_into(a, b, dest):
     """dest = a @ b, summed down to dest's shape as _unbroadcast sums it.
-    Two (k, ., .) stacks into a 2-d dest go one product at a time, added in
-    stack order as the sum over the stack adds them, so that no stack of
-    products is held: a pool thread keeps a malloc arena as large as the
-    largest block it ran."""
+    The one other case affine's stack rule leaves, two (k, ., .) stacks
+    into a 2-d dest, goes one product at a time, added in stack order as
+    the sum over the stack adds them, so that no stack of products is held:
+    a pool thread keeps a malloc arena as large as the largest block it ran."""
     if max(a.ndim, b.ndim) == dest.ndim:
         np.matmul(a, b, out=dest)
-    elif dest.ndim == 2 and a.ndim == b.ndim == 3 and len(a) == len(b):
+    else:
         np.matmul(a[0], b[0], out=dest)
         for i in range(1, len(a)):
             dest += a[i] @ b[i]
-    else:
-        dest[...] = _unbroadcast(a @ b, dest.shape)
 
 
 def affine(x, w, b, relu: bool = False) -> Tensor:
     """One dense layer as one tape node: x @ w + b, then max(., 0) if relu.
 
-    x and w are as in matmul; b broadcasts onto the product without widening
-    it, so a (k, 1, c) bias serves a (k, n, c) stack.  The bias is added and
-    the relu clamped in place, and one finite check runs on the
-    pre-activation: a finite bias keeps a non-finite product non-finite, and
-    relu of a finite array is finite.  The backward is the chain rule of
-    matmul, add and relu in their float32 operations; the relu mask is read
-    back from the output, which is > 0 exactly where the pre-activation is.
+    x and w are as in matmul, but two 3-d stacks must be of one length; b
+    broadcasts onto the product without widening it, so a (k, 1, c) bias
+    serves a (k, n, c) stack.  The bias is added and the relu clamped in
+    place, and one finite check runs on the pre-activation: a finite bias
+    keeps a non-finite product non-finite, and relu of a finite array is
+    finite.  The backward is the chain rule of matmul, add and relu in their
+    float32 operations; the relu mask is read back from the output, which is
+    > 0 exactly where the pre-activation is.
 
     A layer with work for more than one worker (_spans) runs on the block
     map instead.  The forward and the backward's relu mask and x gradient
@@ -476,6 +475,8 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
     x, w, b = ensure_tensor(x), ensure_tensor(w), ensure_tensor(b)
     if x.ndim not in (2, 3) or w.ndim not in (2, 3):
         raise ValueError(f"affine expects 2-d or 3-d operands, got {x.shape} @ {w.shape}")
+    if x.ndim == w.ndim == 3 and len(x.data) != len(w.data):
+        raise ValueError(f"affine expects stacks of one length, got {x.shape} @ {w.shape}")
     n, f, h = x.shape[-2], x.shape[-1], w.shape[-1]
     rows = _spans(n, f * h)
     if len(rows) == 1:

@@ -259,7 +259,7 @@ def cmd_train(cfg, args) -> int:
         sampling_cfg.validate()
     run_dir = make_run_dir(train_cfg.seed)
     # echo the fully resolved settings before any work happens
-    with atomic_write(os.path.join(run_dir, "config.yaml"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(run_dir, "config.yaml"), mode="w", encoding="utf-8") as (fh,):
         yaml.safe_dump(cfg, fh, sort_keys=True)
     print(f"run directory: {run_dir}")
 
@@ -276,7 +276,7 @@ def cmd_train(cfg, args) -> int:
 
     ckpt = os.path.join(run_dir, "checkpoint.mkgc")
     save_checkpoint(ckpt, result.model)
-    with atomic_write(os.path.join(run_dir, "history.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(run_dir, "history.json"), mode="w", encoding="utf-8") as (fh,):
         json.dump(result.history, fh, sort_keys=True)
     summary = {"epochs": result.stopped_epoch, "checkpoint": ckpt}
     if result.best_valid_mrr is not None:

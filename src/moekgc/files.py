@@ -7,26 +7,35 @@ vocabulary dump all go through ``atomic_write``.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 
 
 @contextlib.contextmanager
-def atomic_write(path, mode: str = "wb", **open_kw):
-    """Open a temporary file next to path for writing; on a clean exit fsync
-    it and rename it over path.  If the block raises, the temporary file is
-    removed and whatever was at path is left as it was.
+def atomic_write(*paths, mode: str = "wb", **open_kw):
+    """Write the files at paths together: yields one handle per path, each
+    open on a temporary file next to its path.
 
-    Nested calls write several files together: each inner file is renamed
-    when its block ends, so with the renames last in the outermost block,
-    no file is replaced unless every one was written."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    On a clean exit every temporary file is fsynced and every path checked
+    not to be a directory before the first is renamed over its path.  If
+    the block or any of that raises, the temporary files are removed and
+    every path is left as it was.  One window remains: a rename that fails
+    for another reason after an earlier rename has replaced its path."""
+    tmps = [f"{os.fspath(path)}.{os.getpid()}.tmp" for path in paths]
     try:
-        with open(tmp, mode, **open_kw) as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            handles = tuple(stack.enter_context(open(tmp, mode, **open_kw)) for tmp in tmps)
+            yield handles
+            for fh in handles:
+                fh.flush()
+                os.fsync(fh.fileno())
+        for path in paths:
+            if os.path.isdir(path) and not os.path.islink(path):  # a rename replaces a link itself
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
         raise

@@ -425,7 +425,6 @@ class FusionModel:
             "mi_inter": np.array(mat.data, dtype=np.float64),
             "intra_weights": intra_w_np,
             "inter_weights": _inter_weights(has, w.data),
-            "source_order": list(self.source_order),
         }
         return joint, cache
 

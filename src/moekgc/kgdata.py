@@ -208,19 +208,10 @@ def load_graph(train_path, valid_path, test_path, allow_unseen: bool = False) ->
         raise DataError(f"{train_path}: the train split has no triples")
     paths = {"train": train_path, "valid": valid_path, "test": test_path}
 
+    # an id is the index's length when a name first appears; a dict keeps
+    # insertion order, so list(index) is the vocabulary by id
     entity_index: dict = {}
     relation_index: dict = {}
-    entities: list = []
-    relations: list = []
-
-    def intern(name, index, names):
-        idx = index.get(name)
-        if idx is None:
-            idx = len(names)
-            index[name] = idx
-            names.append(name)
-        return idx
-
     splits = {}
     in_train = set()
     for split in ("train", "valid", "test"):
@@ -234,16 +225,17 @@ def load_graph(train_path, valid_path, test_path, allow_unseen: bool = False) ->
                 # a held-out triple seen in training leaks the answer
                 raise DataError(f"{paths[split]}:{lineno}: {split} triple {key!r} is also in train")
             seen.add(key)
-            rows[i, 0] = intern(h, entity_index, entities)
-            rows[i, 1] = intern(r, relation_index, relations)
-            rows[i, 2] = intern(t, entity_index, entities)
+            rows[i, 0] = entity_index.setdefault(h, len(entity_index))
+            rows[i, 1] = relation_index.setdefault(r, len(relation_index))
+            rows[i, 2] = entity_index.setdefault(t, len(entity_index))
         splits[split] = rows
         if split == "train":
             in_train = seen
-            n_train_entities, n_train_relations = len(entities), len(relations)
+            n_train_entities, n_train_relations = len(entity_index), len(relation_index)
 
+    entities, relations = list(entity_index), list(relation_index)
     if not allow_unseen:
-        # the names interned after train are the ones train never saw
+        # the names indexed after train are the ones train never saw
         unseen_e = sorted(entities[n_train_entities:])
         unseen_r = sorted(relations[n_train_relations:])
         if unseen_e or unseen_r:
@@ -395,12 +387,12 @@ def dump_vocab(kg: KnowledgeGraph, out_dir: str):
     """Write index<TAB>name sidecar files for entities and relations.
 
     Both files are written before either replaces what was there, so a
-    failed dump leaves neither changed (files.atomic_write, nested)."""
+    failed dump leaves neither changed (files.atomic_write has the one
+    exception)."""
     os.makedirs(out_dir, exist_ok=True)
     paths = os.path.join(out_dir, "entities.tsv"), os.path.join(out_dir, "relations.tsv")
-    with atomic_write(paths[0], "w", encoding="utf-8") as ents, \
-            atomic_write(paths[1], "w", encoding="utf-8") as rels:
-        for fh, names in ((ents, kg.entities), (rels, kg.relations)):
+    with atomic_write(*paths, mode="w", encoding="utf-8") as handles:
+        for fh, names in zip(handles, (kg.entities, kg.relations)):
             for i, name in enumerate(names):
                 fh.write(f"{i}\t{name}\n")
     return paths

@@ -107,7 +107,7 @@ def _chain(h: np.ndarray, part) -> np.ndarray:
 
 
 def corrupt(positives, n: int, filter_index, n_entities: int, seed: int, epoch: int = 0,
-            rows=None, side: str = None, max_retries: int = 200) -> np.ndarray:
+            rows=None, max_retries: int = 200) -> np.ndarray:
     """Draw n corrupted triples per positive, never a known-true triple.
 
     positives is an (n_pos, 3) array of (head, relation, tail) and rows their
@@ -115,16 +115,14 @@ def corrupt(positives, n: int, filter_index, n_entities: int, seed: int, epoch: 
     int64 array ordered by positive, then by negative slot.
 
     Each draw is keyed, not streamed: the hash of (seed, epoch, row, slot)
-    picks the corrupted side, unless side pins it, and the hash of that and
-    the attempt number picks the entity by multiply-shift (Lemire, TOMACS
-    2019).  So (seed, epoch, row) fixes a row's negatives whatever else is in
-    its batch.  A draw that hits filter_index is redrawn with the next
-    attempt number; SamplingError when max_retries attempts all hit.
+    picks the corrupted side, and the hash of that and the attempt number
+    picks the entity by multiply-shift (Lemire, TOMACS 2019).  So (seed,
+    epoch, row) fixes a row's negatives whatever else is in its batch.  A
+    draw that hits filter_index is redrawn with the next attempt number;
+    SamplingError when max_retries attempts all hit.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if side not in (None, "head", "tail"):
-        raise ValueError(f"side must be head or tail, got {side!r}")
     if not 0 <= seed < 2 ** 63 or not 0 <= epoch < 2 ** 63:
         raise ValueError(f"seed and epoch must be in [0, 2**63), got {seed}, {epoch}")
     if not 0 < n_entities <= 2 ** 32:
@@ -136,10 +134,7 @@ def corrupt(positives, n: int, filter_index, n_entities: int, seed: int, epoch: 
 
     row_hash = _chain(_chain(np.full(1, seed, dtype=np.uint64), epoch), rows)
     base = _chain(row_hash[:, None], np.arange(n)).reshape(-1)
-    if side is None:
-        column = np.where(base >> _S63 == 0, 0, 2)
-    else:
-        column = np.full(len(base), 0 if side == "head" else 2)
+    column = np.where(base >> _S63 == 0, 0, 2)
     out = np.repeat(positives, n, axis=0)
     cell = out.reshape(-1)  # a view: writing a cell writes out
     cell_of = np.arange(len(out)) * 3 + column

@@ -452,7 +452,7 @@ def save_checkpoint(path, model: FusionModel, optimizer: Adam = None, extra: dic
         "extra": extra or {},
     }
     hdr = _canonical_header(header)
-    with atomic_write(path) as f:
+    with atomic_write(path) as (f,):
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(hdr)))

@@ -133,7 +133,7 @@ def keyed_hash(*parts) -> int:
     return h
 
 
-def keyed_negatives(positives, rows, n, known, n_entities, seed, epoch, max_retries, side=None):
+def keyed_negatives(positives, rows, n, known, n_entities, seed, epoch, max_retries):
     """The keyed negative draw one slot and one attempt at a time.
 
     known is a Python set of (h, r, t) tuples.  Returns a list of (h, r, t)
@@ -144,7 +144,7 @@ def keyed_negatives(positives, rows, n, known, n_entities, seed, epoch, max_retr
     for (h, r, t), row in zip(positives, rows):
         for slot in range(n):
             base = keyed_hash(seed, epoch, row, slot)
-            pick = side or ("head" if base >> 63 == 0 else "tail")
+            pick = "head" if base >> 63 == 0 else "tail"
             got = None
             for attempt in range(max_retries):
                 e = ((keyed_hash(base, attempt) >> 32) * n_entities) >> 32

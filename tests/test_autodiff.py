@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moekgc import autodiff as ad
-from moekgc import scoring
+from moekgc import parallel, scoring
 from oracles import (clamp_min, composite_place_rows, composite_score_batch, cos,
                      finite_difference_grads, flat_scatter_rows, relative_block_error, relu,
                      sigmoid, sin, slice_cols, sqrt, square, tensor_mean)
@@ -220,13 +220,31 @@ def test_affine_rejects_a_bias_that_widens_the_product():
         ad.affine(ad.Tensor(np.ones((3, 4))), ad.Tensor(np.ones((4, 5))), ad.Tensor(np.ones((2, 1, 5))))
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["inline", "split"])
+def test_affine_rejects_stacks_of_unequal_length(monkeypatch, split):
+    # numpy would broadcast a one-matrix stack over the other, but the split
+    # backward cannot sum a gradient down to it: both paths refuse at once
+    monkeypatch.setattr(parallel, "workers", lambda: 2 if split else 1)
+    if split:
+        monkeypatch.setattr(ad, "_BLOCK_WORK", 1)
+    for x_shape, w_shape in (((1, 12, 4), (3, 4, 6)), ((3, 12, 4), (1, 4, 6))):
+        ops = [ad.parameter(np.ones(shape, dtype=np.float32))
+               for shape in (x_shape, w_shape, (6,))]
+        with pytest.raises(ValueError, match=re.escape(
+                f"affine expects stacks of one length, got {x_shape} @ {w_shape}")):
+            ad.affine(*ops)
+        assert ad.tape_size() == 0
+
+
 @pytest.mark.parametrize("const_x", [False, True])
 @pytest.mark.parametrize("relu", [False, True])
-@pytest.mark.parametrize("shapes", [((5, 4), (4, 6), (6,)),
-                                    ((5, 4), (3, 4, 6), (3, 1, 6)),
-                                    ((3, 5, 4), (3, 4, 6), (3, 1, 6))],
+@pytest.mark.parametrize("shapes", [((6, 4), (4, 6), (6,)),
+                                    ((6, 4), (3, 4, 6), (3, 1, 6)),
+                                    ((3, 6, 4), (3, 4, 6), (3, 1, 6))],
                          ids=["2d", "broadcast_3d", "batched_3d"])
 def test_affine_matches_matmul_add_relu_bitwise(shapes, relu, const_x):
+    # the whole layer, then the same layer cut over two workers, each
+    # against the matmul + add + relu composite
     rng = np.random.default_rng(11)
     x, w, b = (rng.normal(size=shape).astype(np.float32) for shape in shapes)
     # a zero row of x meets zero bias entries: pre-activations exactly at 0
@@ -234,22 +252,37 @@ def test_affine_matches_matmul_add_relu_bitwise(shapes, relu, const_x):
     b[..., ::2] = 0.0
     upstream = ad.Tensor(rng.normal(size=np.broadcast_shapes((x @ w).shape, b.shape))
                          .astype(np.float32))
-    runs = []
-    for fused in (True, False):
+    runs, cuts = [], []
+    run = ad._run
+
+    def noting_run(fn, spans):
+        cuts.append(len(spans))
+        run(fn, spans)
+
+    for mode in ("whole", "split", "composite"):
         ad.reset_tape()
         ops = [ad.Tensor(x.copy()) if const_x else ad.parameter(x.copy()),
                ad.parameter(w.copy()), ad.parameter(b.copy())]
-        if fused:
-            out = ad.affine(*ops, relu=relu)
-        else:
-            out = ops[0] @ ops[1] + ops[2]
-            out = clamp_min(out, 0.0) if relu else out
-        ad.backward((out * upstream).sum())
+        with pytest.MonkeyPatch.context() as mp:
+            if mode == "split":
+                mp.setattr(parallel, "workers", lambda: 2)
+                mp.setattr(ad, "_BLOCK_WORK", 1)
+                mp.setattr(ad, "_run", noting_run)
+            if mode == "composite":
+                out = ops[0] @ ops[1] + ops[2]
+                out = clamp_min(out, 0.0) if relu else out
+            else:
+                out = ad.affine(*ops, relu=relu)
+            ad.backward((out * upstream).sum())
         runs.append([out.data] + [op.grad for op in ops])
-    assert (runs[0][1] is None) == (runs[1][1] is None) == const_x
-    for got, want in zip(runs[0], runs[1]):
-        if want is not None:
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the forward, the backward's rows unless it has none to do, and the
+    # dW columns, each in two spans
+    assert cuts == [2] * (3 if relu or not const_x else 2)
+    assert all((run[1] is None) == const_x for run in runs)
+    for fused in runs[:2]:
+        for got, want in zip(fused, runs[2]):
+            if want is not None:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("const", [None, 0, 1, 2], ids=["all", "heads", "phases", "tails"])

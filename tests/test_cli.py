@@ -1,6 +1,7 @@
 """End-to-end tests for the command line, driven through main() in process."""
 
 import dataclasses
+import errno
 import json
 import os
 import random
@@ -14,6 +15,7 @@ import yaml
 
 import moekgc.autodiff as ad
 import moekgc.cli as cli
+import moekgc.files as files
 from moekgc.cli import build_parser, load_config, load_data, main
 from moekgc.config import ConfigError
 from moekgc.fusion import FusionModel, ModelConfig
@@ -659,24 +661,46 @@ def test_vocab_dump_round_trips_names(workspace, capsys, tmp_path):
     assert set(rels.values()) == {"links", "near"}
 
 
+def vocab_snapshot(out):
+    """Each entry of out: a file's bytes, or a directory's entries."""
+    return {p.name: p.read_bytes() if p.is_file() else sorted(p.iterdir()) for p in out.iterdir()}
+
+
 @pytest.mark.parametrize("earlier", [None, "0\tearlier\n"], ids=["absent", "present"])
 def test_a_vocab_dump_that_fails_changes_neither_file(workspace, capsys, tmp_path, earlier):
-    # relations.tsv is a directory: entities.tsv is written in full, but
-    # it replaces nothing before relations.tsv has, and that rename fails
+    # both files are written in full, then the dump fails before either is
+    # renamed: one target is a directory, or the second fsync fails.  The
+    # three failures run in turn, each into its own directory
     _, cfg_path = workspace
-    out = tmp_path / "vocab"
-    (out / "relations.tsv").mkdir(parents=True)
-    if earlier is not None:
-        (out / "entities.tsv").write_text(earlier)
-    capsys.readouterr()
-    assert main(["vocab-dump", "--config", cfg_path, "--out", str(out)]) == 2
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"config error: {out / 'relations.tsv'}: ")
-    assert sorted(p.name for p in out.iterdir()) == (["entities.tsv"] if earlier else []) + [
-        "relations.tsv"]
-    if earlier is not None:
-        assert (out / "entities.tsv").read_text() == earlier
-    assert not any((out / "relations.tsv").iterdir())
+    names = ("entities.tsv", "relations.tsv")
+    for failure in names + ("fsync",):
+        out = tmp_path / f"vocab-{failure}"
+        out.mkdir()
+        for name in names:
+            if name == failure:
+                (out / name).mkdir()
+            elif earlier is not None:
+                (out / name).write_text(earlier)
+        before = vocab_snapshot(out)
+        fsync, calls = files.os.fsync, []
+
+        def second_fsync_fails(fd):
+            calls.append(fd)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            fsync(fd)
+
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as mp:
+            if failure == "fsync":
+                mp.setattr(files.os, "fsync", second_fsync_fails)
+            assert main(["vocab-dump", "--config", cfg_path, "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        named = out if failure == "fsync" else out / failure
+        assert line.startswith(f"config error: {named}: "), failure
+        # the same bytes or absence, an empty directory, no temporary file
+        assert vocab_snapshot(out) == before, failure
+        assert len(calls) == (2 if failure == "fsync" else 0)
 
 
 @pytest.mark.parametrize("command, reason", [("vocab-dump", "File exists"),

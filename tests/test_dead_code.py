@@ -40,3 +40,56 @@ def test_every_private_module_level_function_is_referenced():
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and node.name.startswith("_") and node.name not in referenced]
     assert unreferenced == []
+
+
+# defaulted parameters of public functions that no library call passes, and
+# why each stays
+_UNPASSED_OK = {
+    "cli.main(argv=)": "the console entry reads sys.argv; tests pass argv",
+    "fusion.FusionModel.fuse(mi=)": "the traced public wrapper over _fuse, which takes mi",
+    "trainer.save_checkpoint(optimizer=)": "a checkpoint field that a resumed run will pass",
+    "trainer.save_checkpoint(extra=)": "a checkpoint field that a resumed run will pass",
+}
+
+
+def public_functions(tree):
+    """(name, node, bound) for each public module-level function and each
+    public method of a public class; bound is 1 for a method, whose call
+    binds self or cls."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item, 1
+
+
+def test_every_defaulted_parameter_of_a_public_function_is_passed_by_the_library():
+    # an option that only tests pass is a second code path to keep: calls
+    # are matched by the called name, a keyword passes its parameter, n
+    # positional arguments pass the first n, and *args or **kw pass all
+    trees = parsed_modules()
+    keywords, positional = {}, {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+            spread = (any(isinstance(a, ast.Starred) for a in call.args)
+                      or any(k.arg is None for k in call.keywords))
+            positional[name] = max(positional.get(name, 0),
+                                   float("inf") if spread else len(call.args))
+    unpassed = []
+    for module, tree in trees.items():
+        for name, fn, bound in public_functions(tree):
+            params = (fn.args.posonlyargs + fn.args.args)[bound:]
+            defaulted = [(i, p.arg) for i, p in enumerate(params)
+                         if i >= len(params) - len(fn.args.defaults)]
+            defaulted += [(float("inf"), p.arg) for p, d in
+                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            unpassed += [f"{module[:-3]}.{name}({arg}=)" for i, arg in defaulted
+                         if arg not in keywords.get(fn.name, ())
+                         and i >= positional.get(fn.name, 0)]
+    assert sorted(unpassed) == sorted(_UNPASSED_OK)

@@ -29,7 +29,7 @@ from moekgc.sampling import (
 )
 
 from oracles import binary_entropy as oracle_entropy
-from oracles import keyed_negatives
+from oracles import keyed_hash, keyed_negatives
 from oracles import finite_difference_grads, relative_block_error
 
 
@@ -73,42 +73,42 @@ def test_corrupt_never_emits_a_known_true_triple():
         assert tuple(neg) not in known
 
 
-def test_corrupt_respects_forced_side():
-    fi = make_filter([(0, 0, 1)])
-    negs = corrupt_one((0, 0, 1), 30, fi, n_entities=10, side="tail")
-    assert (negs[:, 0] == 0).all() and (negs[:, 1] == 0).all()
-    assert len(set(negs[:, 2].tolist())) > 1
-    negs = corrupt_one((0, 0, 1), 30, fi, n_entities=10, side="head")
-    assert (negs[:, 1] == 0).all() and (negs[:, 2] == 1).all()
-
-
 def test_corrupt_uses_both_sides_when_free():
     fi = make_filter([(0, 0, 1)])
     negs = corrupt_one((0, 0, 1), 200, fi, n_entities=10, seed=11)
     assert (negs[:, 0] != 0).any() and (negs[:, 2] != 1).any()
 
 
+def picks_head(seed, epoch=0, row=0, slot=0):
+    """Whether the hash of a slot's key picks the head for corruption."""
+    return keyed_hash(seed, epoch, row, slot) >> 63 == 0
+
+
 def test_corrupt_two_entity_graph_finds_the_only_candidate():
-    # corrupting the tail of (0, r, 1) can only yield (0, r, 0)
+    # both sides constrained: corrupting the head of (0, r, 1) can only
+    # yield (1, r, 1), the tail only (0, r, 0)
     fi = make_filter([(0, 0, 1)])
-    negs = corrupt_one((0, 0, 1), 5, fi, n_entities=2, seed=2, side="tail")
-    assert negs.tolist() == [[0, 0, 0]] * 5
+    negs = corrupt_one((0, 0, 1), 40, fi, n_entities=2, seed=2)
+    assert negs.tolist() == [[1, 0, 1] if picks_head(2, slot=s) else [0, 0, 0]
+                             for s in range(40)]
+    assert [0, 0, 0] in negs.tolist() and [1, 0, 1] in negs.tolist()
 
 
 def test_corrupt_raises_when_every_candidate_is_true():
-    # all four (h, 0, t) combos are known true, so no tail corruption exists
+    # all four (h, 0, t) combos are known true, so neither side has a
+    # corruption, and the error names the side the slot's hash picks
     fi = make_filter([(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)])
-    with pytest.raises(SamplingError, match=r"no valid tail corruption for positive "
-                                            r"\(0, 0, 1\) after 7 attempts"):
-        corrupt_one((0, 0, 1), 1, fi, n_entities=2, side="tail", max_retries=7)
+    for side in ("head", "tail"):
+        seed = next(s for s in range(64) if picks_head(s) == (side == "head"))
+        with pytest.raises(SamplingError, match=rf"no valid {side} corruption for positive "
+                                                r"\(0, 0, 1\) after 7 attempts"):
+            corrupt_one((0, 0, 1), 1, fi, n_entities=2, seed=seed, max_retries=7)
 
 
-def test_corrupt_rejects_zero_count_and_bad_side():
+def test_corrupt_rejects_bad_arguments():
     fi = make_filter([(0, 0, 1)])
     with pytest.raises(ValueError):
         corrupt_one((0, 0, 1), 0, fi, n_entities=4)
-    with pytest.raises(ValueError):
-        corrupt_one((0, 0, 1), 1, fi, n_entities=4, side="left")
     with pytest.raises(ValueError):
         corrupt_one((0, 0, 1), 1, fi, n_entities=4, seed=-1)
     with pytest.raises(ValueError):
@@ -121,8 +121,7 @@ def random_graph(rng, n_ent, n_rel, n_triples):
     return np.unique(triples, axis=0)
 
 
-@pytest.mark.parametrize("side", [None, "head", "tail"])
-def test_keyed_draws_equal_the_scalar_reference(side):
+def test_keyed_draws_equal_the_scalar_reference():
     rng = np.random.default_rng(23)
     retried = 0
     for trial in range(6):
@@ -134,8 +133,8 @@ def test_keyed_draws_equal_the_scalar_reference(side):
         seed, epoch = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 500))
         want, attempts = keyed_negatives(triples.tolist(), rows.tolist(), 5,
                                          set(map(tuple, triples.tolist())), n_ent,
-                                         seed, epoch, 200, side)
-        got = corrupt(triples, 5, fi, n_ent, seed, epoch, rows=rows, side=side)
+                                         seed, epoch, 200)
+        got = corrupt(triples, 5, fi, n_ent, seed, epoch, rows=rows)
         assert got.tolist() == [list(w) for w in want]
         retried += sum(a > 1 for a in attempts)
     assert retried > 100

@@ -1131,7 +1131,7 @@ def test_interrupted_write_keeps_the_earlier_file_and_no_temp(tmp_path, monkeypa
     save_checkpoint(path, model, opt)
     before = path.read_bytes()
     with pytest.raises(RuntimeError):
-        with atomic_write(path) as fh:
+        with atomic_write(path) as (fh,):
             fh.write(before[:10])
             raise RuntimeError("interrupted mid-write")
     assert path.read_bytes() == before
