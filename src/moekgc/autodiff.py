@@ -2,8 +2,15 @@
 
 A dynamic tape: every operation appends one node in construction order, and
 ``backward`` walks the tape in reverse so each node's backward rule runs
-exactly once.  The tape is module-global and rebuilt every training step;
-call ``reset_tape`` between steps.
+exactly once.  A node keeps only the arrays, shapes and flags its own rule
+reads, never its operand tensors: an interior operand (the output of an
+earlier node) is named by that node's key, a number no other output ever
+gets, and a leaf (a parameter or an input) is the tensor itself.  A forward
+buffer that no rule reads is freed as soon as the forward code drops it.
+``backward`` consumes the tape: it pops each node before running its rule,
+so the rest of the forward buffers are freed as it goes, and the tape is
+empty when it returns.  The tape is module-global; ``reset_tape`` drops a
+graph that is not differentiated.
 
 Values are float32 by default.  The sum accumulates in float64 before casting
 back.  ``using_dtype(np.float64)`` switches the default dtype,
@@ -18,6 +25,7 @@ the cores; the blocks give the bytes of one unsplit product.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from collections.abc import Mapping
 from typing import Sequence
@@ -29,6 +37,9 @@ from . import parallel
 _DTYPE = np.float32
 _TAPE: list["_Node"] = []
 _RECORDING = True
+# the key of each recorded output: increasing, and never reused, as the id()
+# of a freed tensor may be
+_KEYS = itertools.count()
 
 
 class FiniteError(ArithmeticError):
@@ -72,10 +83,14 @@ def tape_size() -> int:
 
 
 class _Node:
-    __slots__ = ("out", "parents", "grad_fn")
+    """One recorded op: its output's key; per parent, None when no gradient
+    flows to it, else (its key, or the leaf tensor itself, and its dtype);
+    and grad_fn, which holds whatever arrays the rule reads."""
 
-    def __init__(self, out, parents, grad_fn):
-        self.out = out
+    __slots__ = ("key", "parents", "grad_fn")
+
+    def __init__(self, key, parents, grad_fn):
+        self.key = key
         self.parents = parents
         self.grad_fn = grad_fn
 
@@ -83,12 +98,13 @@ class _Node:
 class Tensor:
     """A numpy array plus an accumulated gradient of the same shape."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
         self.grad = None
         self.requires_grad = requires_grad
+        self._key = None  # a leaf: no node produced it
 
     @property
     def shape(self):
@@ -226,9 +242,10 @@ class ParamStore(Mapping):
         node, no copy and no finite check, whose backward hands each member
         its slice of the gradient."""
         lo, hi, shape, members = self._banks[key]
+        split = (len(members),) + members[0].data.shape
 
         def grad_fn(g):
-            return tuple(g.reshape((len(members),) + members[0].data.shape))
+            return tuple(g.reshape(split))
 
         return _wrap(self.flat[lo:hi].reshape(shape), members, grad_fn)
 
@@ -243,6 +260,8 @@ def record(out_data, parents: Sequence[Tensor], grad_fn, op: str) -> Tensor:
 
     The node goes on the tape when recording and a parent needs a gradient;
     grad_fn maps the output's gradient to one gradient, or None, per parent.
+    A parent that grad_fn holds lives as long as the node, so the library's
+    ops hold only the arrays, shapes and flags their rules read.
     Fused ops defined in other modules record themselves through here.
     """
     _check_finite(out_data, op)
@@ -253,9 +272,14 @@ def _wrap(out_data, parents: Sequence[Tensor], grad_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
+    out._key = None
     out.requires_grad = _RECORDING and any(p.requires_grad for p in parents)
     if out.requires_grad:
-        _TAPE.append(_Node(out, tuple(parents), grad_fn))
+        out._key = key = next(_KEYS)
+        # each parent as _Node names it
+        refs = tuple([(p if p._key is None else p._key, p.data.dtype) if p.requires_grad
+                      else None for p in parents])
+        _TAPE.append(_Node(key, refs, grad_fn))
     return out
 
 
@@ -270,35 +294,47 @@ def backward(loss: Tensor):
     """Propagate d(loss)/d(x) into .grad of every reachable leaf.
 
     Leaves are the tensors no tape node produced (parameters, inputs);
-    interior tensors keep .grad None.  Each call contributes exactly one pass
-    worth of gradient; .grad accumulates across calls until zeroed, so
-    running backward twice on the same graph doubles it.
+    interior tensors keep .grad None.  .grad accumulates across calls until
+    zeroed, so two forward and backward passes add their gradients.
+
+    The call consumes the tape: every node on it is popped before its rule
+    runs, so the arrays the rule read are freed as the walk goes, and the
+    tape is empty afterwards, also when a rule raises.  So a graph is
+    differentiated once: a second call on the same loss, or a call on a
+    loss whose tape was reset, raises ValueError.
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
     if not loss.requires_grad:
         raise ValueError("loss does not depend on any trainable tensor")
+    key = loss if loss._key is None else loss._key
+    # the keys on the tape are consecutive: a walk or a reset empties it
+    if key is not loss and not (_TAPE and _TAPE[0].key <= key <= _TAPE[-1].key):
+        raise ValueError("the loss's graph is no longer on the tape: backward has run "
+                         "over it, or the tape was reset")
     # per-pass gradients live in a scratch map so earlier passes can't leak in
-    flow: dict[int, list] = {id(loss): [loss, np.ones_like(loss.data)]}
-    # reverse construction order is a valid topological order
-    for node in reversed(_TAPE):
-        # no node processed later reads this output, so its gradient is done
-        entry = flow.pop(id(node.out), None)
-        if entry is None:
-            continue
-        grads = node.grad_fn(entry[1])
-        for parent, g in zip(node.parents, grads):
-            if g is None or not parent.requires_grad:
+    flow = {key: np.ones_like(loss.data)}
+    try:
+        # reverse construction order is a valid topological order
+        while _TAPE:
+            node = _TAPE.pop()
+            # no node processed later reads this output, so its gradient is done
+            g = flow.pop(node.key, None)
+            if g is None:
                 continue
-            key = id(parent)
-            held = flow.get(key)
-            if held is None:
-                flow[key] = [parent, np.asarray(g, dtype=parent.data.dtype)]
-            else:
-                # out of place: g may alias another entry or a node's data
-                held[1] = held[1] + g
-    for tensor, g in flow.values():
-        _accumulate(tensor, g)
+            for ref, grad in zip(node.parents, node.grad_fn(g)):
+                if ref is None or grad is None:
+                    continue
+                key, dtype = ref
+                held = flow.get(key)
+                # out of place: grad may alias another entry or a node's data
+                flow[key] = np.asarray(grad, dtype=dtype) if held is None else held + grad
+    finally:
+        _TAPE.clear()
+    for key, g in flow.items():
+        # what is left keyed by number flowed into an output of a reset tape
+        if isinstance(key, Tensor):
+            _accumulate(key, g)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -314,6 +350,12 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _operands(a: Tensor, b: Tensor):
+    """The data a binary rule keeps: a's only for b's gradient, b's only
+    for a's, None where that gradient is not taken."""
+    return (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
+
+
 # ---------------------------------------------------------------------------
 # elementwise ops
 
@@ -321,9 +363,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = ensure_tensor(a), ensure_tensor(b)
     out = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return record(out, (a, b), grad_fn, "add")
 
@@ -331,9 +374,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = ensure_tensor(a), ensure_tensor(b)
     out = a.data - b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return record(out, (a, b), grad_fn, "sub")
 
@@ -341,12 +385,14 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = ensure_tensor(a), ensure_tensor(b)
     out = a.data * b.data
+    # each side is kept for the other's gradient; a constant's is not taken
+    a_data, b_data = _operands(a, b)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def grad_fn(g):
-        # a constant operand's gradient would be dropped by backward: skip it
         return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g * b_data, a_shape) if b_data is not None else None,
+            _unbroadcast(g * a_data, b_shape) if a_data is not None else None,
         )
 
     return record(out, (a, b), grad_fn, "mul")
@@ -360,11 +406,12 @@ def neg(a) -> Tensor:
 def logsigmoid(a) -> Tensor:
     """log(sigmoid(x)) computed stably; safe for large negative x."""
     a = ensure_tensor(a)
-    out = -np.logaddexp(np.zeros_like(a.data), -a.data)
+    x = a.data
+    out = -np.logaddexp(np.zeros_like(x), -x)
 
     def grad_fn(g):
         # sigmoid(-x); the clip keeps exp in range, where sigmoid saturates anyway
-        return (g * (1.0 / (1.0 + np.exp(np.clip(a.data, -60.0, 60.0)))),)
+        return (g * (1.0 / (1.0 + np.exp(np.clip(x, -60.0, 60.0)))),)
 
     return record(out, (a,), grad_fn, "logsigmoid")
 
@@ -377,12 +424,13 @@ def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
     a = ensure_tensor(a)
     out = np.sum(a.data, axis=axis, keepdims=keepdims, dtype=np.float64)
     out = np.asarray(out, dtype=a.data.dtype)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def grad_fn(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype),)
+        return (np.broadcast_to(g, shape).astype(dtype),)
 
     return record(out, (a,), grad_fn, "sum")
 
@@ -401,13 +449,14 @@ def matmul(a, b) -> Tensor:
     if a.ndim not in (2, 3) or b.ndim not in (2, 3):
         raise ValueError(f"matmul expects 2-d or 3-d operands, got {a.shape} @ {b.shape}")
     out = a.data @ b.data
+    a_data, b_data = _operands(a, b)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def grad_fn(g):
-        # a constant operand's gradient would be dropped by backward: skip it
-        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-                if a.requires_grad else None,
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-                if b.requires_grad else None)
+        return (_unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape)
+                if b_data is not None else None,
+                _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape)
+                if a_data is not None else None)
 
     return record(out, (a, b), grad_fn, "matmul")
 
@@ -459,7 +508,8 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
     keeps a non-finite product non-finite, and relu of a finite array is
     finite.  The backward is the chain rule of matmul, add and relu in their
     float32 operations; the relu mask is read back from the output, which is
-    > 0 exactly where the pre-activation is.
+    > 0 exactly where the pre-activation is.  The node keeps x only for w's
+    gradient, w only for x's, and the output only under relu.
 
     A layer with work for more than one worker (_spans) runs on the block
     map instead.  The forward and the backward's relu mask and x gradient
@@ -493,15 +543,20 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
         if relu:
             np.maximum(part, 0.0, out=part)  # subgradient 0 at exactly 0
 
+    # what the backward reads; a constant operand's gradient is not taken
+    x_data, w_data = _operands(x, w)
+    x_shape, w_shape, b_shape = x.data.shape, w.data.shape, b.data.shape
+    b_grad = b.requires_grad
+    active = out if relu else None
+
     def grad_fn(g):
-        if relu:
-            g = g * (out > 0.0)
-        # a constant operand's gradient would be dropped by backward: skip it
-        return (_unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.data.shape)
-                if x.requires_grad else None,
-                _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape)
-                if w.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        if active is not None:
+            g = g * (active > 0.0)
+        return (_unbroadcast(g @ np.swapaxes(w_data, -1, -2), x_shape)
+                if w_data is not None else None,
+                _unbroadcast(np.swapaxes(x_data, -1, -2) @ g, w_shape)
+                if x_data is not None else None,
+                _unbroadcast(g, b_shape) if b_grad else None)
 
     if len(rows) == 1:
         finish(out, b.data)
@@ -518,29 +573,31 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
 
     def split_grad_fn(g):
         g_out = np.empty_like(g) if relu else g
-        g_x = np.empty(x.shape, np.result_type(g, w.data)) if x.requires_grad else None
-        w_t = np.swapaxes(w.data, -1, -2)
+        g_x = w_t = None
+        if w_data is not None:
+            g_x = np.empty(x_shape, np.result_type(g, w_data))
+            w_t = np.swapaxes(w_data, -1, -2)
 
         def by_rows(span):
             r = np.s_[..., span[0]:span[1], :]
-            if relu:
-                np.multiply(g[r], out[r] > 0.0, out=g_out[r])
+            if active is not None:
+                np.multiply(g[r], active[r] > 0.0, out=g_out[r])
             if g_x is not None:
                 _matmul_into(g_out[r], w_t, g_x[r])
 
         if relu or g_x is not None:
             _run(by_rows, rows)
         g_w = None
-        if w.requires_grad:
-            g_w = np.empty(w.shape, np.result_type(x.data, g))
-            x_t = np.swapaxes(x.data, -1, -2)
+        if x_data is not None:
+            g_w = np.empty(w_shape, np.result_type(x_data, g))
+            x_t = np.swapaxes(x_data, -1, -2)
 
             def by_cols(span):
                 c = np.s_[..., span[0]:span[1]]
                 _matmul_into(x_t, g_out[c], g_w[c])
 
             _run(by_cols, _spans(h, f * n))
-        return g_x, g_w, _unbroadcast(g_out, b.data.shape) if b.requires_grad else None
+        return g_x, g_w, _unbroadcast(g_out, b_shape) if b_grad else None
 
     return _wrap(out, (x, w, b), split_grad_fn)
 
@@ -575,12 +632,17 @@ def weighted_sum(w, parts) -> Tensor:
     for s in range(1, n):
         out += cols[s] * parts.data[s]
 
+    # the parts only for the weights' gradient, the weights only for the parts'
+    w_rows = w.shape[0]
+    w_cols = cols if parts.requires_grad else None
+    parts_data = parts.data if w.requires_grad else None
+
     def grad_fn(g):
         g_w = None
-        if w.requires_grad:
-            g_w = (g * parts.data).reshape(n, parts.shape[1], -1).sum(axis=2).T
-            g_w = g_w.sum(axis=0, keepdims=True) if w.shape[0] == 1 else g_w
-        return g_w, cols * g if parts.requires_grad else None
+        if parts_data is not None:
+            g_w = (g * parts_data).reshape(n, parts_data.shape[1], -1).sum(axis=2).T
+            g_w = g_w.sum(axis=0, keepdims=True) if w_rows == 1 else g_w
+        return g_w, w_cols * g if w_cols is not None else None
 
     return record(out, (w, parts), grad_fn, "weighted_sum")
 
@@ -673,8 +735,10 @@ def gather_rows(table, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     out = table.data[idx]
 
+    shape, dtype = table.data.shape, table.data.dtype
+
     def grad_fn(g):
-        return (_scatter_rows(idx, g, table.data.shape, table.data.dtype),)
+        return (_scatter_rows(idx, g, shape, dtype),)
 
     return record(out, (table,), grad_fn, "gather_rows")
 
@@ -698,9 +762,10 @@ def place_rows(parts, present) -> Tensor:
     for s, p in enumerate(parts):
         out[s, present[s]] = p.data
 
+    wanted = [p.requires_grad for p in parts]
+
     def grad_fn(g):
-        return tuple(g[s, present[s]] if p.requires_grad else None
-                     for s, p in enumerate(parts))
+        return tuple(g[s, present[s]] if want else None for s, want in enumerate(wanted))
 
     return record(out, parts, grad_fn, "place_rows")
 
@@ -741,7 +806,8 @@ def mi_matrix(dists, present, eps: float) -> Tensor:
     log_ratio = (np.log(np.maximum(joint, eps)) - np.log(np.maximum(px, eps))
                  - np.log(np.maximum(py, eps)))
     raw = np.where(mask, joint * log_ratio, 0.0).sum(axis=(1, 2))
-    out = np.zeros((s, s), dtype=dists.data.dtype)
+    dtype = dists.data.dtype
+    out = np.zeros((s, s), dtype=dtype)
     out[ia, ib] = out[ib, ia] = np.maximum(raw, 0.0)
 
     def grad_fn(g):
@@ -759,6 +825,6 @@ def mi_matrix(dists, present, eps: float) -> Tensor:
         g_prod = blocks.transpose(0, 2, 1, 3).reshape(s * c, s * c)
         g_z = (g_prod + g_prod.T) @ z
         g_dists = g_z.reshape(s, c, b).transpose(0, 2, 1) * keep[:, :, None]
-        return (g_dists.astype(dists.data.dtype),)
+        return (g_dists.astype(dtype),)
 
     return record(out, (dists,), grad_fn, "mi_matrix")

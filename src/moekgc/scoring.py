@@ -172,8 +172,9 @@ def score_batch(heads: Tensor, phases: Tensor, tails: Tensor, norm: str = "l2") 
     sum and sqrt ops that ``composite_score_batch`` in tests/oracles.py
     builds, so scores match it bit for bit; the backward is that chain's
     rule in closed form, in its operation order.  The node keeps the difference
-    halves dr and di, cos and sin of the phases, and the per-row distances
-    (l2) or per-coordinate magnitudes (l1).
+    halves dr and di, cos and sin of the phases, the per-row distances (l2)
+    or per-coordinate magnitudes (l1), and the heads only for the phases'
+    gradient; never the tails or the phases themselves.
 
     Both passes run _SCORE_ROWS rows at a time (_row_blocks) and write each
     block's rows of preallocated arrays, each gradient's two halves in
@@ -214,14 +215,16 @@ def score_batch(heads: Tensor, phases: Tensor, tails: Tensor, norm: str = "l2") 
             np.sqrt(mags_sq, out=kinkb)
             distb[...] = np.sum(kinkb, axis=1, keepdims=True, dtype=np.float64)
 
+    shapes = [x.shape if x.requires_grad else None for x in (heads, phases, tails)]
+    head_halves = (hr, hi) if phases.requires_grad else (None, None)
+
     def grad_fn(g):
         dtype = np.result_type(g, kink, dr)
-        g_heads = np.empty(heads.shape, dtype) if heads.requires_grad else None
-        g_phases = np.empty(phases.shape, dtype) if phases.requires_grad else None
-        g_tails = np.empty(tails.shape, dtype) if tails.requires_grad else None
+        g_heads, g_phases, g_tails = (None if shape is None else np.empty(shape, dtype)
+                                      for shape in shapes)
         half = dr.shape[1]
         for gb, kb, drb, dib, cb, sb, hrb, hib, ghb, gpb, gtb in _row_blocks(
-                g, kink, dr, di, c, s, hr, hi, g_heads, g_phases, g_tails):
+                g, kink, dr, di, c, s, *head_halves, g_heads, g_phases, g_tails):
             # through the negation and the sqrt at the kink, 0 where it is 0,
             # then the sum's broadcast along the row and the squares
             gb = np.where(kb > 0, -gb * 0.5 / np.where(kb > 0, kb, 1.0), 0.0) * 2.0

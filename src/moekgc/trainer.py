@@ -26,6 +26,7 @@ in the header.  Saving, loading, and saving again yields identical bytes.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import json
 import math
@@ -114,23 +115,73 @@ def _grad_runs(blocks):
         yield run
 
 
+class _RunGrads:
+    """The gradients of a run of consecutive store blocks, read in place by
+    store element, and the run's spans for the block map.  The check of a
+    span of one chunk keeps its read for the span's update."""
+
+    def __init__(self, run):
+        self.blocks = run
+        self.lo, self.hi = run[0].lo, run[-1].hi
+        self.starts = [b.lo for b in run]
+        self.grads = [b.tensor.grad for b in run]
+        self.spans = [(self.lo + a, self.lo + z)
+                      for a, z in group(self.hi - self.lo, _ADAM_CHUNK)]
+        self.kept = {}  # span start -> the span's one chunk, read by finite
+
+    def read(self, lo, dest):
+        """Write the store elements lo .. lo + len(dest) - 1 into dest, cast
+        to its dtype: one copy out of the blocks' gradients."""
+        hi = lo + len(dest)
+        i = bisect.bisect_right(self.starts, lo) - 1
+        j = bisect.bisect_left(self.starts, hi)
+        parts = self.grads[i:j]  # concatenate flattens the blocks between the ends
+        # the last block cut first, so that one block cut at both ends works
+        parts[-1] = parts[-1].reshape(-1)[:hi - self.starts[j - 1]]
+        parts[0] = parts[0].reshape(-1)[lo - self.starts[i]:]
+        np.concatenate(parts, axis=None, out=dest)
+
+    def chunks(self, lo, hi, buf):
+        """(store slice, gradient) for each _ADAM_CHUNK of the store
+        elements lo .. hi - 1, the gradient read into the front of buf, a
+        float64 buffer of at least one chunk or hi - lo elements."""
+        for c0 in range(lo, hi, _ADAM_CHUNK):
+            g = self.kept.pop(c0, None)
+            if g is None:
+                g = buf[:min(_ADAM_CHUNK, hi - c0)]
+                self.read(c0, g)
+            yield slice(c0, c0 + len(g)), g
+
+    def finite(self, lo, hi) -> bool:
+        """Whether the store elements lo .. hi - 1 are all finite."""
+        buf = np.empty(min(_ADAM_CHUNK, hi - lo))
+        if not all(np.isfinite(g).all() for _, g in self.chunks(lo, hi, buf)):
+            return False
+        if hi - lo <= _ADAM_CHUNK:
+            self.kept[lo] = buf
+        return True
+
+
 class Adam:
     """Adam with bias correction over a ParamStore; epsilon added outside the
     sqrt, with the module constants BETA1, BETA2 and EPS.
 
     The moments are two float64 buffers laid out like the store's, with a
-    named view per block in m and v.  A step joins the gradients of each
-    maximal run of consecutive blocks that have one into one array, in their
-    own dtype, and first checks every run for non-finite values: a
-    non-finite gradient raises TrainingError naming the first such block in
-    store order, and leaves the parameters, the moments and the step count
-    as they were.  Then it updates each run on the block map
-    (parallel.group spans of the run's elements), _ADAM_CHUNK elements at a
-    time: each chunk is cast to float64 and put through the per-block
-    update's elementwise float64 operations, the moments in place, so the
-    result is that update's bit for bit on any number of workers; blocks
-    without a gradient keep their values and moments.  The new parameters
-    go into a fresh buffer that the store is then re-pointed at.
+    named view per block in m and v.  A step works on each maximal run of
+    consecutive blocks that have a gradient, cut into parallel.group spans
+    of the run's elements (_RunGrads).  A span reads its elements from the
+    blocks' gradients, _ADAM_CHUNK at a time, into a float64 buffer of one
+    chunk; no joined copy of the gradients is made, and a span of one chunk
+    reads it once for both passes.  First every span is
+    checked for non-finite values on the block map: a non-finite gradient
+    raises TrainingError naming the first such block in store order, and
+    leaves the parameters, the moments and the step count as they were.
+    Then the spans are updated on the block map, chunk by chunk: each chunk
+    goes through the per-block update's elementwise float64 operations,
+    the moments in place, so the result is that update's bit for bit on
+    any number of workers; blocks without a gradient keep their values and
+    moments.  The new parameters go into a fresh buffer that the store is
+    then re-pointed at.
     """
 
     def __init__(self, params: ad.ParamStore, learning_rate: float):
@@ -145,11 +196,10 @@ class Adam:
     def step(self):
         store = self.params
         store.sync()
-        runs = [(run, np.concatenate([b.tensor.grad for b in run], axis=None))
-                for run in _grad_runs(store.blocks)]
-        for run, grad in runs:
-            if not np.isfinite(grad).all():
-                bad = next(b.name for b in run if not np.isfinite(b.tensor.grad).all())
+        runs = [_RunGrads(run) for run in _grad_runs(store.blocks)]
+        for grads in runs:
+            if not all(list(ordered_map(lambda span: grads.finite(*span), grads.spans))):
+                bad = next(b.name for b in grads.blocks if not np.isfinite(b.tensor.grad).all())
                 raise TrainingError(f"non-finite gradient in block {bad}")
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
@@ -157,30 +207,25 @@ class Adam:
         x = store.flat
         out = np.empty_like(x)
         done = 0
-        for run, grad in runs:
-            base = run[0].lo
-            out[done:base] = x[done:base]  # the blocks without a gradient
+        for grads in runs:
+            out[done:grads.lo] = x[done:grads.lo]  # the blocks without a gradient
 
             def update(span):
-                self._update(grad[span[0]:span[1]], x, out, base + span[0], c1, c2)
+                self._update(grads, *span, x, out, c1, c2)
 
-            for _ in ordered_map(update, group(len(grad), _ADAM_CHUNK)):
+            for _ in ordered_map(update, grads.spans):
                 pass
-            done = run[-1].hi
+            done = grads.hi
         out[done:] = x[done:]
         store.repoint(out)
 
-    def _update(self, grad, x, out, lo, c1, c2):
-        """One step on the elements lo, lo + 1, ... of the store that grad
-        covers, chunk by chunk: the moments in place, the parameters of x
-        into out, in x's dtype."""
-        k = min(_ADAM_CHUNK, len(grad))
-        scratch = np.empty((3, k))  # float64, sized to the span for small runs
-        for c0 in range(0, len(grad), _ADAM_CHUNK):
-            n = min(_ADAM_CHUNK, len(grad) - c0)
-            part = slice(lo + c0, lo + c0 + n)
-            g, a, b = scratch[:, :n]
-            g[...] = grad[c0:c0 + n]
+    def _update(self, grads, lo, hi, x, out, c1, c2):
+        """One step on the store elements lo .. hi - 1 of a run (_RunGrads),
+        chunk by chunk: the moments in place, the parameters of x into out,
+        in x's dtype."""
+        scratch = np.empty((3, min(_ADAM_CHUNK, hi - lo)))  # float64, sized to small spans
+        for part, g in grads.chunks(lo, hi, scratch[0]):
+            _, a, b = scratch[:, :len(g)]
             m, v = self._m[part], self._v[part]
             # m = BETA1 m + (1 - BETA1) g
             m *= BETA1
@@ -660,11 +705,9 @@ def _batch_step(model: FusionModel, opt: Adam, positives, negatives,
     )
     weights = negative_weights(neg_scores.data, sampling_cfg)
     loss = batch_loss(pos_scores, neg_scores, weights, sampling_cfg)
-    ad.backward(loss)
-    value = loss.item()
-    # the gradients are in: free the forward buffers before Adam allocates
-    del joint, pos_scores, neg_scores, loss
-    ad.reset_tape()
+    # no backward rule reads these: free them before backward allocates
+    del joint, pos_scores, neg_scores
+    ad.backward(loss)  # consumes the tape, freeing the rest as it goes
     opt.step()  # raises TrainingError on a non-finite gradient
     opt.zero_grad()
-    return value
+    return loss.item()

@@ -1,6 +1,8 @@
 import inspect
+import itertools
 import pathlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -113,13 +115,33 @@ def test_softmax_permutation_equivariance():
         np.testing.assert_allclose(direct, permuted, atol=1e-6)
 
 
-def test_backward_twice_doubles_grads():
+def test_backward_consumes_the_tape():
     x = ad.parameter([1.0, 2.0])
     loss = square(x).sum()
+    assert ad.tape_size() == 2
     ad.backward(loss)
+    assert ad.tape_size() == 0
     once = x.grad.copy()
-    ad.backward(loss)
-    np.testing.assert_allclose(x.grad, 2.0 * once, rtol=1e-6)
+    # a second call over the consumed graph names the reason and adds nothing
+    with pytest.raises(ValueError, match="no longer on the tape: backward has run over it"):
+        ad.backward(loss)
+    assert x.grad.tobytes() == once.tobytes()
+    # so does a loss whose tape was reset, also once later nodes are recorded
+    stale = square(x).sum()
+    ad.reset_tape()
+    square(x)
+    with pytest.raises(ValueError, match="no longer on the tape"):
+        ad.backward(stale)
+    assert x.grad.tobytes() == once.tobytes()
+
+
+def test_a_failing_rule_still_consumes_the_tape():
+    x = ad.parameter([1.0, 2.0])
+    y = square(x)
+    ad._TAPE[-1].grad_fn = lambda g: 1 / 0
+    with pytest.raises(ZeroDivisionError):
+        ad.backward((y + y).sum())
+    assert ad.tape_size() == 0 and x.grad is None
 
 
 def test_each_node_backward_runs_once():
@@ -157,9 +179,10 @@ def test_backward_writes_grad_to_leaves_only():
 
 
 def test_grad_accumulates_until_zeroed():
+    # two forward and backward passes; the first emptied the tape, so no
+    # reset between them
     x = ad.parameter([2.0])
     ad.backward(square(x).sum())
-    ad.reset_tape()
     ad.backward(square(x).sum())
     np.testing.assert_allclose(x.grad, [8.0], rtol=1e-6)
     x.zero_grad()
@@ -655,3 +678,132 @@ def test_gradients_match_finite_differences(case):
             numeric = finite_difference_grads(f, [p.data for p in trained])
             for a, n in zip(analytic, numeric):
                 assert relative_block_error(a, n) < 1e-3, name
+
+
+# ---------------------------------------------------------------------------
+# what the tape keeps alive
+
+
+def _keeps_the_other(flags):
+    """A binary rule's operands kept: each one only for the other's gradient."""
+    return {i for i in (0, 1) if flags[1 - i]}
+
+
+_MI_DISTS = np.full((4, 7, 3), 1.0 / 3.0) + np.arange(3) * 0.05 - 0.05
+
+# each case: op on its operand tensors, their shapes, and the arrays its node
+# keeps for a requires_grad pattern: operand indices, and "out" for the output
+_RETENTION_CASES = [
+    ("add", lambda o: ad.add(*o), [(3, 4), (4,)], lambda f: set()),
+    ("sub", lambda o: ad.sub(*o), [(3, 4), (3, 4)], lambda f: set()),
+    ("mul", lambda o: ad.mul(*o), [(3, 4), (3, 1)], _keeps_the_other),
+    ("matmul", lambda o: ad.matmul(*o), [(3, 4), (4, 2)], _keeps_the_other),
+    ("affine", lambda o: ad.affine(*o), [(8, 4), (4, 6), (6,)], _keeps_the_other),
+    ("affine_relu", lambda o: ad.affine(*o, relu=True), [(8, 4), (4, 6), (6,)],
+     lambda f: _keeps_the_other(f) | {"out"}),
+    ("affine_bank", lambda o: ad.affine(*o, relu=True), [(8, 4), (3, 4, 6), (3, 1, 6)],
+     lambda f: _keeps_the_other(f) | {"out"}),
+    ("weighted_sum", lambda o: ad.weighted_sum(*o), [(4, 3), (3, 4, 2)], _keeps_the_other),
+    ("gather_rows", lambda o: ad.gather_rows(o[0], [2, 0, 2]), [(3, 4)], lambda f: set()),
+    ("place_rows", lambda o: ad.place_rows(o, _PLACE_PRESENT), [(2, 2), (1, 2)],
+     lambda f: set()),
+    ("softmax", lambda o: ad.softmax(o[0]), [(3, 5)], lambda f: {"out"}),
+    ("logsigmoid", lambda o: ad.logsigmoid(o[0]), [(7,)], lambda f: {0}),
+    ("sum", lambda o: o[0].sum(axis=0), [(4, 3)], lambda f: set()),
+    ("stack", lambda o: ad.stack(o), [(2, 3)] * 3, lambda f: set()),
+    ("mi_matrix", lambda o: ad.mi_matrix(o[0], _MI_PRESENT, 1e-12), [(4, 7, 3)],
+     lambda f: set()),
+    # the heads for the phases' gradient; never the tails or the phases
+    ("score_batch", lambda o: scoring.score_batch(*o), [(5, 6), (5, 3), (5, 6)],
+     lambda f: {0} if f[1] else set()),
+]
+
+
+def _retention_params():
+    for name, build, shapes, kept in _RETENTION_CASES:
+        for flags in itertools.product((False, True), repeat=len(shapes)):
+            if any(flags):
+                splits = ("whole", "split") if name.startswith("affine") else ("whole",)
+                for split in splits:
+                    label = name + ("_split" if split == "split" else "") + "-" + "".join(
+                        "g" if f else "c" for f in flags)
+                    yield pytest.param(build, shapes, flags, kept(flags), split == "split",
+                                       id=label)
+
+
+@pytest.mark.parametrize("build, shapes, flags, kept, split", _retention_params())
+def test_a_node_keeps_only_what_its_rule_reads(build, shapes, flags, kept, split, monkeypatch):
+    # every operand is an interior tensor (the output of a node) where it
+    # needs a gradient, else a constant: once the caller drops its handles,
+    # the arrays alive are the ones the op's rule reads, and backward frees
+    # those too
+    if split:
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        monkeypatch.setattr(ad, "_BLOCK_WORK", 1)
+    rng = np.random.default_rng(17)
+    with ad.using_dtype(np.float64):
+        starts = [_MI_DISTS.copy() if shape == _MI_DISTS.shape else rng.uniform(0.5, 1.5, shape)
+                  for shape in shapes]
+        leaves = [ad.parameter(a) if grad else None for a, grad in zip(starts, flags)]
+        ops = [ad.Tensor(a) if leaf is None else leaf * 1.0 for a, leaf in zip(starts, leaves)]
+        del starts
+        out = build(ops)
+        loss = (out * ad.Tensor(rng.uniform(0.5, 1.5, out.shape))).sum()
+    refs = {i: weakref.ref(op.data) for i, op in enumerate(ops)}
+    refs["out"] = weakref.ref(out.data)
+    del ops, out
+    assert {k for k, ref in refs.items() if ref() is not None} == kept
+    ad.backward(loss)
+    assert ad.tape_size() == 0
+    assert all(ref() is None for ref in refs.values())
+    assert all(leaf.grad is not None for leaf in leaves if leaf is not None)
+
+
+def test_a_bank_node_keeps_no_view_of_the_store():
+    store = small_store()
+    bank = store.bank("w.*")
+    view = weakref.ref(bank.data)
+    assert view() is not None
+    loss = (ad.affine(ad.Tensor(np.ones((2, 3))), bank, store.bank("b.*")) * 1.0).sum()
+    del bank
+    # the rule reads only the members' shape; the members are leaves
+    assert view() is None
+    ad.backward(loss)
+    assert all(store[f"w.{i}"].grad is not None for i in range(3))
+
+
+def test_gradients_flow_by_key_when_a_freed_tensor_address_is_reused():
+    # each interior h is dropped once used, and a new leaf is made at once,
+    # so that it may take h's address while h's node is still on the tape:
+    # a flow keyed by id() would then mix h's gradient with the leaf's
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0.5, 1.5, (3, 4))
+    extra = rng.uniform(0.5, 1.5, (8, 3, 4))
+    coef = rng.uniform(-1.0, 1.0, (3, 4))
+    reused = []
+
+    def build(grad):
+        x = ad.Tensor(a, requires_grad=grad)
+        loss, leaves = ad.Tensor(0.0), [x]
+        for i, e in enumerate(extra):
+            h = square(x * float(i + 1))
+            part = (h * ad.Tensor(coef)).sum()
+            held = id(h)
+            del h
+            leaves.append(ad.Tensor(e, requires_grad=grad))
+            reused.append(id(leaves[-1]) == held)
+            loss = loss + part + (square(leaves[-1]) * x).sum()
+        return loss, leaves
+
+    with ad.using_dtype(np.float64):
+        loss, leaves = build(True)
+        assert any(reused), "no new leaf took a freed tensor's address"
+        ad.backward(loss)
+
+        def f():
+            with ad.no_grad():
+                return float(build(False)[0].data)
+
+        numeric = finite_difference_grads(f, [a, extra])
+    assert relative_block_error(leaves[0].grad, numeric[0]) < 1e-6
+    assert relative_block_error(np.stack([t.grad for t in leaves[1:]]), numeric[1]) < 1e-6

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -388,6 +389,44 @@ def test_desk_step_tape_is_short_and_released_before_adam(monkeypatch):
     trainer._batch_step(model, Adam(model.params, 0.1), positives, negatives, samp)
     assert 0 < seen["backward"] <= 41
     assert seen["adam"] == 0
+
+
+def test_desk_step_frees_the_fusion_buffers_before_backward(monkeypatch):
+    # no backward rule reads the expert views, the stacked sources or the
+    # weighted sums (intra and joint): they are gone when backward starts,
+    # and backward leaves the tape empty
+    kg, tables = clustered_graph(seed=0)
+    cfg = ModelConfig(embedding_dim=16, experts=3, mi_bins=8, modalities=["attr", "attr_dup"])
+    model = FusionModel(cfg, kg.n_entities, kg.n_relations, tables, seed=0)
+    samp = sampling_cfg(negatives_per_positive=8, margin=6.0)
+    rows = np.arange(16)
+    positives = kg.train[rows]
+    negatives = corrupt(positives, 8, build_filter_index(kg), kg.n_entities, 0, rows=rows)
+    made = {"views": [], "sources": [], "weighted": []}
+    experts, place_rows, weighted_sum, backward = (
+        FusionModel._experts, ad.place_rows, ad.weighted_sum, ad.backward)
+
+    def noting(kind, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made[kind].append(weakref.ref(out.data))
+            return out
+        return wrapped
+
+    alive = {}
+
+    def checking_backward(loss):
+        alive.update({kind: sum(ref() is not None for ref in refs) for kind, refs in made.items()})
+        backward(loss)
+        alive["tape"] = ad.tape_size()
+
+    monkeypatch.setattr(FusionModel, "_experts", noting("views", experts))
+    monkeypatch.setattr(ad, "place_rows", noting("sources", place_rows))
+    monkeypatch.setattr(ad, "weighted_sum", noting("weighted", weighted_sum))
+    monkeypatch.setattr(ad, "backward", checking_backward)
+    trainer._batch_step(model, Adam(model.params, 0.1), positives, negatives, samp)
+    assert [len(made[k]) for k in ("views", "sources", "weighted")] == [2, 1, 3]
+    assert alive == {"views": 0, "sources": 0, "weighted": 0, "tape": 0}
 
 
 def test_desk_training_with_split_layers_equals_one_thread(tmp_path, monkeypatch):
