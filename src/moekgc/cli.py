@@ -39,7 +39,6 @@ from .sampling import (
     NegativeSamplingConfig,
     SamplingError,
     UnreachableHardClassWarning,
-    annotate,
     corrupt,
     sample_stats,
 )
@@ -351,11 +350,10 @@ def cmd_sample_stats(cfg, args) -> int:
     n_pos = min(args.positives, len(kg.train))
     # rows 0..n_pos-1 at epoch 0: the negatives training draws for them first
     negatives = corrupt(kg.train[:n_pos], sampling_cfg.negatives_per_positive, fi,
-                        kg.n_entities, train_cfg.seed, epoch=0,
-                        max_retries=sampling_cfg.max_retries)
+                        kg.n_entities, train_cfg.seed, epoch=0)
     heads, rels, tails = negatives.T
     scores = score(emb[heads], theta[rels], emb[tails], model.cfg.norm)
-    stats = sample_stats(annotate(negatives, scores, sampling_cfg))
+    stats = sample_stats(scores, sampling_cfg)
     stats.update({
         "positives": n_pos,
         "delta1": sampling_cfg.delta1,

@@ -28,6 +28,7 @@ from .autodiff import Tensor
 from .config import ConfigError, check_finite
 
 P_CLAMP = 1e-7  # probabilities are clamped to [P_CLAMP, 1 - P_CLAMP]
+MAX_RETRIES = 200  # draws per negative slot before corrupt gives up
 
 EASY, AMBIGUOUS, HARD = "easy", "ambiguous", "hard"
 CLASSES = (EASY, AMBIGUOUS, HARD)
@@ -55,7 +56,6 @@ class NegativeSamplingConfig:
     lambda_ambiguous: float = 1.5
     lambda_hard: float = 1.2
     log_base: str = "natural"  # natural | base2
-    max_retries: int = 200
 
     def validate(self):
         check_finite(self)
@@ -69,8 +69,6 @@ class NegativeSamplingConfig:
             )
         if self.log_base not in ("natural", "base2"):
             raise ConfigError(f"log_base must be natural or base2, got {self.log_base!r}")
-        if self.max_retries < 1:
-            raise ConfigError("max_retries must be >= 1")
         if self.delta2 > max_entropy(self.log_base):
             warnings.warn(
                 f"delta2={self.delta2} exceeds the maximum entropy "
@@ -107,7 +105,7 @@ def _chain(h: np.ndarray, part) -> np.ndarray:
 
 
 def corrupt(positives, n: int, filter_index, n_entities: int, seed: int, epoch: int = 0,
-            rows=None, max_retries: int = 200) -> np.ndarray:
+            rows=None) -> np.ndarray:
     """Draw n corrupted triples per positive, never a known-true triple.
 
     positives is an (n_pos, 3) array of (head, relation, tail) and rows their
@@ -119,7 +117,7 @@ def corrupt(positives, n: int, filter_index, n_entities: int, seed: int, epoch: 
     picks the entity by multiply-shift (Lemire, TOMACS 2019).  So (seed,
     epoch, row) fixes a row's negatives whatever else is in its batch.  A
     draw that hits filter_index is redrawn with the next attempt number;
-    SamplingError when max_retries attempts all hit.
+    SamplingError when MAX_RETRIES attempts all hit.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -139,7 +137,7 @@ def corrupt(positives, n: int, filter_index, n_entities: int, seed: int, epoch: 
     cell = out.reshape(-1)  # a view: writing a cell writes out
     cell_of = np.arange(len(out)) * 3 + column
     todo = np.arange(len(out))
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         x = _chain(base[todo], attempt)
         cell[cell_of[todo]] = ((x >> _S32) * np.uint64(n_entities)) >> _S32
         todo = todo[filter_index.contains(*out[todo].T)]
@@ -149,7 +147,7 @@ def corrupt(positives, n: int, filter_index, n_entities: int, seed: int, epoch: 
     h, r, t = positives[i // n].tolist()
     raise SamplingError(
         f"no valid {'head' if column[i] == 0 else 'tail'} corruption for positive "
-        f"({h}, {r}, {t}) after {max_retries} attempts"
+        f"({h}, {r}, {t}) after {MAX_RETRIES} attempts"
     )
 
 
@@ -170,14 +168,16 @@ def _class_index(entropy, cfg: NegativeSamplingConfig) -> np.ndarray:
     return np.where(h >= cfg.delta2, 2, np.where(h < cfg.delta1, 0, 1))
 
 
+def _classify_scores(scores, cfg: NegativeSamplingConfig):
+    """Entropy and class index (into CLASSES) of each negative score, through
+    p = sigmoid(score + margin): the one place negatives are classified."""
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    h = binary_entropy(1.0 / (1.0 + np.exp(-np.clip(s + cfg.margin, -60.0, 60.0))), cfg.log_base)
+    return h, _class_index(h, cfg)
+
+
 def _lambdas(cfg: NegativeSamplingConfig) -> np.ndarray:
     return np.array([cfg.lambda_easy, cfg.lambda_ambiguous, cfg.lambda_hard], dtype=np.float64)
-
-
-def _probabilities(scores, cfg: NegativeSamplingConfig):
-    """Flat float64 scores and p = sigmoid(score + margin)."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    return scores, 1.0 / (1.0 + np.exp(-np.clip(scores + cfg.margin, -60.0, 60.0)))
 
 
 def classify(entropy: float, cfg: NegativeSamplingConfig):
@@ -190,24 +190,9 @@ def classify(entropy: float, cfg: NegativeSamplingConfig):
     return CLASSES[i], float(_lambdas(cfg)[i])
 
 
-def annotate(negatives, scores, cfg: NegativeSamplingConfig) -> dict:
-    """Per-negative arrays for an (n, 3) negatives array and its n scores:
-    triples, score, probability, entropy, difficulty (an index into CLASSES)
-    and weight."""
-    negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
-    scores, p = _probabilities(scores, cfg)
-    if scores.size != len(negatives):
-        raise ValueError(f"{len(negatives)} negatives but {scores.size} scores")
-    h = binary_entropy(p, cfg.log_base)
-    cls = _class_index(h, cfg)
-    return {"triples": negatives, "score": scores, "probability": p, "entropy": h,
-            "difficulty": cls, "weight": _lambdas(cfg)[cls]}
-
-
 def negative_weights(scores, cfg: NegativeSamplingConfig) -> np.ndarray:
     """Loss weights for a flat array of negative scores (no gradient path)."""
-    _, p = _probabilities(scores, cfg)
-    return _lambdas(cfg)[_class_index(binary_entropy(p, cfg.log_base), cfg)]
+    return _lambdas(cfg)[_classify_scores(scores, cfg)[1]]
 
 
 def batch_loss(pos_scores: Tensor, neg_scores: Tensor, neg_weights, cfg: NegativeSamplingConfig) -> Tensor:
@@ -231,11 +216,9 @@ def loss(positive_score: Tensor, negative_scores: Tensor, cfg: NegativeSamplingC
     return batch_loss(positive_score, negative_scores, w, cfg)
 
 
-def sample_stats(annotated: dict) -> dict:
-    """Class counts and mean entropy over the output of annotate."""
-    if not isinstance(annotated, dict):
-        raise ValueError("annotate the negatives first")
-    counts = np.bincount(annotated["difficulty"], minlength=len(CLASSES)).tolist()
-    h = annotated["entropy"]
+def sample_stats(scores, cfg: NegativeSamplingConfig) -> dict:
+    """Class counts and mean entropy over a flat array of negative scores."""
+    h, cls = _classify_scores(scores, cfg)
+    counts = np.bincount(cls, minlength=len(CLASSES)).tolist()
     return {"total": int(h.size), **dict(zip(CLASSES, counts)),
             "mean_entropy": float(h.mean()) if h.size else 0.0}

@@ -513,8 +513,11 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
     counts.  Returns (model, state) where state carries the adam moments,
     the step counter, and the raw header.
     """
-    with open(path, "rb") as f:
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read checkpoint ({e.strerror})") from None
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     if len(data) < 16:
@@ -549,6 +552,10 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
         offset += nbytes
 
     cfg = ModelConfig(**{key: header["config"][key] for key in _CONFIG_TYPES})
+    try:
+        cfg.validate()  # the file's own values; a mismatch with tables or kg stays a ConfigError
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: header config is invalid: {e}") from None
     counts = header["counts"]
     if kg is not None:
         if kg.n_entities != counts["entities"] or kg.n_relations != counts["relations"]:
@@ -638,8 +645,7 @@ def train(kg: KnowledgeGraph, tables: dict, model_cfg: ModelConfig,
         for batch_no, b0 in enumerate(range(0, n_train, train_cfg.batch_size)):
             rows = perm[b0:b0 + train_cfg.batch_size]
             positives = kg.train[rows]
-            negatives = corrupt(positives, n_neg, fi, kg.n_entities, train_cfg.seed, epoch,
-                                rows=rows, max_retries=sampling_cfg.max_retries)
+            negatives = corrupt(positives, n_neg, fi, kg.n_entities, train_cfg.seed, epoch, rows=rows)
             try:
                 loss_value = _batch_step(model, opt, positives, negatives, sampling_cfg)
             except (FiniteError, TrainingError) as e:

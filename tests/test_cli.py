@@ -46,6 +46,12 @@ def test_unknown_key_and_section_are_rejected(tmp_path):
     assert main(["train", "--config", str(bad)]) == 2
     bad.write_text("modle:\n  embedding_dim: 8\n")
     assert main(["train", "--config", str(bad)]) == 2
+    # the retry budget is a constant of corrupt, not a setting
+    bad.write_text("sampling:\n  max_retries: 5\n")
+    assert main(["train", "--config", str(bad)]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--config", str(bad), "--sampling-max-retries", "5"])
+    assert exit_info.value.code == 2
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):
@@ -320,6 +326,27 @@ def test_eval_of_a_header_the_blocks_do_not_bear_out_exits_1(workspace, capsys, 
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and f"block {block} " in line
+
+
+def test_eval_of_a_header_with_an_invalid_config_value_exits_1(workspace, capsys):
+    # a config error, but the file's, so it names the file and exits 1, not 2
+    ckpt = trained_checkpoint_with_header(workspace, lambda h: h["config"].update(norm="l3"))
+    capsys.readouterr()
+    assert main(["eval", "--config", workspace[1], "--checkpoint", ckpt]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: {ckpt}: header config is invalid: norm must be l2 or l1, got 'l3'"
+
+
+@pytest.mark.parametrize("where, why", [("absent.mkgc", "No such file or directory"),
+                                        (".", "Is a directory")], ids=["missing", "directory"])
+def test_eval_of_an_unreadable_checkpoint_exits_1_naming_it(workspace, capsys, where, why):
+    tmp_path, cfg_path = workspace
+    ckpt = str(tmp_path / where)
+    assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line == f"error: {ckpt}: cannot read checkpoint ({why})"
 
 
 def test_eval_of_an_empty_split_is_a_data_error(workspace, capsys):

@@ -27,8 +27,8 @@ def test_no_library_module_has_an_unused_import():
     assert unused == []
 
 
-def test_every_private_module_level_function_is_referenced():
-    trees = parsed_modules()
+def referenced_names(trees) -> set:
+    """Every name the modules read, bare or as an attribute."""
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -36,6 +36,12 @@ def test_every_private_module_level_function_is_referenced():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+    return referenced
+
+
+def test_every_private_module_level_function_is_referenced():
+    trees = parsed_modules()
+    referenced = referenced_names(trees)
     unreferenced = [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and node.name.startswith("_") and node.name not in referenced]
@@ -93,3 +99,28 @@ def test_every_defaulted_parameter_of_a_public_function_is_passed_by_the_library
                          if arg not in keywords.get(fn.name, ())
                          and i >= positional.get(fn.name, 0)]
     assert sorted(unpassed) == sorted(_UNPASSED_OK)
+
+
+# public functions and methods that no library module reads, and why each
+# stays
+_UNREFERENCED_OK = {
+    "autodiff.tape_size": "perfbench counts tape nodes per step with it",
+    "autodiff.using_dtype": "the float64 gradient checks run the tape under it",
+    "fusion.mutual_information": "the numpy MI oracle the fusion tests hold the batch kernel to",
+    "fusion.batch_mutual_information": "the acceptance gate tests the MI kernel through it (c03)",
+    "fusion.inter_modality_fuse": "the acceptance gate's fusion oracle (c02)",
+    "kgdata.FilterIndex.true_tails": "perfbench tallies filter lookups through it",
+    "kgdata.FilterIndex.true_heads": "perfbench tallies filter lookups through it",
+    "sampling.classify": "the acceptance gate's scalar entropy classes (c04)",
+    "trainer.Adam.load_state": "restores the moments a checkpoint holds, for a resumed run",
+}
+
+
+def test_every_public_function_is_referenced_by_the_library():
+    # a public function that only tests call is code kept for them alone;
+    # names are matched, bare or as an attribute, anywhere in the library
+    trees = parsed_modules()
+    referenced = referenced_names(trees)
+    unreferenced = [f"{module[:-3]}.{name}" for module, tree in trees.items()
+                    for name, fn, _ in public_functions(tree) if fn.name not in referenced]
+    assert sorted(unreferenced) == sorted(_UNREFERENCED_OK)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import moekgc.autodiff as ad
+import moekgc.sampling as sampling
 from moekgc.config import ConfigError
 from moekgc.kgdata import FilterIndex
 from moekgc.sampling import (
@@ -16,7 +17,7 @@ from moekgc.sampling import (
     NegativeSamplingConfig,
     SamplingError,
     UnreachableHardClassWarning,
-    annotate,
+    _classify_scores,
     batch_loss,
     binary_entropy,
     classify,
@@ -96,13 +97,14 @@ def test_corrupt_two_entity_graph_finds_the_only_candidate():
 
 def test_corrupt_raises_when_every_candidate_is_true():
     # all four (h, 0, t) combos are known true, so neither side has a
-    # corruption, and the error names the side the slot's hash picks
+    # corruption, and the error names the side the slot's hash picks and the
+    # retry budget
     fi = make_filter([(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)])
     for side in ("head", "tail"):
         seed = next(s for s in range(64) if picks_head(s) == (side == "head"))
         with pytest.raises(SamplingError, match=rf"no valid {side} corruption for positive "
-                                                r"\(0, 0, 1\) after 7 attempts"):
-            corrupt_one((0, 0, 1), 1, fi, n_entities=2, seed=seed, max_retries=7)
+                                                r"\(0, 0, 1\) after 200 attempts"):
+            corrupt_one((0, 0, 1), 1, fi, n_entities=2, seed=seed)
 
 
 def test_corrupt_rejects_bad_arguments():
@@ -140,7 +142,8 @@ def test_keyed_draws_equal_the_scalar_reference():
     assert retried > 100
 
 
-def test_exhausted_retries_name_the_first_failing_positive():
+def test_exhausted_retries_name_the_first_failing_positive(monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_RETRIES", 2)
     rng = np.random.default_rng(5)
     triples = random_graph(rng, 4, 1, 14)
     want, _ = keyed_negatives(triples.tolist(), range(len(triples)), 3,
@@ -148,7 +151,7 @@ def test_exhausted_retries_name_the_first_failing_positive():
     first = want.index(None) // 3
     h, r, t = triples[first].tolist()
     with pytest.raises(SamplingError, match=rf"positive \({h}, {r}, {t}\) after 2 attempts"):
-        corrupt(triples, 3, FilterIndex(triples), 4, 9, 2, max_retries=2)
+        corrupt(triples, 3, FilterIndex(triples), 4, 9, 2)
 
 
 def test_row_negatives_do_not_depend_on_batch_or_order():
@@ -253,32 +256,19 @@ def test_max_entropy_values():
     assert max_entropy("base2") == 1.0
 
 
-# ---------------------------------------------------------------- annotate
+# ---------------------------------------------------------------- classes
 
-def test_annotate_fills_probability_entropy_and_class():
+def test_sample_stats_of_hand_computed_scores():
     cfg = default_cfg(margin=2.0)
-    fi = make_filter([(0, 0, 1)])
-    negs = corrupt_one((0, 0, 1), 3, fi, n_entities=30, seed=4)
-    a = annotate(negs, [-3.0, -0.2, -20.0], cfg)
-    np.testing.assert_array_equal(a["triples"], negs)
+    scores = [-3.0, -0.2, -20.0]
     # p = sigmoid(margin + score), computed independently
-    for i, sc in enumerate((-3.0, -0.2, -20.0)):
-        want_p = 1.0 / (1.0 + math.exp(-(2.0 + sc)))
-        assert a["score"][i] == sc
-        assert a["probability"][i] == pytest.approx(want_p, rel=1e-9)
-        assert a["entropy"][i] == pytest.approx(oracle_entropy(want_p), rel=1e-9)
-    assert CLASSES[a["difficulty"][0]] == AMBIGUOUS      # p = sigmoid(-1), h ~ 0.58
-    assert CLASSES[a["difficulty"][1]] == AMBIGUOUS      # p = sigmoid(1.8), h ~ 0.41
-    assert CLASSES[a["difficulty"][2]] == EASY           # p ~ 1.5e-8, h ~ 0
-    assert a["weight"][2] == cfg.lambda_easy
-
-
-def test_annotate_length_mismatch():
-    cfg = default_cfg()
-    fi = make_filter([(0, 0, 1)])
-    negs = corrupt_one((0, 0, 1), 2, fi, n_entities=5, seed=4)
-    with pytest.raises(ValueError):
-        annotate(negs, [1.0], cfg)
+    h = [oracle_entropy(1.0 / (1.0 + math.exp(-(2.0 + sc)))) for sc in scores]
+    stats = sample_stats(scores, cfg)
+    # p = sigmoid(-1), h ~ 0.58 and p = sigmoid(1.8), h ~ 0.41 are ambiguous;
+    # p ~ 1.5e-8, h ~ 0 is easy
+    assert (stats["easy"], stats["ambiguous"], stats["hard"], stats["total"]) == (1, 2, 0, 3)
+    assert stats["mean_entropy"] == pytest.approx(np.mean(h), rel=1e-9)
+    assert negative_weights(scores, cfg).tolist() == [cfg.lambda_ambiguous] * 2 + [cfg.lambda_easy]
 
 
 def test_negative_weights_match_scalar_path():
@@ -294,19 +284,25 @@ def test_negative_weights_match_scalar_path():
 
 @pytest.mark.parametrize("log_base", ["natural", "base2"])
 def test_annotate_weights_equal_negative_weights_at_the_boundaries(log_base):
+    # sample_stats' counts and the classes of negative_weights' output agree
+    # score by score, on delta1 and delta2 too
     scores = np.linspace(-20.0, 5.0, 2001)
-    fi = make_filter([(0, 0, 1)])
-    negs = corrupt_one((0, 0, 1), len(scores), fi, n_entities=40, seed=3)
-    a = annotate(negs, scores, default_cfg(margin=1.5, log_base=log_base))
+    h, _ = _classify_scores(scores, default_cfg(margin=1.5, log_base=log_base))
     # thresholds taken from entropies the grid produces, so some scores sit
     # exactly on delta1 and delta2
-    seen = sorted(set(a["entropy"].tolist()))
+    seen = sorted(set(h.tolist()))
     cfg = default_cfg(margin=1.5, log_base=log_base,
                       delta1=seen[len(seen) // 4], delta2=seen[3 * len(seen) // 4])
-    a = annotate(negs, scores, cfg)
-    h, cls = a["entropy"].tolist(), [CLASSES[i] for i in a["difficulty"]]
-    assert a["weight"].tolist() == negative_weights(scores, cfg).tolist()
-    assert [classify(hi, cfg) for hi in h] == list(zip(cls, a["weight"].tolist()))
+    assert cfg.delta1 in h and cfg.delta2 in h
+    weights = negative_weights(scores, cfg).tolist()
+    cls = [classify(hi, cfg)[0] for hi in h.tolist()]
+    assert weights == [classify(hi, cfg)[1] for hi in h.tolist()]
+    # the three lambdas differ, so each weight names its class
+    by_weight = {cfg.lambda_easy: EASY, cfg.lambda_ambiguous: AMBIGUOUS, cfg.lambda_hard: HARD}
+    stats = sample_stats(scores, cfg)
+    assert {c: stats[c] for c in CLASSES} == {c: [by_weight[w] for w in weights].count(c)
+                                              for c in CLASSES}
+    assert stats["total"] == len(scores) and stats["mean_entropy"] == h.mean()
     assert {c for c, hi in zip(cls, h) if hi == cfg.delta1} == {AMBIGUOUS}
     assert {c for c, hi in zip(cls, h) if hi == cfg.delta2} == {HARD}
     assert set(cls) == {EASY, AMBIGUOUS, HARD}
@@ -314,12 +310,9 @@ def test_annotate_weights_equal_negative_weights_at_the_boundaries(log_base):
 
 def test_sample_stats_counts_match_manual_recount():
     cfg = default_cfg(log_base="base2", margin=0.0)
-    fi = make_filter([(0, 0, 1)])
-    negs = corrupt_one((0, 0, 1), 64, fi, n_entities=50, seed=13)
     rng = np.random.default_rng(1)
     scores = rng.uniform(-12.0, 3.0, size=64)
-    a = annotate(negs, scores, cfg)
-    stats = sample_stats(a)
+    stats = sample_stats(scores, cfg)
     want = {EASY: 0, AMBIGUOUS: 0, HARD: 0}
     for sc in scores:
         p = 1.0 / (1.0 + math.exp(-sc))
@@ -330,13 +323,6 @@ def test_sample_stats_counts_match_manual_recount():
     assert stats["total"] == 64
     assert stats["mean_entropy"] == pytest.approx(
         np.mean([oracle_entropy(1.0 / (1.0 + math.exp(-sc)), base_e=False) for sc in scores]))
-
-
-def test_sample_stats_requires_annotation():
-    fi = make_filter([(0, 0, 1)])
-    negs = corrupt_one((0, 0, 1), 2, fi, n_entities=5, seed=4)
-    with pytest.raises(ValueError):
-        sample_stats(negs)
 
 
 # ---------------------------------------------------------------- loss

@@ -17,6 +17,7 @@ import pytest
 import moekgc.autodiff as ad
 import moekgc.fusion as fusion
 import moekgc.parallel as parallel
+import moekgc.scoring as scoring
 import moekgc.trainer as trainer
 from moekgc.cli import apply_overrides, build_parser, load_config, load_data, main, section_configs
 from moekgc.config import ConfigError
@@ -430,38 +431,65 @@ def test_desk_step_frees_the_fusion_buffers_before_backward(monkeypatch):
 
 
 def test_desk_training_with_split_layers_equals_one_thread(tmp_path, monkeypatch):
-    # the c09 full model with every dense layer split (fanout.blocks), on
-    # 1, 2 and 3 workers: the same history and checkpoint bytes, the pool
-    # running blocks, and 41 tape nodes in every step
+    # the c09 full model trained and evaluated with every fast path cut into
+    # several blocks, levels and pieces (fanout.blocks), on 1, 2 and 3
+    # workers, against a run with every threshold raised (fanout.plain):
+    # the same history, checkpoint bytes and filtered test report, the pool
+    # running blocks, and 41 tape nodes in every step, all consumed
     kg, tables = clustered_graph(seed=0)
     cfg = ModelConfig(embedding_dim=16, experts=3, mi_bins=8, modalities=["attr", "attr_dup"])
     tc = TrainConfig(learning_rate=0.1, batch_size=16, max_epochs=4, eval_every=2, seed=0,
                      mi_ref_batch=64)
     samp = sampling_cfg(negatives_per_positive=8, margin=6.0)
-    nodes, threads = [], set()
+    nodes, threads, scatters, score_blocks = [], set(), [], []
     backward, matmul_into = ad.backward, ad._matmul_into
+    scatter_rows, row_blocks = ad._scatter_rows, scoring._row_blocks
 
     def counting_backward(loss):
-        nodes.append(ad.tape_size())
+        before = ad.tape_size()
         backward(loss)
+        nodes.append((before, ad.tape_size()))
 
     def noting_matmul(a, b, dest):
         threads.add(threading.current_thread().name)
         return matmul_into(a, b, dest)
 
+    def noting_scatter(idx, g, shape, dtype):
+        # by levels, and how many rows its first level adds
+        scatters.append((idx.size * math.prod(shape[1:]) >= ad._LEVEL_ELEMENTS,
+                         len(np.unique(idx))))
+        return scatter_rows(idx, g, shape, dtype)
+
+    def noting_row_blocks(*arrays):
+        out = row_blocks(*arrays)
+        score_blocks.append(len(out))
+        return out
+
     monkeypatch.setattr(ad, "backward", counting_backward)
     monkeypatch.setattr(ad, "_matmul_into", noting_matmul)
+    monkeypatch.setattr(ad, "_scatter_rows", noting_scatter)
+    monkeypatch.setattr(scoring, "_row_blocks", noting_row_blocks)
     runs = []
-    for w in (1, 2, 3):
-        nodes.clear()
+    for w in (None, 1, 2, 3):
+        for seen in (nodes, scatters, score_blocks):
+            seen.clear()
         threads.clear()
-        with fanout.blocks(w, kg.n_entities):
+        with fanout.plain() if w is None else fanout.blocks(w, kg.n_entities):
             result = train(kg, tables, cfg, tc, samp)
+            report = evaluate(result.model, kg, "test", "filtered", tc.mi_ref_batch)
+            levels = ad._LEVEL_ROWS, ad._PIECE_ROWS
         save_checkpoint(tmp_path / f"{w}.mkgc", result.model)
-        runs.append((result.history, (tmp_path / f"{w}.mkgc").read_bytes()))
-        assert nodes and set(nodes) == {41}
-        assert any(t.startswith("moekgc-block") for t in threads) == (w > 1)
-    assert len(runs[0][0]) == tc.max_epochs and runs[1] == runs[0] and runs[2] == runs[0]
+        runs.append((result.history, (tmp_path / f"{w}.mkgc").read_bytes(), report))
+        assert nodes and set(nodes) == {(41, 0)}
+        assert any(t.startswith("moekgc-block") for t in threads) == ((w or 0) > 1)
+        if w is None:
+            assert not any(by_levels for by_levels, _ in scatters) and set(score_blocks) == {1}
+        else:
+            # a level added by fancy index in several pieces, and a scorer
+            # pass over several row blocks
+            assert any(by_levels and rows > max(levels) for by_levels, rows in scatters)
+            assert max(score_blocks) > 1
+    assert len(runs[0][0]) == tc.max_epochs and all(run == runs[0] for run in runs[1:])
 
 
 # ---------------------------------------------------------------- context
@@ -1303,18 +1331,24 @@ def set_shape(shape):
     ("adam_step", lambda h: h.update(adam_step="3")),
     ("adam_step", lambda h: h.update(adam_step=-1)),
     ("adam_step is 3 but block adam.m.", lambda h: h.update(adam_step=3)),
+    # of the right type but invalid: the file's surplus blocks do not hide these
+    ("config is invalid: norm must be l2 or l1", set_config(norm="l3")),
+    ("config is invalid: experts must be >= 1", set_config(experts=0)),
+    ("config is invalid: duplicate modality", set_config(modalities=["img", "img"])),
 ], ids=["experts-str", "experts-bool", "embedding_dim-float", "mi_bins-float", "norm-int",
         "grad_through_weights-int", "modalities-str", "modalities-int-item", "shape-str",
         "shape-null", "shape-negative", "shape-huge", "entities-bool", "modality_dims-str",
-        "adam_step-str", "adam_step-negative", "adam_step-without-moments"])
+        "adam_step-str", "adam_step-negative", "adam_step-without-moments", "norm-invalid",
+        "experts-zero", "modalities-duplicate"])
 def test_header_field_of_the_wrong_type_is_a_checkpoint_error_naming_it(tmp_path, field, edit):
     # the block CRCs stay intact: only the JSON header is edited
     kg, tables, model, _ = fitted_model_and_opt(tmp_path, with_modality=True)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model)
     rewrite_header(path, edit)
-    with pytest.raises(CheckpointError, match=re.escape(field)):
+    with pytest.raises(CheckpointError, match=re.escape(field)) as error:
         load_checkpoint(path, tables, kg)
+    assert str(error.value).startswith(f"{path}: ")
 
 
 def peak_bytes(call):
