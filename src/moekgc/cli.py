@@ -49,6 +49,7 @@ from .trainer import (
     TrainConfig,
     TrainingError,
     _mean_rank,
+    _tie_counts,
     evaluate,
     load_checkpoint,
     mi_context_ids,
@@ -320,12 +321,16 @@ def cmd_predict(cfg, args) -> int:
     scores = score_candidates(emb, theta[r], emb[fixed], side, model.cfg.norm)
 
     keep = np.ones(kg.n_entities, dtype=bool)
+    offsets, known = np.zeros(2, dtype=np.int64), None  # raw: no filter
     if args.mode == "filtered":
         # hide answers that are already in the graph
-        keep[build_filter_index(kg).answers(fixed, r, side == "tail")[1]] = False
+        offsets, known = build_filter_index(kg).answers(fixed, r, side == "tail")
+        keep[known] = False
     kept_ids = np.flatnonzero(keep)
-    for e in kept_ids[np.argsort(-scores[kept_ids], kind="stable")[:args.top]]:
-        print(f"{_mean_rank(scores, e, keep):g},{kg.entities[e]},{scores[e]:.6f}")
+    for e in kept_ids[np.argsort(-scores[kept_ids], kind="stable")[:args.top]].tolist():
+        # the rank evaluate gives e as a gold entity, against the same filter
+        (better,), (tied,) = _tie_counts(scores[None], [e], offsets, known)
+        print(f"{_mean_rank(int(better), int(tied)):g},{kg.entities[e]},{scores[e]:.6f}")
     return 0
 
 

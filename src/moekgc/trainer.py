@@ -14,9 +14,10 @@ With the l2 norm a GEMM per block of queries settles the candidates that
 are surely better or worse than the gold and only the rest are scored
 directly; the ranks are those of scoring every candidate directly.  The
 embedding blocks and these ranking blocks run on every core through
-``parallel.ordered_map``, while the filter masks and the rank sums stay on
-the calling thread in query order, so a report is the same on any number
-of cores.
+``parallel.ordered_map``.  Each ranking block filters its rows and returns
+the better and tied counts of its queries, and the calling thread turns
+the counts into ranks and sums them in query order, so a report is the
+same on any number of cores.
 
 Checkpoints are a fixed binary layout: magic, format version, a canonical
 JSON header (sorted keys, compact separators), then the parameter blocks in
@@ -277,48 +278,74 @@ def mi_context_ids(kg: KnowledgeGraph, n: int) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def _mean_rank(scores: np.ndarray, gold: int, allowed: np.ndarray) -> float:
+def _mean_rank(better: int, tied: int) -> float:
     # ties share the mean of the positions they span; the gold entity is
     # part of its own tied block, so a clean win gives better + 1
-    s = scores[gold]
-    better = int(np.count_nonzero((scores > s) & allowed))
-    tied = int(np.count_nonzero((scores == s) & allowed))
     return better + (tied + 1) / 2.0
+
+
+def _tie_counts(rows, gold, offsets, known):
+    """(better, tied) per row of a block of query rows: the allowed
+    candidates of row i that score above and equal to rows[i, gold[i]].
+
+    known and offsets filter the block as FilterIndex.answers gives them:
+    row i drops known[offsets[i]:offsets[i + 1]], the gold excepted, so
+    offsets runs from the block's first query to one past its last.  With
+    known None (raw mode) every candidate is allowed.  A NaN is never
+    better and never tied, not even the gold's own.
+    """
+    at_gold = (np.arange(len(rows)), gold)
+    s = rows[at_gold][:, None]
+    better, tied = rows > s, rows == s
+    if known is not None:
+        allowed = np.ones(rows.shape, dtype=bool)
+        allowed[np.repeat(at_gold[0], np.diff(offsets)), known[offsets[0]:offsets[-1]]] = False
+        allowed[at_gold] = True
+        better &= allowed
+        tied &= allowed
+    return np.count_nonzero(better, axis=1), np.count_nonzero(tied, axis=1)
 
 
 # elements (queries x n_entities) per ranking block of the calling thread;
 # a pool thread's blocks take parallel.POOL_SHARE of its queries.  A
-# running block holds at most two float64 arrays of that size and keeps
-# one, its rows, until they are ranked: at 15k entities a block is 32
-# queries, and the pool's blocks of the two groups a map may run ahead
-# (parallel.AHEAD_GROUPS) keep 32 query rows on two cores, fewer than the
-# three (64, n_entities) arrays one 64-query block held.  A desk graph's
+# running block holds at most two float64 arrays of that size, and returns
+# two ints per query, its tie counts: at 15k entities a block is 32
+# queries, and the counts that the pool's blocks of the two groups a map
+# may run ahead (parallel.AHEAD_GROUPS) hold are a few kB.  A desk graph's
 # split is one block, ranked without a thread
 _RANK_BLOCK = 32 * 15_000
 
 
-def _direct_rows(emb, theta, fixed, relation, tail, norm):
-    """Each query's scores over every candidate by the direct scorer, in
-    query order: query i ranks the tails of (fixed[i], relation[i]) where
-    tail[i] is true, else the heads of (relation[i], fixed[i])."""
-    for f, r, is_tail in zip(fixed.tolist(), relation.tolist(), tail.tolist()):
-        yield score_candidates(emb, theta[r], emb[f], "tail" if is_tail else "head", norm)
+def _direct_rows(emb, theta, fixed, relation, gold, tail, norm, offsets, known):
+    """The tie counts of each block of queries, in query order, from rows of
+    the direct scorer: query i ranks gold[i] among the tails of (fixed[i],
+    relation[i]) where tail[i] is true, else among the heads of (relation[i],
+    fixed[i]), filtered by offsets and known as in _tie_counts.  The blocks
+    run on the calling thread."""
+    step = max(1, _RANK_BLOCK // emb.shape[0])
+    for a in range(0, len(gold), step):
+        blk = slice(a, a + step)
+        rows = np.stack([
+            score_candidates(emb, theta[r], emb[f], "tail" if is_tail else "head", norm)
+            for f, r, is_tail in zip(fixed[blk].tolist(), relation[blk].tolist(),
+                                     tail[blk].tolist())])
+        yield _tie_counts(rows, gold[blk], offsets[a:a + step + 1], known)
 
 
-def _l2_rows(emb, theta, fixed, relation, gold, tail):
+def _l2_rows(emb, theta, fixed, relation, gold, tail, offsets, known):
     """_direct_rows for the l2 norm, ranked exactly but scored mostly by GEMM.
 
-    It takes the same query arrays, plus gold[i], the entity query i ranks,
-    and yields bare rows in query order too.  Squared distances
-    ||q||^2 + ||c||^2 - 2 q.c come from one matrix product per block of
-    queries.  Each query has one error bound E, l2_error_bound at the
-    largest candidate norm, which is no smaller than any candidate's own
-    bound.  A candidate nearer than the distance g of gold[i] by more than
-    2E gets +inf, one farther by more than 2E gets -inf, and the band in
-    between, the gold included, is scored by the direct scorer.  _mean_rank
-    gives such a row the rank the full direct scores give.  The blocks run
-    through parallel.ordered_map, each computed alone, so the rows are the
-    same on any number of cores.
+    It takes the same arguments and yields the same counts, block by block.
+    Squared distances ||q||^2 + ||c||^2 - 2 q.c come from one matrix
+    product per block of queries.  Each query has one error bound E,
+    l2_error_bound at the largest candidate norm, which is no smaller than
+    any candidate's own bound.  A candidate nearer than the distance g of
+    gold[i] by more than 2E gets +inf, one farther by more than 2E gets
+    -inf, and the band in between, the gold included, is scored by the
+    direct scorer.  _tie_counts counts such a row as it counts the full
+    direct scores.  The blocks, the counting included, run through
+    parallel.ordered_map, each computed alone, so the counts are the same
+    on any number of cores.
     """
     n_ent, d = emb.shape
     cand_sq = np.einsum("ij,ij->i", emb, emb)
@@ -359,10 +386,9 @@ def _l2_rows(emb, theta, fixed, relation, gold, tail):
             part = slice(c, c + n_ent)
             rows[qi[part], ci[part]] = score(emb[heads[part]], theta[relation[qs[part]]],
                                              emb[tails[part]])
-        return rows
+        return _tie_counts(rows, gold[blk], offsets[span[0]:span[1] + 1], known)
 
-    for rows in ordered_map(block, spans(len(gold), max(1, _RANK_BLOCK // n_ent))):
-        yield from rows
+    yield from ordered_map(block, spans(len(gold), max(1, _RANK_BLOCK // n_ent)))
 
 
 def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
@@ -384,6 +410,7 @@ def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
     gold = triples[:, [2, 0]].ravel()
     relation = np.repeat(triples[:, 1], 2)
     tail = np.tile([True, False], len(triples))
+    offsets, known = np.zeros(len(gold) + 1, dtype=np.int64), None  # raw: no filter
     if mode == "filtered":
         if filter_index is None:
             filter_index = build_filter_index(kg)
@@ -391,26 +418,23 @@ def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
 
     emb = model.all_joint_embeddings(mi_context_ids(kg, mi_ref_batch))
     theta = np.asarray(model.relation_phases.data, dtype=np.float64)
-    n_ent = emb.shape[0]
     if model.cfg.norm == "l2":
-        query_rows = _l2_rows(emb, theta, fixed, relation, gold, tail)
+        counts = _l2_rows(emb, theta, fixed, relation, gold, tail, offsets, known)
     else:
-        query_rows = _direct_rows(emb, theta, fixed, relation, tail, model.cfg.norm)
+        counts = _direct_rows(emb, theta, fixed, relation, gold, tail, model.cfg.norm,
+                              offsets, known)
 
     rr_sum = 0.0
     hits = {1: 0, 3: 0, 10: 0}
     # closed on the way out, also when this loop raises: an open block map
     # keeps its pool thread, this thread's CPU pin and the tape switched off
-    with contextlib.closing(query_rows):
-        for i, (scores, g) in enumerate(zip(query_rows, gold.tolist())):
-            allowed = np.ones(n_ent, dtype=bool)
-            if mode == "filtered":
-                allowed[known[offsets[i]:offsets[i + 1]]] = False
-                allowed[g] = True
-            rank = _mean_rank(scores, g, allowed)
-            rr_sum += 1.0 / rank
-            for k in hits:
-                hits[k] += 1 if rank <= k else 0
+    with contextlib.closing(counts):
+        for better, tied in counts:
+            for b, t in zip(better.tolist(), tied.tolist()):
+                rank = _mean_rank(b, t)
+                rr_sum += 1.0 / rank
+                for k in hits:
+                    hits[k] += 1 if rank <= k else 0
     queries = len(gold)
     return {
         "mrr": rr_sum / queries,

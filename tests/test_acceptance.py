@@ -45,6 +45,7 @@ from moekgc.trainer import (
     save_checkpoint,
     train,
     _mean_rank,
+    _tie_counts,
 )
 
 from oracles import finite_difference_grads, rank_by_sort
@@ -411,11 +412,12 @@ def test_c07_ranks_match_brute_force_oracle_exactly():
                         else:
                             s = score_candidates(emb, theta[r], emb[t], "head")
                             gold, known = h, fi.true_heads(r, t)
-                        allowed = np.ones(n_ent, dtype=bool)
-                        if mode == "filtered" and known:
-                            allowed[np.fromiter(known, dtype=np.int64)] = False
-                            allowed[gold] = True
-                        assert _mean_rank(s, gold, allowed) == oracle_ranks[i]
+                        # the one-row block of the evaluator's counting routine
+                        answers = np.array(sorted(known), dtype=np.int64)
+                        (better,), (tied,) = _tie_counts(
+                            s[None], [gold], [0, len(answers)],
+                            answers if mode == "filtered" else None)
+                        assert _mean_rank(int(better), int(tied)) == oracle_ranks[i]
                         i += 1
                         checked += 1
                 for key in ("mrr", "hits1", "hits3", "hits10"):

@@ -21,25 +21,6 @@ def fresh_tape():
     ad.reset_tape()
 
 
-# public autodiff functions that no other library module calls: user-facing API
-_API_ONLY = {"using_dtype", "tape_size", "parameter"}
-
-
-def test_every_public_autodiff_function_is_library_code_or_api():
-    """An op that only tests call belongs in tests/oracles.py.  Other modules
-    reach autodiff as ad.<name> or by importing a name, and reach the ops
-    behind Tensor's methods through its operators and .sum()."""
-    src = pathlib.Path(ad.__file__).parent
-    others = "\n".join(p.read_text() for p in src.glob("*.py") if p.name != "autodiff.py")
-    used = set(re.findall(r"\bad\.(\w+)", others))
-    for names in re.findall(r"from \.autodiff import ([\w, ]+)", others):
-        used.update(n.strip() for n in names.split(","))
-    used.update(re.findall(r"return (\w+)\(", inspect.getsource(ad.Tensor)))
-    public = {name for name, f in vars(ad).items() if inspect.isfunction(f)
-              and f.__module__ == ad.__name__ and not name.startswith("_")}
-    assert public - used == _API_ONLY
-
-
 def test_every_public_tensor_method_has_a_library_caller():
     """A method or property of Tensor that only tests use goes: library code
     outside the class reaches each one as .<name>."""

@@ -21,7 +21,7 @@ from moekgc.config import ConfigError
 from moekgc.fusion import FusionModel, ModelConfig
 from moekgc.sampling import NegativeSamplingConfig, UnreachableHardClassWarning
 from moekgc.scoring import score_candidates
-from moekgc.trainer import TrainConfig, _mean_rank, mi_context_ids, save_checkpoint
+from moekgc.trainer import TrainConfig, _mean_rank, _tie_counts, mi_context_ids, save_checkpoint
 
 import fanout
 
@@ -455,14 +455,16 @@ def test_predict_ranks_are_the_evaluator_mean_ranks_on_ties(workspace, capsys, m
                  "--head", "a", "--mode", mode, "--top", "4"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()]
     assert [(name, float(rank)) for rank, name, _ in rows] == want
-    # the same ranks trainer._mean_rank gives with the printed filter
+    # the same ranks the evaluator's counting routine gives with the printed filter
     emb = model.all_joint_embeddings(mi_context_ids(kg, 8))  # the workspace mi_ref_batch
     scores = score_candidates(emb, np.zeros(2), emb[kg.entity_index["a"]], "tail")
-    keep = np.ones(kg.n_entities, dtype=bool)
-    if mode == "filtered":
-        keep[[kg.entity_index["b"], kg.entity_index["c"]]] = False
-    assert [float(rank) for rank, _, _ in rows] == [
-        _mean_rank(scores, kg.entity_index[name], keep) for _, name, _ in rows]
+    known = np.array(sorted([kg.entity_index["b"], kg.entity_index["c"]]))
+    ranks = []
+    for _, name, _ in rows:
+        (better,), (tied,) = _tie_counts(scores[None], [kg.entity_index[name]], [0, len(known)],
+                                         known if mode == "filtered" else None)
+        ranks.append(_mean_rank(int(better), int(tied)))
+    assert [float(rank) for rank, _, _ in rows] == ranks
 
 
 @pytest.mark.parametrize("top", ["0", "-1"])

@@ -33,6 +33,7 @@ from moekgc.trainer import (
     TrainConfig,
     TrainingError,
     _mean_rank,
+    _tie_counts,
     evaluate,
     load_checkpoint,
     mi_context_ids,
@@ -646,12 +647,14 @@ def near_tie_graph(norm, dtype, scale):
 
 
 def record_rank_calls(monkeypatch):
-    """Capture (scores, gold, allowed, rank) of every _mean_rank call."""
+    """Capture (better, tied, rank) of every _mean_rank call, each of which
+    must run on the main thread."""
     calls = []
 
-    def recording(scores, gold, allowed):
-        rank = _mean_rank(scores, gold, allowed)
-        calls.append((scores.copy(), gold, allowed.copy(), rank))
+    def recording(better, tied):
+        assert threading.current_thread() is threading.main_thread()
+        rank = _mean_rank(better, tied)
+        calls.append((better, tied, rank))
         return rank
 
     monkeypatch.setattr(trainer, "_mean_rank", recording)
@@ -660,7 +663,8 @@ def record_rank_calls(monkeypatch):
 
 def direct_queries(model, kg, mode):
     """(gold, allowed, direct rank) per query in evaluate's order, scored over
-    every candidate by score_candidates."""
+    every candidate by score_candidates and ranked from a copy of the
+    allowed scores."""
     fi = build_filter_index(kg)
     emb = model.all_joint_embeddings(mi_context_ids(kg, 256))
     theta = np.asarray(model.relation_phases.data, dtype=np.float64)
@@ -673,7 +677,7 @@ def direct_queries(model, kg, mode):
             if mode == "filtered":
                 allowed[list(known)] = False
                 allowed[gold] = True
-            out.append((gold, allowed, _mean_rank(scores, gold, allowed)))
+            out.append((gold, allowed, copy_mean_rank(scores, gold, allowed)))
     return out
 
 
@@ -684,15 +688,23 @@ def direct_queries(model, kg, mode):
 def test_evaluate_ranks_equal_direct_ranks_on_near_ties(monkeypatch, mode, norm, dtype, scale):
     # the l2 path ranks from GEMM distances plus an exactly rescored band;
     # every per-query rank must equal the full direct scorer's, in one block
-    # and in small blocks run inline or on the pool
+    # and in small blocks run inline or on the pool.  The l1 path scores on
+    # the calling thread alone: perfbench's single-threaded tracer wraps
+    # score_candidates
     kg, model = near_tie_graph(norm, dtype, scale)
     want = direct_queries(model, kg, mode)
     calls = record_rank_calls(monkeypatch)
+
+    def on_the_main_thread(*args):
+        assert threading.current_thread() is threading.main_thread()
+        return score_candidates(*args)
+
+    monkeypatch.setattr(trainer, "score_candidates", on_the_main_thread)
     for setting in fanout.settings(kg.n_entities):
         calls.clear()
         with setting:
             evaluate(model, kg, "test", mode)
-        assert [c[3] for c in calls] == [w[2] for w in want]
+        assert [c[2] for c in calls] == [w[2] for w in want]
     # the fixture does tie: some gold shares its score with another candidate
     assert any(rank % 1 for rank in (w[2] for w in want))
 
@@ -712,7 +724,7 @@ def test_evaluate_ranks_equal_direct_ranks_on_spread_norms(monkeypatch, mode, dt
         calls.clear()
         with setting:
             evaluate(model, kg, "test", mode)
-        assert [c[3] for c in calls] == [w[2] for w in want]
+        assert [c[2] for c in calls] == [w[2] for w in want]
     assert any(rank % 1 for rank in (w[2] for w in want))
 
 
@@ -729,36 +741,69 @@ def test_raw_evaluation_builds_no_filter_index(monkeypatch):
 
 
 def test_mean_rank_counts_equal_the_copied_pool():
-    # ties, NaN scores (never better, never tied), rows where everything but
-    # the gold is filtered, and a gold filtered out with the rest
+    # blocks of 1 to 6 rows, each row ranked against the copied pool: ties,
+    # NaN scores (never better, never tied), +-inf, rows where every
+    # candidate but the gold is filtered, and raw rows, where the gold stays
+    # in with every other candidate.  The block's answers sit behind those
+    # of earlier queries, as a later block's do in evaluate
     rng = np.random.default_rng(31)
+    filtered_but_the_gold = 0
     for trial in range(300):
-        n = int(rng.integers(1, 12))
-        scores = rng.integers(-3, 3, n).astype(np.float64)
-        scores[rng.random(n) < 0.2] = np.nan
-        scores[rng.random(n) < 0.1] = -np.inf
-        gold = int(rng.integers(n))
-        allowed = rng.random(n) < (0.0, 0.5, 1.0)[trial % 3]
-        if trial % 7:
-            allowed[gold] = True
-        got = _mean_rank(scores, gold, allowed)
-        assert got == copy_mean_rank(scores, gold, allowed) and type(got) is float
+        q, n = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+        rows = rng.integers(-3, 3, (q, n)).astype(np.float64)
+        rows[rng.random((q, n)) < 0.2] = np.nan
+        rows[rng.random((q, n)) < 0.1] = -np.inf
+        rows[rng.random((q, n)) < 0.1] = np.inf
+        gold = rng.integers(n, size=q)
+        answers = [np.flatnonzero(rng.random(n) < rng.choice([0.0, 0.5, 1.0])) for _ in range(q)]
+        earlier = rng.integers(n, size=int(rng.integers(0, 4)))
+        known = np.concatenate([earlier, *answers])
+        offsets = len(earlier) + np.cumsum([0] + [len(a) for a in answers])
+        raw = trial % 3 == 0
+        better, tied = _tie_counts(rows, gold, offsets, None if raw else known)
+        for i in range(q):
+            allowed = np.ones(n, dtype=bool)
+            if not raw:
+                allowed[answers[i]] = False
+                allowed[gold[i]] = True
+                filtered_but_the_gold += n > 1 and allowed.sum() == 1
+            got = _mean_rank(int(better[i]), int(tied[i]))
+            assert got == copy_mean_rank(rows[i], gold[i], allowed) and type(got) is float
+    assert filtered_but_the_gold
 
 
 def test_evaluate_calls_mean_rank_once_per_query_in_order(monkeypatch):
     # perfbench reads every rank through trainer._mean_rank: one call per
-    # query, tail then head per triple, each the full filtered rank
+    # query on the calling thread, tail then head per triple, each the full
+    # filtered rank of the gold entity its ranking block counted
     kg, model = near_tie_graph("l2", np.float32, 1.0)
     want = direct_queries(model, kg, "filtered")
     calls = record_rank_calls(monkeypatch)
+    blocks = []
+    tie_counts = trainer._tie_counts
+
+    def noting(rows, gold, offsets, known):
+        blocks.append((offsets.copy(), known, gold.copy()))
+        return tie_counts(rows, gold, offsets, known)
+
+    monkeypatch.setattr(trainer, "_tie_counts", noting)
     for setting in fanout.settings(kg.n_entities):
         calls.clear()
+        blocks.clear()
         with setting:
             report = evaluate(model, kg, "test", "filtered")
         assert len(calls) == report["queries"] == 2 * len(kg.test)
-        assert [c[1] for c in calls] == [g for h, _, t in kg.test.tolist() for g in (t, h)]
-        for (scores, gold, allowed, rank), (w_gold, w_allowed, w_rank) in zip(calls, want):
-            assert scores.shape == (kg.n_entities,)
+        # every query's own triple is a known answer, so a block's first
+        # offset puts it in query order, whichever thread counted it
+        ranked = []
+        for offsets, known, gold in sorted(blocks, key=lambda b: b[0][0]):
+            for i, g in enumerate(gold.tolist()):
+                allowed = np.ones(kg.n_entities, dtype=bool)
+                allowed[known[offsets[i]:offsets[i + 1]]] = False
+                allowed[g] = True
+                ranked.append((g, allowed))
+        assert [g for g, _ in ranked] == [g for h, _, t in kg.test.tolist() for g in (t, h)]
+        for (gold, allowed), (_, _, rank), (w_gold, w_allowed, w_rank) in zip(ranked, calls, want):
             np.testing.assert_array_equal(allowed, w_allowed)
             assert (gold, rank) == (w_gold, w_rank)
 
@@ -782,14 +827,19 @@ def test_threaded_evaluation_equals_the_serial_run(monkeypatch):
     kg, model = modality_graph()
     context = mi_context_ids(kg, 16)
     calls = record_rank_calls(monkeypatch)
-    threads = set()
-    fuse = FusionModel._fuse
+    threads, counted_on = set(), set()
+    fuse, tie_counts = FusionModel._fuse, trainer._tie_counts
 
     def noting(self, *args):
         threads.add(threading.current_thread().name)
         return fuse(self, *args)
 
+    def counting(*args):
+        counted_on.add(threading.current_thread().name)
+        return tie_counts(*args)
+
     monkeypatch.setattr(FusionModel, "_fuse", noting)
+    monkeypatch.setattr(trainer, "_tie_counts", counting)
     runs = []
     for w in fanout.SETTINGS:
         calls.clear()
@@ -799,12 +849,11 @@ def test_threaded_evaluation_equals_the_serial_run(monkeypatch):
         runs.append((emb, report, list(calls)))
     (emb1, report1, calls1), (emb2, report2, calls2) = runs
     assert any(t.startswith("moekgc-block") for t in threads)
+    assert any(t.startswith("moekgc-block") for t in counted_on)
     assert emb1.tobytes() == emb2.tobytes()
     assert report1 == report2
-    assert len(calls1) == len(calls2) == 2 * len(kg.test)
-    for (s1, g1, a1, r1), (s2, g2, a2, r2) in zip(calls1, calls2):
-        assert s1.tobytes() == s2.tobytes() and a1.tobytes() == a2.tobytes()
-        assert (g1, r1) == (g2, r2)
+    assert len(calls1) == 2 * len(kg.test)
+    assert calls1 == calls2
 
 
 def test_many_workers_with_fast_thread_switches_match_the_serial_run():
@@ -895,11 +944,12 @@ def test_a_failing_rank_loop_closes_the_block_map(monkeypatch):
     mean_rank = trainer._mean_rank
     ranked = []
 
-    def failing_at_the_third(scores, gold, allowed):
+    def failing_at_the_third(better, tied):
+        assert threading.current_thread() is threading.main_thread()
         if len(ranked) == 2:
             raise ad.FiniteError("injected in the rank loop")
-        ranked.append(gold)
-        return mean_rank(scores, gold, allowed)
+        ranked.append(better)
+        return mean_rank(better, tied)
 
     monkeypatch.setattr(trainer, "_mean_rank", failing_at_the_third)
     with fanout.blocks(2, kg.n_entities, rank_queries=2):
