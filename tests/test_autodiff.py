@@ -9,6 +9,7 @@ import pytest
 
 from moekgc import autodiff as ad
 from moekgc import parallel, scoring
+import test_dead_code as dead_code
 from oracles import (clamp_min, composite_place_rows, composite_score_batch, cos,
                      finite_difference_grads, flat_scatter_rows, relative_block_error, relu,
                      sigmoid, sin, slice_cols, sqrt, square, tensor_mean)
@@ -19,6 +20,19 @@ def fresh_tape():
     ad.reset_tape()
     yield
     ad.reset_tape()
+
+
+def test_every_public_autodiff_function_is_library_code_or_api():
+    """An op that only tests call belongs in tests/oracles.py.  This is
+    autodiff's share of the dead-code guard in tests/test_dead_code.py, under
+    its rule (a use inside autodiff.py does not count) and its one
+    allow-list."""
+    trees = dead_code.parsed_modules()
+    used = dead_code.autodiff_uses(trees)
+    unused = {f"autodiff.{name}" for name, _, bound
+              in dead_code.public_functions(trees["autodiff.py"]) if not bound and name not in used}
+    assert unused == {name for name in dead_code._UNREFERENCED_OK
+                      if name.startswith("autodiff.") and name.count(".") == 1}
 
 
 def test_every_public_tensor_method_has_a_library_caller():
