@@ -480,8 +480,7 @@ def _spans(n, width):
 
 def _run(fn, spans):
     """fn(span) for every span, on the block map."""
-    for _ in parallel.ordered_map(fn, spans):
-        pass
+    parallel.ordered_map(fn, spans)
 
 
 def _matmul_into(a, b, dest):

@@ -20,7 +20,10 @@ def atomic_write(*paths, mode: str = "wb", **open_kw):
     not to be a directory before the first is renamed over its path.  If
     the block or any of that raises, the temporary files are removed and
     every path is left as it was.  One window remains: a rename that fails
-    for another reason after an earlier rename has replaced its path."""
+    for another reason after an earlier rename has replaced its path.
+    After the renames each distinct directory they went into is fsynced,
+    where the OS opens a directory (POSIX), so that they survive a power
+    cut."""
     tmps = [f"{os.fspath(path)}.{os.getpid()}.tmp" for path in paths]
     try:
         with contextlib.ExitStack() as stack:
@@ -39,3 +42,10 @@ def atomic_write(*paths, mode: str = "wb", **open_kw):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
         raise
+    if os.name == "posix":
+        for parent in dict.fromkeys(os.path.dirname(os.path.abspath(p)) for p in paths):
+            fd = os.open(parent, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)

@@ -28,7 +28,8 @@ At evaluation the MI is pinned, so every entity's row depends on that
 entity alone: ``all_joint_embeddings`` fuses in blocks that
 ``parallel.ordered_map`` spreads over the cores, each block through
 ``_fuse``, the body of ``fuse`` that a profiler wrapping ``fuse`` from one
-thread does not see.
+thread does not see.  A block writes its rows into the output in place, so
+the map's results are not read.
 """
 
 from __future__ import annotations
@@ -449,9 +450,6 @@ class FusionModel:
             b0, b1 = span
             out[b0:b1] = self._fuse(np.arange(b0, b1), mi)[0].data
 
-        blocks = spans(self.n_entities, _EMBED_BLOCK)
         with ad.no_grad():
-            # embed keeps no result, so every pool block is submitted at once
-            for _ in ordered_map(embed, blocks, ahead=len(blocks)):
-                pass
+            ordered_map(embed, spans(self.n_entities, _EMBED_BLOCK))
         return out

@@ -4,13 +4,12 @@ Evaluation maps its embedding and ranking blocks over it, every dense
 layer of training (``ad.affine``) its row and column blocks, and Adam
 (``trainer.Adam``) the element spans of its update.
 
-``ordered_map(fn, items)`` yields ``fn(item)`` for each item, in order.
+``ordered_map(fn, items)`` returns ``[fn(item) for item in items]``.
 With w workers, the calling thread runs item i itself when i % w is 0, in
 its turn, and a pool of w - 1 threads runs the others, each on whichever
-pool thread is free.  A pool item is submitted once the caller takes the
-item `ahead` groups of w before it, so no item runs further ahead than
-that.  Every item is the same call whichever thread runs it, so the
-results are those of the plain loop, bit for bit.
+pool thread is free; every pool item is submitted when the map starts.
+Every item is the same call whichever thread runs it, so the results are
+those of the plain loop, bit for bit.
 
 ``spans(n, block)`` cuts n rows into such items: the calling thread's
 spans have `block` rows and the pool's POOL_SHARE of that.  The pool runs
@@ -55,12 +54,11 @@ caller's, between or inside its own items, or a pool thread, inside one
 of the pool's.  So an evaluation block that runs a dense layer runs it
 whole on its own thread, and no pool or CPU pin nests in another.
 
-A map that fans out holds every context given to ``hold_while_open`` for
-as long as it is open, also while its caller runs between two items.
-autodiff gives its ``no_grad``: the tape is module-global, so no block,
-on any thread, records.  Once an item raises, no later item starts; the
-map waits for the running ones and re-raises the first failure in item
-order.
+A map that fans out holds every context given to ``hold_while_open``
+until it returns.  autodiff gives its ``no_grad``: the tape is
+module-global, so no block, on any thread, records.  Once an item raises,
+no later item starts; the map waits for the running ones and re-raises
+the first failure in item order.
 """
 
 from __future__ import annotations
@@ -76,19 +74,15 @@ from concurrent.futures import ThreadPoolExecutor
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # a pool thread's span, as a share of the calling thread's (above)
 POOL_SHARE = 0.5
-# groups of items a map may run past the one its caller takes next: the
-# results held bound its memory
-AHEAD_GROUPS = 2
 
 # held by the one map that fans out (above)
 _FANNING = threading.Lock()
-# the contexts every map that fans out holds while open (hold_while_open)
+# the contexts every map that fans out holds (hold_while_open)
 _HELD = []
 
 
 def hold_while_open(context):
-    """Have every map that fans out enter context() for as long as it is
-    open."""
+    """Have every map that fans out enter context() until it returns."""
     _HELD.append(context)
 
 
@@ -151,28 +145,25 @@ def group(n, least):
     return [(0, own)] + [(own + i * pool, own + (i + 1) * pool) for i in range(w - 1)]
 
 
-def ordered_map(fn, items, ahead=AHEAD_GROUPS):
-    """Yield fn(item) for every item, in order (above), running at most
-    `ahead` groups of items past the one the caller takes next."""
+def ordered_map(fn, items):
+    """[fn(item) for item in items], on every worker (above)."""
     items = list(items)
     w = min(workers(), len(items)) if len(items) > 1 else 1
     if w <= 1 or not _FANNING.acquire(blocking=False):
-        for item in items:
-            yield fn(item)
-        return
+        return [fn(item) for item in items]
     try:
-        yield from _fan_out(fn, items, w, ahead)
+        return _fan_out(fn, items, w)
     finally:
         _FANNING.release()
 
 
-def _fan_out(fn, items, w, ahead):
+def _fan_out(fn, items, w):
     """ordered_map on w workers, the calling thread included."""
     lock, failed = threading.Lock(), [len(items)]  # the lowest failed item
 
     def run(i):
         if i > failed[0]:
-            return None  # an earlier item failed: the caller never takes this one
+            return None  # an earlier item failed: the map raises its failure
         try:
             return fn(items[i])
         except BaseException:
@@ -180,28 +171,19 @@ def _fan_out(fn, items, w, ahead):
                 failed[0] = min(failed[0], i)
             raise
 
-    window, pending = ahead * w, {}
     with contextlib.ExitStack() as held, _one_cpu_each() as pin, \
             ThreadPoolExecutor(w - 1, thread_name_prefix="moekgc-block",
                                initializer=pin) as pool:
         for context in _HELD:
             held.enter_context(context())
-
-        def submit(i):
-            if i < len(items) and i % w:
-                # in the caller's context (numpy's errstate included)
-                pending[i] = pool.submit(contextvars.copy_context().run, run, i)
-
+        # in the caller's context (numpy's errstate included)
+        pending = {i: pool.submit(contextvars.copy_context().run, run, i)
+                   for i in range(len(items)) if i % w}
         try:
-            for i in range(window):
-                submit(i)
-            for i in range(len(items)):
-                out = pending.pop(i).result() if i % w else run(i)
-                submit(i + window)
-                yield out
+            return [pending[i].result() if i % w else run(i) for i in range(len(items))]
         finally:
-            # a failure, or the caller closed the map: start no more items;
-            # leaving the pool waits for the running ones
+            # after a failure no queued item starts; leaving the pool waits
+            # for the running ones
             for future in pending.values():
                 future.cancel()
 

@@ -63,6 +63,10 @@ class NegativeSamplingConfig:
             raise ConfigError(f"negatives_per_positive must be >= 1, got {self.negatives_per_positive}")
         if not (0.0 < self.delta1 < self.delta2):
             raise ConfigError(f"need 0 < delta1 < delta2, got {self.delta1}, {self.delta2}")
+        for name in ("lambda_easy", "lambda_ambiguous", "lambda_hard"):
+            # a negative weight rewards a high score on its class of negatives
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.lambda_easy >= self.lambda_ambiguous:
             raise ConfigError(
                 f"lambda_easy must be < lambda_ambiguous, got {self.lambda_easy} >= {self.lambda_ambiguous}"

@@ -15,9 +15,9 @@ are surely better or worse than the gold and only the rest are scored
 directly; the ranks are those of scoring every candidate directly.  The
 embedding blocks and these ranking blocks run on every core through
 ``parallel.ordered_map``.  Each ranking block filters its rows and returns
-the better and tied counts of its queries, and the calling thread turns
-the counts into ranks and sums them in query order, so a report is the
-same on any number of cores.
+the better and tied counts of its queries.  Once the map has returned
+every block's counts, the calling thread turns them into ranks and sums
+them in query order, so a report is the same on any number of cores.
 
 Checkpoints are a fixed binary layout: magic, format version, a canonical
 JSON header (sorted keys, compact separators), then the parameter blocks in
@@ -28,7 +28,6 @@ in the header.  Saving, loading, and saving again yields identical bytes.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import json
 import math
 import struct
@@ -199,7 +198,7 @@ class Adam:
         store.sync()
         runs = [_RunGrads(run) for run in _grad_runs(store.blocks)]
         for grads in runs:
-            if not all(list(ordered_map(lambda span: grads.finite(*span), grads.spans))):
+            if not all(ordered_map(lambda span: grads.finite(*span), grads.spans)):
                 bad = next(b.name for b in grads.blocks if not np.isfinite(b.tensor.grad).all())
                 raise TrainingError(f"non-finite gradient in block {bad}")
         self.t += 1
@@ -214,8 +213,7 @@ class Adam:
             def update(span):
                 self._update(grads, *span, x, out, c1, c2)
 
-            for _ in ordered_map(update, grads.spans):
-                pass
+            ordered_map(update, grads.spans)
             done = grads.hi
         out[done:] = x[done:]
         store.repoint(out)
@@ -310,32 +308,35 @@ def _tie_counts(rows, gold, offsets, known):
 # a pool thread's blocks take parallel.POOL_SHARE of its queries.  A
 # running block holds at most two float64 arrays of that size, and returns
 # two ints per query, its tie counts: at 15k entities a block is 32
-# queries, and the counts that the pool's blocks of the two groups a map
-# may run ahead (parallel.AHEAD_GROUPS) hold are a few kB.  A desk graph's
-# split is one block, ranked without a thread
+# queries, and the map submits every pool block when it starts: the counts
+# held until it returns are 16 bytes a query.  A desk graph's split is one
+# block, ranked without a thread
 _RANK_BLOCK = 32 * 15_000
 
 
 def _direct_rows(emb, theta, fixed, relation, gold, tail, norm, offsets, known):
-    """The tie counts of each block of queries, in query order, from rows of
-    the direct scorer: query i ranks gold[i] among the tails of (fixed[i],
-    relation[i]) where tail[i] is true, else among the heads of (relation[i],
-    fixed[i]), filtered by offsets and known as in _tie_counts.  The blocks
+    """The tie counts (better, tied) of every query, from rows of the direct
+    scorer: query i ranks gold[i] among the tails of (fixed[i], relation[i])
+    where tail[i] is true, else among the heads of (relation[i], fixed[i]),
+    filtered by offsets and known as in _tie_counts.  The blocks of queries
     run on the calling thread."""
     step = max(1, _RANK_BLOCK // emb.shape[0])
+    counts = []
     for a in range(0, len(gold), step):
         blk = slice(a, a + step)
         rows = np.stack([
             score_candidates(emb, theta[r], emb[f], "tail" if is_tail else "head", norm)
             for f, r, is_tail in zip(fixed[blk].tolist(), relation[blk].tolist(),
                                      tail[blk].tolist())])
-        yield _tie_counts(rows, gold[blk], offsets[a:a + step + 1], known)
+        counts.append(_tie_counts(rows, gold[blk], offsets[a:a + step + 1], known))
+    better, tied = zip(*counts)
+    return np.concatenate(better), np.concatenate(tied)
 
 
 def _l2_rows(emb, theta, fixed, relation, gold, tail, offsets, known):
     """_direct_rows for the l2 norm, ranked exactly but scored mostly by GEMM.
 
-    It takes the same arguments and yields the same counts, block by block.
+    It takes the same arguments and returns the same counts.
     Squared distances ||q||^2 + ||c||^2 - 2 q.c come from one matrix
     product per block of queries.  Each query has one error bound E,
     l2_error_bound at the largest candidate norm, which is no smaller than
@@ -388,7 +389,8 @@ def _l2_rows(emb, theta, fixed, relation, gold, tail, offsets, known):
                                              emb[tails[part]])
         return _tie_counts(rows, gold[blk], offsets[span[0]:span[1] + 1], known)
 
-    yield from ordered_map(block, spans(len(gold), max(1, _RANK_BLOCK // n_ent)))
+    better, tied = zip(*ordered_map(block, spans(len(gold), max(1, _RANK_BLOCK // n_ent))))
+    return np.concatenate(better), np.concatenate(tied)
 
 
 def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
@@ -419,22 +421,18 @@ def evaluate(model: FusionModel, kg: KnowledgeGraph, split: str = "test",
     emb = model.all_joint_embeddings(mi_context_ids(kg, mi_ref_batch))
     theta = np.asarray(model.relation_phases.data, dtype=np.float64)
     if model.cfg.norm == "l2":
-        counts = _l2_rows(emb, theta, fixed, relation, gold, tail, offsets, known)
+        better, tied = _l2_rows(emb, theta, fixed, relation, gold, tail, offsets, known)
     else:
-        counts = _direct_rows(emb, theta, fixed, relation, gold, tail, model.cfg.norm,
-                              offsets, known)
+        better, tied = _direct_rows(emb, theta, fixed, relation, gold, tail, model.cfg.norm,
+                                    offsets, known)
 
     rr_sum = 0.0
     hits = {1: 0, 3: 0, 10: 0}
-    # closed on the way out, also when this loop raises: an open block map
-    # keeps its pool thread, this thread's CPU pin and the tape switched off
-    with contextlib.closing(counts):
-        for better, tied in counts:
-            for b, t in zip(better.tolist(), tied.tolist()):
-                rank = _mean_rank(b, t)
-                rr_sum += 1.0 / rank
-                for k in hits:
-                    hits[k] += 1 if rank <= k else 0
+    for b, t in zip(better.tolist(), tied.tolist()):
+        rank = _mean_rank(b, t)
+        rr_sum += 1.0 / rank
+        for k in hits:
+            hits[k] += 1 if rank <= k else 0
     queries = len(gold)
     return {
         "mrr": rr_sum / queries,

@@ -636,7 +636,8 @@ def test_seed_outside_the_key_range_is_a_config_error(workspace, capsys, command
     ["--model-embedding-dim", "5"],
     ["--model-modalities", "img,sound"],
     ["--sampling-negatives-per-positive", "0"],
-], ids=["seed", "model", "modality-without-table", "sampling"])
+    ["--sampling-lambda-hard=-2.0"],
+], ids=["seed", "model", "modality-without-table", "sampling", "negative-loss-weight"])
 def test_rejected_train_settings_create_no_run_directory(workspace, capsys, flags):
     tmp_path, cfg_path = workspace
     assert main(["train", "--config", cfg_path] + flags) == 2

@@ -153,3 +153,27 @@ def test_every_public_function_is_referenced_by_the_library():
             if fn.name not in uses:
                 unreferenced.append(f"{module[:-3]}.{name}")
     assert sorted(unreferenced) == sorted(_UNREFERENCED_OK)
+
+
+def test_every_module_level_name_is_read_by_the_library():
+    # a constant left behind by a removed option: a name bound at module
+    # level must be read, bare or as an attribute, by some library module;
+    # dunder names such as __version__ are read by tools, not the library
+    trees = parsed_modules()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [f"{module[:-3]}.{name.id}" for target in targets
+                       for name in ast.walk(target) if isinstance(name, ast.Name)
+                       and not (name.id.startswith("__") and name.id.endswith("__"))
+                       and name.id not in read]
+    assert unread == []

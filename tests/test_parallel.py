@@ -1,5 +1,4 @@
 import ast
-import contextlib
 import contextvars
 import os
 import pathlib
@@ -60,7 +59,8 @@ class Blocks:
 def test_ordered_map_yields_every_result_in_order(workers, n_workers, n_items):
     workers(n_workers)
     fn = Blocks(slow=[0, 3], delay=0.02)  # a slow first block must not reorder
-    got = list(ordered_map(fn, range(n_items)))
+    got = ordered_map(fn, range(n_items))
+    assert type(got) is list
     assert [r for r, _ in got] == [i * i for i in range(n_items)]
     assert fn.running == 0
     # the pool runs a block only when a group has more than one
@@ -70,7 +70,7 @@ def test_ordered_map_yields_every_result_in_order(workers, n_workers, n_items):
 def test_ordered_map_runs_blocks_untaped_and_restores_recording(workers):
     workers(2)
     assert ad._RECORDING
-    got = list(ordered_map(Blocks(), range(4)))
+    got = ordered_map(Blocks(), range(4))
     assert [recording for _, recording in got] == [False] * 4
     assert ad._RECORDING and ad.tape_size() == 0
 
@@ -78,23 +78,20 @@ def test_ordered_map_runs_blocks_untaped_and_restores_recording(workers):
 @pytest.mark.parametrize("n_workers", [2, 3])
 def test_the_caller_runs_every_w_th_item_and_the_pool_the_rest(workers, n_workers):
     workers(n_workers)
-    got = list(ordered_map(lambda i: (i, threading.current_thread().name), range(7)))
+    got = ordered_map(lambda i: (i, threading.current_thread().name), range(7))
     assert [i for i, _ in got] == list(range(7))
     assert all((name == threading.current_thread().name) == (i % n_workers == 0)
                for i, name in got)
 
 
-@pytest.mark.parametrize("n_workers, ahead, slow", [
-    (2, 1, 0), (2, 2, 0), (2, 1, 2), (2, 2, 2),
-    (3, 1, 0), (3, 2, 0), (3, 1, 3), (3, 2, 3), (3, 1, 1), (3, 2, 1)])
-def test_while_an_item_runs_long_the_pool_starts_only_its_window(
-        workers, n_workers, ahead, slow):
-    # while item `slow` runs, the caller has taken items 0..slow-1: the pool
-    # may start items below slow + ahead * w and no other, however long it
-    # takes.  Behind a caller item the pool's items of that window all start
-    window = slow + ahead * n_workers
+@pytest.mark.parametrize("n_workers, slow", [(2, 0), (2, 2), (3, 0), (3, 3)])
+def test_while_a_caller_item_runs_long_the_pool_runs_every_pool_item(workers, n_workers, slow):
+    # every pool item is submitted when the map starts: while the calling
+    # thread runs its item `slow`, the pool runs all of its own, but no
+    # later item of the calling thread starts
     workers(n_workers)
-    want = {i for i in range(window) if i <= slow or (i % n_workers and not slow % n_workers)}
+    n = slow + 4 * n_workers
+    want = {i for i in range(n) if i <= slow or i % n_workers}
     started, lock = set(), threading.Lock()
 
     def fn(i):
@@ -107,42 +104,20 @@ def test_while_an_item_runs_long_the_pool_starts_only_its_window(
                     if want <= started:
                         break
                 time.sleep(0.005)
-            time.sleep(0.1)  # time for an item past the window to start, were it let
             with lock:
                 return set(started)
         return None
 
-    n = window + 3 * ahead * n_workers
-    got = list(ordered_map(fn, range(n), ahead=ahead))
-    assert want <= got[slow] <= set(range(window))
+    got = ordered_map(fn, range(n))
+    assert got[slow] == want
     assert started == set(range(n))
-
-
-def test_closing_a_map_starts_none_of_its_queued_items(workers):
-    # the pool's one thread is busy with item 1 when the map is closed after
-    # item 0: items 3, 5, ... were queued and never start
-    workers(2)
-    fn = Blocks(slow=[1])
-    left = ordered_map(fn, range(10), ahead=5)
-    assert next(left)[0] == 0
-    left.close()
-    assert 0 in fn.started and fn.started <= {0, 1}
-
-
-def test_an_open_map_keeps_the_tape_off_until_it_ends(workers):
-    workers(2)
-    left = ordered_map(Blocks(), range(4))
-    next(left)
-    assert not ad._RECORDING
-    assert len(list(left)) == 3
-    assert ad._RECORDING
 
 
 def test_blocks_see_the_callers_context(workers):
     workers(2)
     var = contextvars.ContextVar("probe", default="unset")
     var.set("caller")
-    got = list(ordered_map(lambda i: (var.get(), threading.current_thread().name), range(2)))
+    got = ordered_map(lambda i: (var.get(), threading.current_thread().name), range(2))
     assert [v for v, _ in got] == ["caller", "caller"]
     assert got[1][1].startswith("moekgc-block")
 
@@ -157,7 +132,7 @@ def test_a_failing_block_is_re_raised_after_every_started_block_ends(workers, fa
     fn = Blocks(fail={failing: boom}, slow=[b for b in range(4) if b != failing],
                 delay=0.3, fail_after=0.05)
     with pytest.raises(ad.FiniteError) as info:
-        list(ordered_map(fn, range(8)))
+        ordered_map(fn, range(8))
     assert info.value is boom
     assert fn.running == 0 and fn.finished == {0, 1, 2, 3}
     assert fn.started == {0, 1, 2, 3}
@@ -170,7 +145,7 @@ def test_the_first_failure_in_block_order_wins(workers):
     first, second = ValueError("block 1"), ValueError("block 2")
     fn = Blocks(fail={1: first, 2: second}, slow=[1])  # block 2 fails first in time
     with pytest.raises(ValueError) as info:
-        list(ordered_map(fn, range(3)))
+        ordered_map(fn, range(3))
     assert info.value is first and fn.running == 0
 
 
@@ -180,9 +155,9 @@ def test_a_map_with_one_block_or_one_worker_starts_no_thread(monkeypatch, worker
 
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
     workers(4)
-    assert list(r for r, _ in ordered_map(Blocks(), [3])) == [9]
+    assert [r for r, _ in ordered_map(Blocks(), [3])] == [9]
     workers(1)
-    assert list(r for r, _ in ordered_map(Blocks(), range(5))) == [0, 1, 4, 9, 16]
+    assert [r for r, _ in ordered_map(Blocks(), range(5))] == [0, 1, 4, 9, 16]
 
 
 @pytest.mark.parametrize("env, pinned", [
@@ -221,13 +196,12 @@ def block_threads():
 
 def test_no_pool_thread_outlives_a_map(workers):
     # each map that fans out owns its pool: a forked child or the next
-    # caller inherits no thread, also from a map left after its first group
+    # caller inherits no thread, also from a map that raised
     workers(3)
-    assert list(r for r, _ in ordered_map(Blocks(), range(7))) == [i * i for i in range(7)]
+    assert [r for r, _ in ordered_map(Blocks(), range(7))] == [i * i for i in range(7)]
     assert block_threads() == []
-    left = ordered_map(Blocks(), range(7))
-    assert next(left)[0] == 0
-    left.close()
+    with pytest.raises(ValueError):
+        ordered_map(Blocks(fail={2: ValueError("block 2")}, slow=[1]), range(7))
     assert block_threads() == []
 
 
@@ -268,8 +242,8 @@ def test_a_map_pins_each_thread_to_one_cpu_and_restores_the_caller(workers, all_
     workers(2)
     before = all_cpus
     cpus = sorted(before)
-    seen = list(ordered_map(lambda i: (os.sched_getaffinity(0),
-                                       threading.current_thread().name), range(4)))
+    seen = ordered_map(lambda i: (os.sched_getaffinity(0), threading.current_thread().name),
+                       range(4))
     # per group: the calling thread on the first CPU, the pool on the next
     assert [s for s, _ in seen] == [{cpus[0]}, {cpus[1 % len(cpus)]}] * 2
     assert seen[1][1].startswith("moekgc-block")
@@ -277,16 +251,16 @@ def test_a_map_pins_each_thread_to_one_cpu_and_restores_the_caller(workers, all_
 
 
 @needs_affinity
-def test_the_callers_cpus_come_back_after_a_failure_or_an_early_close(workers, all_cpus):
+def test_the_callers_cpus_come_back_after_a_return_or_a_failure(workers, all_cpus):
     workers(2)
     before = all_cpus
-    with pytest.raises(ValueError):
-        list(ordered_map(Blocks(fail={1: ValueError("block 1")}), range(4)))
+    assert [r for r, _ in ordered_map(Blocks(), range(4))] == [0, 1, 4, 9]
     assert os.sched_getaffinity(0) == before
-    left = ordered_map(Blocks(), range(4))
-    next(left)
-    assert len(os.sched_getaffinity(0)) == 1  # pinned while the map is open
-    left.close()
+    with pytest.raises(ValueError):
+        ordered_map(Blocks(fail={1: ValueError("block 1")}), range(4))
+    assert os.sched_getaffinity(0) == before
+    with pytest.raises(ValueError):
+        ordered_map(Blocks(fail={2: ValueError("block 2")}), range(4))
     assert os.sched_getaffinity(0) == before
 
 
@@ -308,21 +282,6 @@ def test_a_cpu_that_cannot_be_taken_is_skipped(monkeypatch, workers):
     assert [r for r, _ in ordered_map(Blocks(), range(5))] == [i * i for i in range(5)]
 
 
-def _take(results, close_after):
-    """The results a consumer takes, up to close_after of them, and the
-    exception that ended it or None; results is closed afterwards."""
-    got = []
-    with contextlib.closing(results):
-        try:
-            for r in results:
-                if len(got) == close_after:
-                    break
-                got.append(r)
-        except ValueError as exc:
-            return got, exc
-    return got, None
-
-
 @pytest.fixture
 def fast_switches():
     """Hand the GIL over every 10 us while the test runs: more interleavings."""
@@ -332,35 +291,48 @@ def fast_switches():
     sys.setswitchinterval(interval)
 
 
+def _outcome(call):
+    """call()'s result, else the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return exc
+
+
 @needs_affinity
 def test_ordered_map_matches_the_plain_loop_on_random_maps(workers, all_cpus, fast_switches):
-    # random worker counts, windows, failing items, timings and early closes:
-    # the map yields what the plain loop yields, raises the very exception
-    # the loop raises, starts no item past its window, and leaves no
-    # thread, no tape switched off and no pin
+    # random worker counts, failing items and timings: the map returns what
+    # the plain loop returns or raises the very exception the loop raises,
+    # no item starts once an earlier one has failed but on a thread that was
+    # already past the check, and the map leaves no thread, no tape switched
+    # off and no pin
     rng = random.Random(1515)
     for _ in range(60):
         n_workers, n = rng.randint(2, 4), rng.randint(0, 14)
         workers(n_workers)
-        ahead = rng.choice([1, 2, max(n, 1)])
         fails = {i: ValueError(f"item {i}") for i in range(n) if rng.random() < 0.15}
         delays = [rng.choice([0.0, 0.0, 0.001, 0.003]) for _ in range(n)]
-        close_after = rng.choice([None, rng.randint(0, n)])
-        started = set()
+        events, lock = [], threading.Lock()
 
         def fn(i):
-            started.add(i)
+            with lock:
+                events.append(("start", i))
             time.sleep(delays[i])
             if i in fails:
+                with lock:
+                    events.append(("fail", i))
                 raise fails[i]
             return i * i
 
-        want = _take((fn(i) for i in range(n)), close_after)
-        started.clear()
-        got = _take(ordered_map(fn, range(n), ahead=ahead), close_after)
-        assert got[0] == want[0] and got[1] is want[1]
-        # the consumer asked for one item past those it kept
-        assert max(started, default=0) < len(got[0]) + 1 + ahead * n_workers
+        want = _outcome(lambda: [fn(i) for i in range(n)])
+        events.clear()
+        got = _outcome(lambda: ordered_map(fn, range(n)))
+        assert got == want if isinstance(want, list) else got is want
+        failed = [k for k, (kind, _) in enumerate(events) if kind == "fail"]
+        if failed:
+            first = events[failed[0]][1]
+            late = [i for kind, i in events[failed[0]:] if kind == "start" and i > first]
+            assert len(late) < n_workers
         assert block_threads() == []
         assert ad._RECORDING and os.sched_getaffinity(0) == all_cpus
 
@@ -387,9 +359,9 @@ def test_a_map_opened_while_another_fans_out_runs_inline(monkeypatch, workers, n
         return threading.current_thread().name
 
     def outer(i):
-        return threading.current_thread().name, list(ordered_map(inner, range(5)))
+        return threading.current_thread().name, ordered_map(inner, range(5))
 
-    got = list(ordered_map(outer, range(2 * n_workers)))
+    got = ordered_map(outer, range(2 * n_workers))
     assert len(pools) == 1
     assert any(here.startswith("moekgc-block") for here, _ in got)
     assert all(ran == [here] * 5 for here, ran in got)
@@ -402,7 +374,7 @@ def test_workers_reads_one_while_a_map_fans_out(monkeypatch):
     monkeypatch.setattr(parallel, "cores", lambda: 2)
     for var in parallel.BLAS_THREAD_VARS:
         monkeypatch.setenv(var, "1")
-    got = list(ordered_map(lambda i: parallel.workers(), range(4)))
+    got = ordered_map(lambda i: parallel.workers(), range(4))
     assert got == [1] * 4
     assert parallel.workers() == 2
 

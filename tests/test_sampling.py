@@ -247,6 +247,13 @@ def test_config_validation_errors():
         default_cfg(lambda_easy=1.5, lambda_ambiguous=1.5).validate()
     with pytest.raises(ConfigError):
         default_cfg(log_base="ln").validate()
+    for name in ("lambda_easy", "lambda_ambiguous", "lambda_hard"):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0"):
+            default_cfg(**{name: -0.5}).validate()
+    with pytest.raises(ConfigError, match="lambda_easy must be >= 0"):
+        default_cfg(lambda_easy=-3.0, lambda_ambiguous=1.5, lambda_hard=-2.0).validate()
+    # a zero weight is allowed: that class of negatives adds nothing
+    default_cfg(lambda_easy=0.0, lambda_hard=0.0, log_base="base2").validate()
     # lambda_hard below lambda_ambiguous is allowed (the shipped defaults do it)
     default_cfg(log_base="base2").validate()
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 import sys
 import threading
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import moekgc.autodiff as ad
+import moekgc.files as files
 import moekgc.fusion as fusion
 import moekgc.parallel as parallel
 import moekgc.scoring as scoring
@@ -936,8 +938,8 @@ def test_a_failing_ranking_block_leaves_evaluation_clean(monkeypatch):
 
 
 def test_a_failing_rank_loop_closes_the_block_map(monkeypatch):
-    # evaluate's own loop raises between two ranking blocks: the map is
-    # closed before the error leaves evaluate, so no pool thread and no CPU
+    # evaluate's own loop raises between the counts of two ranking blocks:
+    # the loop runs once the map has returned, so no pool thread and no CPU
     # pin outlives the call, even while the traceback keeps its frame
     kg, model = modality_graph()
     affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
@@ -1261,6 +1263,36 @@ def test_interrupted_write_keeps_the_earlier_file_and_no_temp(tmp_path, monkeypa
         save_checkpoint(path, model)  # no optimizer: different bytes
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="only POSIX opens a directory to fsync it")
+def test_atomic_write_fsyncs_each_directory_after_the_renames(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    paths = [tmp_path / "a.json", sub / "b.json", tmp_path / "c.json"]
+    events = []
+    fsync, replace = files.os.fsync, files.os.replace
+
+    def noting_fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", (st.st_dev, st.st_ino) if stat.S_ISDIR(st.st_mode) else None))
+        fsync(fd)
+
+    def noting_replace(src, dst):
+        replace(src, dst)
+        events.append(("replace", os.fspath(dst)))
+
+    monkeypatch.setattr(files.os, "fsync", noting_fsync)
+    monkeypatch.setattr(files.os, "replace", noting_replace)
+    with atomic_write(*paths, mode="w") as handles:
+        for fh in handles:
+            fh.write("{}")
+    last = max(i for i, (kind, _) in enumerate(events) if kind == "replace")
+    assert [kind for kind, _ in events[:last + 1]] == ["fsync"] * 3 + ["replace"] * 3
+    assert all(d is None for _, d in events[:3])
+    dirs = {(st.st_dev, st.st_ino) for st in (os.stat(tmp_path), os.stat(sub))}
+    assert sorted(d for _, d in events[last + 1:]) == sorted(dirs)
+    assert [p.read_text() for p in paths] == ["{}"] * 3
 
 
 def test_checkpoint_without_optimizer_loads_with_no_adam_state(tmp_path):
