@@ -24,8 +24,9 @@ the heads, the MI kernel and the weights then run under ``ad.no_grad`` and
 put nothing on the tape.  ``grad_through_weights`` runs the same calls on
 the tape.
 
-At evaluation the MI is pinned, so every entity's row depends on that
-entity alone: ``all_joint_embeddings`` fuses in blocks that
+At evaluation the MI is pinned to ``mi_state``, the cache one no-grad
+``fuse`` call over a reference batch returns, so every entity's row
+depends on that entity alone: ``all_joint_embeddings`` fuses in blocks that
 ``parallel.ordered_map`` spreads over the cores, each block through
 ``_fuse``, the body of ``fuse`` that a profiler wrapping ``fuse`` from one
 thread does not see.  A block writes its rows into the output in place, so
@@ -249,14 +250,6 @@ def param_shapes(cfg: ModelConfig, n_entities: int, n_relations: int, modality_d
                 (f"modal_dist.{STRUCTURE_MODALITY}.b", (c,)))
 
 
-@dataclass
-class MIState:
-    """Batch-level MI estimates reused across entities (and at evaluation)."""
-
-    intra: dict  # modality -> (experts, experts) float array
-    inter: np.ndarray  # (n_sources, n_sources), order = model.source_order
-
-
 class FusionModel:
     """All learnable blocks: structural table, relation phases, per-modality
     projection, expert bank, and distribution heads for the MI estimates."""
@@ -355,18 +348,18 @@ class FusionModel:
 
     # -- fusion
 
-    def fuse(self, entity_ids, mi: MIState = None):
+    def fuse(self, entity_ids, mi: dict = None):
         """Joint embeddings for a batch of entity indices.
 
-        When mi is None the MI estimates come from this batch itself (the
-        training path); passing a precomputed MIState pins the fusion weights
-        to constants, which evaluation and the frozen-weight gradient check
-        rely on.  Returns (joint (B, d) tensor, cache dict with the numpy MI
-        matrices and weights actually used).
+        Returns (joint (B, d) tensor, cache): the numpy MI matrices
+        (mi_intra, mi_inter) and weights the call used.  With mi None the MI
+        comes from this batch itself (the training path); passing the cache
+        of an earlier call pins the weights to constants from its matrices,
+        which evaluation and the frozen-weight gradient check rely on.
         """
         return self._fuse(entity_ids, mi)
 
-    def _fuse(self, entity_ids, mi: MIState = None):
+    def _fuse(self, entity_ids, mi: dict = None):
         """fuse itself, for callers on any thread: a profiler that wraps
         fuse sees only the calls made through it."""
         entity_ids = np.asarray(entity_ids, dtype=np.int64)
@@ -400,7 +393,7 @@ class FusionModel:
                 m, ad.Tensor(self.tables[m].features[feat_rows[s, rows]])))
             with weighing():
                 mat = _level_mi(
-                    self.cfg.intra_weighting, None if mi is None else mi.intra[m],
+                    self.cfg.intra_weighting, None if mi is None else mi["mi_intra"][m],
                     lambda: self._dists(f"view_dist.{m}", views),
                     np.ones((k, rows.size)))
                 w = _mi_weights(mat, np.ones((1, k)))
@@ -415,7 +408,7 @@ class FusionModel:
         del placed  # copied into sources
         with weighing():
             mat = _level_mi(
-                self.cfg.inter_weighting, None if mi is None else mi.inter,
+                self.cfg.inter_weighting, None if mi is None else mi["mi_inter"],
                 lambda: self._dists("modal_dist", sources),
                 has)
             w = _mi_weights(mat, has.T)
@@ -429,11 +422,12 @@ class FusionModel:
         }
         return joint, cache
 
-    def mi_state(self, context_ids) -> MIState:
-        """Estimate the batch MI matrices over a context entity set."""
+    def mi_state(self, context_ids) -> dict:
+        """The cache of a no-grad fuse call over a context entity set: its MI
+        matrices, estimated from that batch, pin later fuse calls (mi=)."""
         with ad.no_grad():
             _, cache = self.fuse(np.asarray(context_ids))
-        return MIState(intra=cache["mi_intra"], inter=cache["mi_inter"])
+        return cache
 
     def all_joint_embeddings(self, context_ids) -> np.ndarray:
         """Joint embeddings for every entity, MI estimated over context_ids.

@@ -19,15 +19,17 @@ the better and tied counts of its queries.  Once the map has returned
 every block's counts, the calling thread turns them into ranks and sums
 them in query order, so a report is the same on any number of cores.
 
-Checkpoints are a fixed binary layout: magic, format version, a canonical
-JSON header (sorted keys, compact separators), then the parameter blocks in
-sorted name order as little-endian float32 with a CRC32 per block recorded
-in the header.  Saving, loading, and saving again yields identical bytes.
+Checkpoints are a fixed binary layout: magic, format version (<I), header
+length (<Q), a canonical JSON header (sorted keys, compact separators),
+then the parameter blocks and any Adam moment blocks in sorted name order
+as little-endian float32, each block's shape and CRC32 recorded in the
+header.  Saving, loading, and saving again yields identical bytes.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 import struct
@@ -100,19 +102,6 @@ class TrainConfig:
 _ADAM_CHUNK = 65_536
 # Adam's decay rates of the two moments and the epsilon of its denominator
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-
-
-def _grad_runs(blocks):
-    """The maximal runs of consecutive store blocks that have a gradient."""
-    run = []
-    for b in blocks:
-        if b.tensor.grad is not None:
-            run.append(b)
-        elif run:
-            yield run
-            run = []
-    if run:
-        yield run
 
 
 class _RunGrads:
@@ -196,7 +185,9 @@ class Adam:
     def step(self):
         store = self.params
         store.sync()
-        runs = [_RunGrads(run) for run in _grad_runs(store.blocks)]
+        runs = [_RunGrads(list(run)) for has_grad, run in
+                itertools.groupby(store.blocks, key=lambda b: b.tensor.grad is not None)
+                if has_grad]
         for grads in runs:
             if not all(ordered_map(lambda span: grads.finite(*span), grads.spans)):
                 bad = next(b.name for b in grads.blocks if not np.isfinite(b.tensor.grad).all())
@@ -250,12 +241,13 @@ class Adam:
             p.zero_grad()
 
     def load_state(self, state: dict):
-        """Copy the step counter and the moments of every named block."""
-        self.t = int(state["step"])
+        """Take adam_step and every block's moments (adam_m, adam_v) from
+        state as load_checkpoint returns it, cast as they are copied into
+        the float64 buffers."""
+        self.t = int(state["adam_step"])
         for name in self.params:
-            if name in state["m"]:
-                self.m[name][...] = state["m"][name]
-                self.v[name][...] = state["v"][name]
+            self.m[name][...] = state["adam_m"][name]
+            self.v[name][...] = state["adam_v"][name]
 
 
 # ---------------------------------------------------------------- evaluation
@@ -497,21 +489,19 @@ def _check_header(path, header):
 
 
 def save_checkpoint(path, model: FusionModel, optimizer: Adam = None, extra: dict = None):
+    """Write the model, and with optimizer Adam's step count and moments,
+    atomically.  Each block is checksummed and written from its own <f4
+    array: a float32 store's blocks are views of it, so only the moments
+    are cast into copies."""
     blocks = {name: np.ascontiguousarray(p.data, dtype="<f4") for name, p in model.params.items()}
     if optimizer is not None:
         for name in model.params:
             blocks[f"adam.m.{name}"] = np.ascontiguousarray(optimizer.m[name], dtype="<f4")
             blocks[f"adam.v.{name}"] = np.ascontiguousarray(optimizer.v[name], dtype="<f4")
-    ordered = sorted(blocks)
-    table = {}
-    payload = bytearray()
-    for name in ordered:
-        raw = blocks[name].tobytes(order="C")
-        table[name] = {"shape": list(blocks[name].shape), "crc32": zlib.crc32(raw)}
-        payload.extend(raw)
     cfg = model.cfg
     header = {
-        "blocks": table,
+        "blocks": {name: {"shape": list(a.shape), "crc32": zlib.crc32(a)}
+                   for name, a in blocks.items()},
         "config": {key: getattr(cfg, key) for key in _CONFIG_TYPES},
         "counts": {"entities": model.n_entities, "relations": model.n_relations},
         "modality_dims": {m: model.tables[m].dim for m in cfg.modalities},
@@ -524,7 +514,8 @@ def save_checkpoint(path, model: FusionModel, optimizer: Adam = None, extra: dic
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(hdr)))
         f.write(hdr)
-        f.write(bytes(payload))
+        for name in sorted(blocks):
+            f.write(blocks[name])
 
 
 def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
@@ -532,8 +523,11 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
 
     tables must provide a feature table for every modality in the header,
     with matching dimensions.  Passing kg cross-checks entity and relation
-    counts.  Returns (model, state) where state carries the adam moments,
-    the step counter, and the raw header.
+    counts.  Returns (model, state): state holds the raw header and
+    adam_step, the step count or None; with a step count, adam_m and
+    adam_v map each parameter name to its moment block, a read-only <f4
+    view of the file's bytes, which state keeps alive.  Adam.load_state
+    takes state as it is.
     """
     try:
         with open(path, "rb") as f:
@@ -617,8 +611,8 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
 
     state = {"header": header, "adam_step": step}
     if step is not None:
-        state["adam_m"] = {n: arrays[f"adam.m.{n}"].astype(np.float64) for n in model.params}
-        state["adam_v"] = {n: arrays[f"adam.v.{n}"].astype(np.float64) for n in model.params}
+        state["adam_m"] = {n: arrays[f"adam.m.{n}"] for n in model.params}
+        state["adam_v"] = {n: arrays[f"adam.v.{n}"] for n in model.params}
     return model, state
 
 

@@ -1,5 +1,6 @@
 """Tests for the optimizer, the ranking evaluator, checkpoints, and train()."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -170,7 +172,7 @@ def test_adam_load_state_keeps_its_own_moments():
     w = store["w"]
     m0, v0 = np.zeros(w.shape), np.zeros(w.shape)
     opt = Adam(store, learning_rate=0.1)
-    opt.load_state({"step": 0, "m": {"w": m0}, "v": {"w": v0}})
+    opt.load_state({"adam_step": 0, "adam_m": {"w": m0}, "adam_v": {"w": v0}})
     w.grad = np.ones(w.shape, dtype=np.float32)
     opt.step()
     assert not m0.any() and not v0.any()
@@ -1225,9 +1227,52 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     save_checkpoint(p1, model, opt)
     loaded, state = load_checkpoint(p1, tables, kg)
     opt2 = Adam(loaded.params, learning_rate=0.01)
-    opt2.load_state({"step": state["adam_step"], "m": state["adam_m"], "v": state["adam_v"]})
+    opt2.load_state(state)  # as load_checkpoint returns it
+    assert opt2.t == opt.t
+    # the moments come back as the file's float32 values, widened exactly
+    for mine, restored in ((opt._m, opt2._m), (opt._v, opt2._v)):
+        assert restored.dtype == np.float64
+        assert restored.tobytes() == mine.astype("<f4").astype(np.float64).tobytes()
     save_checkpoint(p2, loaded, opt2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("with_adam", [False, True], ids=["params", "params-and-adam"])
+def test_saved_checkpoint_is_the_version_1_layout_byte_for_byte(tmp_path, with_adam):
+    # the layout built here from the format's description, not by the
+    # reader: a writer and reader that drifted together would fail this
+    kg, tables, model, opt = fitted_model_and_opt(tmp_path, with_modality=True)
+    arrays = {name: p.data for name, p in model.params.items()}
+    if with_adam:
+        arrays.update({f"adam.m.{name}": opt.m[name] for name in model.params})
+        arrays.update({f"adam.v.{name}": opt.v[name] for name in model.params})
+    raw = {name: np.asarray(a, dtype="<f4").tobytes() for name, a in arrays.items()}
+    header = {
+        "adam_step": opt.t if with_adam else None,
+        "blocks": {name: {"crc32": zlib.crc32(raw[name]), "shape": list(a.shape)}
+                   for name, a in arrays.items()},
+        "config": dataclasses.asdict(model.cfg),
+        "counts": {"entities": kg.n_entities, "relations": kg.n_relations},
+        "extra": {"note": "layout"},
+        "modality_dims": {"img": tables["img"].dim},
+    }
+    hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    want = b"".join([b"MKGC", struct.pack("<I", 1), struct.pack("<Q", len(hdr)), hdr]
+                    + [raw[name] for name in sorted(raw)])
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, opt if with_adam else None, extra={"note": "layout"})
+    assert path.read_bytes() == want
+
+
+def test_saving_a_float32_model_copies_no_parameter_block(tmp_path):
+    # the blocks are written and checksummed from the store itself: a file
+    # of a 2 MB entity table is written with well under one block's copy
+    kg = make_kg([(0, 0, 1)], n_entities=32_768)
+    cfg = ModelConfig(embedding_dim=16, experts=2, mi_bins=4)
+    model = FusionModel(cfg, kg.n_entities, kg.n_relations, {}, seed=0)
+    assert model.params.flat.dtype == np.float32
+    entities = model.params["entities"].data.nbytes
+    assert peak_bytes(lambda: save_checkpoint(tmp_path / "model.ckpt", model)) < entities // 8
 
 
 def test_checkpoint_load_draws_no_initial_values(tmp_path, monkeypatch):
