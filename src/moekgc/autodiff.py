@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import weakref
 from collections.abc import Mapping
 from typing import Sequence
 
@@ -165,77 +166,103 @@ class StoreError(ValueError):
     """A parameter was rebound to an array its store cannot hold."""
 
 
-class _Block:
-    __slots__ = ("name", "tensor", "lo", "hi", "shape", "view")
+class _StoreParam(Tensor):
+    """A ParamStore's parameter: store elements lo .. hi - 1, whose view of
+    the parameter buffer is view; backward writes into store().grad_home(name).
+    store is a weak reference, so that a dropped model is freed at once."""
 
-    def __init__(self, name, tensor, lo, shape):
-        self.name, self.tensor, self.shape = name, tensor, shape
-        self.lo, self.hi = lo, lo + math.prod(shape)
+    __slots__ = ("store", "name", "lo", "hi", "view")
+
+
+def _write_back(what, array, home):
+    """home, a parameter's view of a store buffer, with array written into it."""
+    if np.shape(array) != home.shape:
+        raise StoreError(f"{what} was rebound to shape {np.shape(array)}, "
+                         f"its block is {home.shape}")
+    home[...] = array
+    return home
 
 
 class ParamStore(Mapping):
     """Named parameter tensors whose data are views into one flat buffer.
 
-    The blocks sit in the buffer in the order given.  A bank is a run of
-    consecutive blocks of one shape, such as the k experts' copies of one
-    weight; ``bank`` serves it as one (k, ...) tensor whose data is a view
-    of the buffer, so stacking the members copies nothing.  ``repoint``
-    moves every view to a new buffer of the same layout: the optimizer
-    writes each update into a fresh buffer and re-points the store at it.
-    A parameter rebound from outside (``p.data = array``) is written back
-    into the buffer, cast to the store's dtype, by ``sync``; a rebound
-    array of another shape raises StoreError there.
+    The parameters, ``blocks``, sit in the buffer in the order given.  A
+    bank is a run of consecutive blocks of one shape, such as the k
+    experts' copies of one weight; ``bank`` serves it as one (k, ...)
+    tensor whose data is a view of the buffer, so stacking the members
+    copies nothing.  ``repoint`` moves every view to a new buffer of the
+    same layout: the optimizer writes each update into a fresh buffer and
+    re-points the store at it.  The gradients have a buffer of the same
+    layout, ``grad_flat``: a parameter's ``.grad`` is its view of it, valid
+    until ``zero_grad`` drops the buffer; the next gradient allocates a new
+    one.  A parameter or gradient rebound from outside (``p.data = array``,
+    ``p.grad = array``) is written back into its buffer, cast to the
+    store's dtype, by ``sync``; a rebound array of another shape raises
+    StoreError there.
     """
 
     def __init__(self, shapes: dict, banks: dict = None):
         """A zero parameter per name -> shape, in buffer order, of the
         default dtype; banks maps a key to member names."""
-        self._blocks, lo = {}, 0
-        for name, shape in shapes.items():
-            self._blocks[name] = b = _Block(name, parameter(np.empty(0)), lo, tuple(shape))
-            lo = b.hi
-        self.blocks = tuple(self._blocks.values())
-        self.repoint(np.zeros(lo, dtype=_DTYPE))
+        ends = list(itertools.accumulate((math.prod(s) for s in shapes.values()), initial=0))
+        self.flat, self._params = np.zeros(ends[-1], dtype=_DTYPE), {}
+        for (name, shape), lo, hi in zip(shapes.items(), ends, ends[1:]):
+            p = self._params[name] = _StoreParam(self.flat[lo:hi].reshape(shape),
+                                                 requires_grad=True)
+            p.store, p.name, p.lo, p.hi, p.view = weakref.ref(self), name, lo, hi, p.data
+        self.blocks = tuple(self._params.values())
+        self.grad_flat = self._grads = None
         self._banks = {}
         for key, names in (banks or {}).items():
-            members = [self._blocks[n] for n in names]
-            first = members[0]
-            if any(b.shape != first.shape or b.lo != a.hi for a, b in zip(members, members[1:])):
+            members = tuple(self._params[n] for n in names)
+            shape = members[0].view.shape
+            if any(b.view.shape != shape or b.lo != a.hi for a, b in zip(members, members[1:])):
                 raise StoreError(f"bank {key} is not a run of equal-shape blocks")
             # a (c,) bias serves as a (1, c) row, to broadcast over rows
-            shape = (len(members),) + (first.shape if len(first.shape) > 1 else (1,) + first.shape)
-            self._banks[key] = (first.lo, members[-1].hi, shape,
-                                tuple(b.tensor for b in members))
+            shape = (len(members),) + (shape if len(shape) > 1 else (1,) + shape)
+            self._banks[key] = (members[0].lo, members[-1].hi, shape, members)
 
     def __getitem__(self, name) -> Tensor:
-        return self._blocks[name].tensor
+        return self._params[name]
 
     def __iter__(self):
-        return iter(self._blocks)
+        return iter(self._params)
 
     def __len__(self):
-        return len(self._blocks)
+        return len(self._params)
 
     def views(self, flat) -> dict:
-        """name -> the block's view into flat, a buffer of the store's length."""
-        return {b.name: flat[b.lo:b.hi].reshape(b.shape) for b in self.blocks}
+        """name -> the parameter's view into flat, a buffer of the store's length."""
+        return {p.name: flat[p.lo:p.hi].reshape(p.view.shape) for p in self.blocks}
 
     def repoint(self, flat):
         """Make flat, a buffer of the store's length, the store's buffer."""
         self.flat = flat
-        for b in self.blocks:
-            b.view = b.tensor.data = flat[b.lo:b.hi].reshape(b.shape)
+        for p in self.blocks:
+            p.view = p.data = flat[p.lo:p.hi].reshape(p.view.shape)
+
+    def grad_home(self, name):
+        """name's view of the gradient buffer, which a call after zero_grad allocates."""
+        if self.grad_flat is None:
+            # np.zeros, not zeros_like: calloc'd, so no pass writes the zeros
+            self.grad_flat = np.zeros(len(self.flat), dtype=self.flat.dtype)
+            self._grads = self.views(self.grad_flat)
+        return self._grads[name]
+
+    def zero_grad(self):
+        """Drop every parameter's gradient and the gradient buffer."""
+        self.grad_flat = self._grads = None
+        for p in self.blocks:
+            p.zero_grad()
 
     def sync(self):
-        """Write every parameter rebound from outside back into the buffer."""
-        for b in self.blocks:
-            data = b.tensor.data
-            if data is not b.view:
-                if np.shape(data) != b.shape:
-                    raise StoreError(f"parameter {b.name} was rebound to shape "
-                                     f"{np.shape(data)}, its block is {b.shape}")
-                b.view[...] = data
-                b.tensor.data = b.view
+        """Write every parameter and gradient rebound from outside back into
+        its buffer."""
+        for p in self.blocks:
+            if p.data is not p.view:
+                p.data = _write_back(f"parameter {p.name}", p.data, p.view)
+            if p.grad is not None and p.grad is not self.grad_home(p.name):
+                p.grad = _write_back(f"gradient of {p.name}", p.grad, self.grad_home(p.name))
 
     def bank(self, key) -> Tensor:
         """The bank's members as one (k, ...) tensor on the buffer: one tape
@@ -284,10 +311,13 @@ def _wrap(out_data, parents: Sequence[Tensor], grad_fn) -> Tensor:
 
 
 def _accumulate(t: Tensor, g):
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif isinstance(t, _StoreParam) and (store := t.store()) is not None:
+        t.grad = store.grad_home(t.name)
+        t.grad[...] = g
+    else:
+        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
 
 
 def backward(loss: Tensor):
@@ -295,7 +325,9 @@ def backward(loss: Tensor):
 
     Leaves are the tensors no tape node produced (parameters, inputs);
     interior tensors keep .grad None.  .grad accumulates across calls until
-    zeroed, so two forward and backward passes add their gradients.
+    zeroed, so two forward and backward passes add their gradients.  The
+    .grad of a ParamStore parameter is its view of the store's gradient
+    buffer, in the store's dtype; any other leaf gets a copy in its own.
 
     The call consumes the tape: every node on it is popped before its rule
     runs, so the arrays the rule read are freed as the walk goes, and the

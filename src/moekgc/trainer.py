@@ -28,7 +28,6 @@ header.  Saving, loading, and saving again yields identical bytes.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -104,73 +103,24 @@ _ADAM_CHUNK = 65_536
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-class _RunGrads:
-    """The gradients of a run of consecutive store blocks, read in place by
-    store element, and the run's spans for the block map.  The check of a
-    span of one chunk keeps its read for the span's update."""
-
-    def __init__(self, run):
-        self.blocks = run
-        self.lo, self.hi = run[0].lo, run[-1].hi
-        self.starts = [b.lo for b in run]
-        self.grads = [b.tensor.grad for b in run]
-        self.spans = [(self.lo + a, self.lo + z)
-                      for a, z in group(self.hi - self.lo, _ADAM_CHUNK)]
-        self.kept = {}  # span start -> the span's one chunk, read by finite
-
-    def read(self, lo, dest):
-        """Write the store elements lo .. lo + len(dest) - 1 into dest, cast
-        to its dtype: one copy out of the blocks' gradients."""
-        hi = lo + len(dest)
-        i = bisect.bisect_right(self.starts, lo) - 1
-        j = bisect.bisect_left(self.starts, hi)
-        parts = self.grads[i:j]  # concatenate flattens the blocks between the ends
-        # the last block cut first, so that one block cut at both ends works
-        parts[-1] = parts[-1].reshape(-1)[:hi - self.starts[j - 1]]
-        parts[0] = parts[0].reshape(-1)[lo - self.starts[i]:]
-        np.concatenate(parts, axis=None, out=dest)
-
-    def chunks(self, lo, hi, buf):
-        """(store slice, gradient) for each _ADAM_CHUNK of the store
-        elements lo .. hi - 1, the gradient read into the front of buf, a
-        float64 buffer of at least one chunk or hi - lo elements."""
-        for c0 in range(lo, hi, _ADAM_CHUNK):
-            g = self.kept.pop(c0, None)
-            if g is None:
-                g = buf[:min(_ADAM_CHUNK, hi - c0)]
-                self.read(c0, g)
-            yield slice(c0, c0 + len(g)), g
-
-    def finite(self, lo, hi) -> bool:
-        """Whether the store elements lo .. hi - 1 are all finite."""
-        buf = np.empty(min(_ADAM_CHUNK, hi - lo))
-        if not all(np.isfinite(g).all() for _, g in self.chunks(lo, hi, buf)):
-            return False
-        if hi - lo <= _ADAM_CHUNK:
-            self.kept[lo] = buf
-        return True
-
-
 class Adam:
     """Adam with bias correction over a ParamStore; epsilon added outside the
     sqrt, with the module constants BETA1, BETA2 and EPS.
 
     The moments are two float64 buffers laid out like the store's, with a
-    named view per block in m and v.  A step works on each maximal run of
-    consecutive blocks that have a gradient, cut into parallel.group spans
-    of the run's elements (_RunGrads).  A span reads its elements from the
-    blocks' gradients, _ADAM_CHUNK at a time, into a float64 buffer of one
-    chunk; no joined copy of the gradients is made, and a span of one chunk
-    reads it once for both passes.  First every span is
+    named view per block in m and v; the gradients are the store's
+    gradient buffer, of the same layout.  A step cuts each maximal run of
+    consecutive blocks that have a gradient into parallel.group spans,
+    each one slice of every buffer.  First every span's gradient is
     checked for non-finite values on the block map: a non-finite gradient
     raises TrainingError naming the first such block in store order, and
     leaves the parameters, the moments and the step count as they were.
-    Then the spans are updated on the block map, chunk by chunk: each chunk
-    goes through the per-block update's elementwise float64 operations,
-    the moments in place, so the result is that update's bit for bit on
-    any number of workers; blocks without a gradient keep their values and
-    moments.  The new parameters go into a fresh buffer that the store is
-    then re-pointed at.
+    Then the spans are updated on the block map, _ADAM_CHUNK elements at a
+    time, each chunk cast to float64 and put through the per-block update's
+    elementwise operations, the moments in place, so the result is that
+    update's bit for bit on any number of workers; blocks without a
+    gradient keep their values and moments.  The new parameters go into a
+    fresh buffer that the store is then re-pointed at.
     """
 
     def __init__(self, params: ad.ParamStore, learning_rate: float):
@@ -185,37 +135,44 @@ class Adam:
     def step(self):
         store = self.params
         store.sync()
-        runs = [_RunGrads(list(run)) for has_grad, run in
-                itertools.groupby(store.blocks, key=lambda b: b.tensor.grad is not None)
-                if has_grad]
-        for grads in runs:
-            if not all(ordered_map(lambda span: grads.finite(*span), grads.spans)):
-                bad = next(b.name for b in grads.blocks if not np.isfinite(b.tensor.grad).all())
-                raise TrainingError(f"non-finite gradient in block {bad}")
+        runs = []  # per run of blocks with a gradient, the spans of its elements
+        for has_grad, run in itertools.groupby(store.blocks, key=lambda p: p.grad is not None):
+            if has_grad:
+                run = tuple(run)
+                lo = run[0].lo
+                runs.append([(lo + a, lo + z) for a, z in group(run[-1].hi - lo, _ADAM_CHUNK)])
+        grad = store.grad_flat
+
+        def finite(span):
+            return all(np.isfinite(grad[c0:min(c0 + _ADAM_CHUNK, span[1])]).all()
+                       for c0 in range(*span, _ADAM_CHUNK))
+
+        if not all(all(ordered_map(finite, spans)) for spans in runs):
+            bad = next(p.name for p in store.blocks
+                       if p.grad is not None and not np.isfinite(p.grad).all())
+            raise TrainingError(f"non-finite gradient in block {bad}")
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
         x = store.flat
         out = np.empty_like(x)
         done = 0
-        for grads in runs:
-            out[done:grads.lo] = x[done:grads.lo]  # the blocks without a gradient
-
-            def update(span):
-                self._update(grads, *span, x, out, c1, c2)
-
-            ordered_map(update, grads.spans)
-            done = grads.hi
+        for spans in runs:
+            lo = spans[0][0]
+            out[done:lo] = x[done:lo]  # the blocks without a gradient
+            ordered_map(lambda span: self._update(*span, grad, x, out, c1, c2), spans)
+            done = spans[-1][1]
         out[done:] = x[done:]
         store.repoint(out)
 
-    def _update(self, grads, lo, hi, x, out, c1, c2):
-        """One step on the store elements lo .. hi - 1 of a run (_RunGrads),
-        chunk by chunk: the moments in place, the parameters of x into out,
-        in x's dtype."""
+    def _update(self, lo, hi, grad, x, out, c1, c2):
+        """One step on the store elements lo .. hi - 1, chunk by chunk: the
+        moments in place, the parameters of x into out, in x's dtype."""
         scratch = np.empty((3, min(_ADAM_CHUNK, hi - lo)))  # float64, sized to small spans
-        for part, g in grads.chunks(lo, hi, scratch[0]):
-            _, a, b = scratch[:, :len(g)]
+        for c0 in range(lo, hi, _ADAM_CHUNK):
+            part = slice(c0, min(c0 + _ADAM_CHUNK, hi))
+            g, a, b = scratch[:, :part.stop - c0]
+            g[...] = grad[part]
             m, v = self._m[part], self._v[part]
             # m = BETA1 m + (1 - BETA1) g
             m *= BETA1
@@ -237,13 +194,16 @@ class Adam:
             out[part] = a
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
+        """Drop the gradients and the store's gradient buffer."""
+        self.params.zero_grad()
 
     def load_state(self, state: dict):
         """Take adam_step and every block's moments (adam_m, adam_v) from
         state as load_checkpoint returns it, cast as they are copied into
-        the float64 buffers."""
+        the float64 buffers.  A state without them (adam_step None) raises
+        CheckpointError and changes nothing."""
+        if state.get("adam_step") is None:
+            raise CheckpointError("the checkpoint holds no optimizer state")
         self.t = int(state["adam_step"])
         for name in self.params:
             self.m[name][...] = state["adam_m"][name]
@@ -566,6 +526,8 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
             raise CheckpointError(f"{path}: block {name} failed its CRC check")
         arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
         offset += nbytes
+    if len(data) > offset:
+        raise CheckpointError(f"{path}: {len(data) - offset} stray bytes after the last block")
 
     cfg = ModelConfig(**{key: header["config"][key] for key in _CONFIG_TYPES})
     try:
@@ -593,6 +555,7 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
     # and a header that asks for more or larger blocks than the file holds
     # fails at the first block the file lacks or holds in another shape
     step = header.get("adam_step")
+    stray = set(arrays)  # the blocks the walk below does not name
     for name, want in param_shapes(cfg, counts["entities"], counts["relations"],
                                    header["modality_dims"]):
         for block in (name,) if step is None else (name, f"adam.m.{name}", f"adam.v.{name}"):
@@ -603,6 +566,10 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
             if got != want:
                 raise CheckpointError(f"{path}: block {block} has shape {list(got)}, but the "
                                       f"header's config and counts give {list(want)}")
+            stray.discard(block)
+    if stray:
+        raise CheckpointError(f"{path}: header names blocks the config and adam_step "
+                              f"do not: {', '.join(sorted(stray))}")
 
     # every block is written below, so the model is laid out with no initial draw
     model = FusionModel._unfilled(cfg, counts["entities"], counts["relations"], tables)

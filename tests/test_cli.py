@@ -8,6 +8,7 @@ import random
 import threading
 import typing
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -335,6 +336,27 @@ def test_eval_of_a_header_with_an_invalid_config_value_exits_1(workspace, capsys
     assert main(["eval", "--config", workspace[1], "--checkpoint", ckpt]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line == f"error: {ckpt}: header config is invalid: norm must be l2 or l1, got 'l3'"
+
+
+def add_stray_block(header):
+    header["blocks"]["zzz.stray"] = {"shape": [2], "crc32": zlib.crc32(bytes(8))}
+
+
+@pytest.mark.parametrize("edit, why", [
+    (lambda h: None, "8 stray bytes after the last block"),
+    (add_stray_block, "header names blocks the config and adam_step do not: zzz.stray"),
+], ids=["trailing-bytes", "stray-block"])
+def test_eval_of_a_checkpoint_with_stray_bytes_exits_1(workspace, capsys, edit, why):
+    # eight zero bytes after the last block: stray, or the stray block's own
+    ckpt = trained_checkpoint_with_header(workspace, edit)
+    with open(ckpt, "ab") as fh:
+        fh.write(bytes(8))
+    capsys.readouterr()
+    assert main(["eval", "--config", workspace[1], "--checkpoint", ckpt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == f"error: {ckpt}: {why}"
 
 
 @pytest.mark.parametrize("where, why", [("absent.mkgc", "No such file or directory"),

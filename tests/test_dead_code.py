@@ -104,8 +104,7 @@ def test_every_defaulted_parameter_of_a_public_function_is_passed_by_the_library
 # public functions and methods that no library module reads, and why each
 # stays
 _UNREFERENCED_OK = {
-    "autodiff.parameter": "the leaf tensor the tests' gradient checks build; "
-                          "ParamStore, in autodiff itself, makes its blocks with it",
+    "autodiff.parameter": "the leaf tensor the tests' gradient checks build",
     "autodiff.tape_size": "perfbench counts tape nodes per step with it",
     "autodiff.using_dtype": "the float64 gradient checks run the tape under it",
     "fusion.mutual_information": "the numpy MI oracle the fusion tests hold the batch kernel to",

@@ -263,7 +263,8 @@ def test_fused_adam_matches_the_per_block_oracle_bitwise(dtype):
     chunk = trainer._ADAM_CHUNK
     # blocks below, at and above one chunk, laid out so that chunks straddle
     # blocks; "never" has no gradient, "gap" loses it for step 3 only, and
-    # "small" gets float64 gradients whatever the store's dtype
+    # "small" gets float64 gradients whatever the store's dtype: the step
+    # writes them into the store's gradient buffer, cast as backward casts
     shapes = {"small": (5, 3), "at": (chunk,), "above": (2, chunk + 7), "never": (4,),
               "gap": (chunk // 2 + 3,), "tail": (3, 11)}
     rng = np.random.default_rng(21)
@@ -280,9 +281,11 @@ def test_fused_adam_matches_the_per_block_oracle_bitwise(dtype):
                 g = rng.normal(size=shape)
                 g = g if n == "small" else g.astype(dtype)
             fused[n].grad = g
-            blockwise[n].grad = None if g is None else g.copy()
+            blockwise[n].grad = None if g is None else g.astype(dtype)
         opt.step()
         oracle.step()
+        small = fused["small"].grad
+        assert small.dtype == dtype and np.shares_memory(small, fused.grad_flat)
         for n in shapes:
             assert fused[n].data.dtype == dtype
             assert fused[n].data.tobytes() == blockwise[n].data.tobytes(), (t, n)
@@ -366,6 +369,34 @@ def test_a_rebound_parameter_is_honoured_at_the_next_fuse_and_step():
         rebound.fuse(ids)
     with pytest.raises(ad.StoreError, match="expert.attr.0.w1"):
         opt.step()
+
+
+def test_store_gradients_are_views_of_one_buffer_that_adam_zero_grad_drops():
+    # backward writes every store parameter's gradient into its block of
+    # the store's gradient buffer, which Adam steps over and zero_grad frees
+    kg, tables = clustered_graph(seed=0)
+    cfg = ModelConfig(embedding_dim=16, experts=3, mi_bins=8, modalities=["attr", "attr_dup"])
+    model = FusionModel(cfg, kg.n_entities, kg.n_relations, tables, seed=0)
+    store, opt = model.params, Adam(model.params, 0.1)
+    triples = kg.train[:16]
+    ad.reset_tape()
+    joint, _ = model.fuse(np.arange(kg.n_entities))
+    scores = scoring.score_batch(ad.gather_rows(joint, triples[:, 0]),
+                                 ad.gather_rows(model.relation_phases, triples[:, 1]),
+                                 ad.gather_rows(joint, triples[:, 2]), cfg.norm)
+    ad.backward(scores.sum())
+    homes = store.views(store.grad_flat)
+    with_grad = [name for name, p in store.items() if p.grad is not None]
+    assert {"entities", "rel_phases", "expert.attr.2.w1"} <= set(with_grad)
+    for name in with_grad:
+        g = store[name].grad
+        assert g.dtype == np.float32 and g.shape == homes[name].shape, name
+        assert g.ctypes.data == homes[name].ctypes.data, name
+    opt.zero_grad()
+    assert store.grad_flat is None and all(p.grad is None for p in store.values())
+    store["rel_phases"].grad = np.ones(3)
+    with pytest.raises(ad.StoreError, match="gradient of rel_phases was rebound to shape"):
+        store.sync()
 
 
 def test_desk_step_tape_is_short_and_released_before_adam(monkeypatch):
@@ -1347,6 +1378,44 @@ def test_checkpoint_without_optimizer_loads_with_no_adam_state(tmp_path):
     _, state = load_checkpoint(path, tables, kg)
     assert state["adam_step"] is None
     assert "adam_m" not in state
+
+
+def test_adam_load_state_of_a_checkpoint_without_optimizer_state_is_a_checkpoint_error(tmp_path):
+    # cmd_train writes such files: their state has adam_step None
+    kg, tables, model, opt = fitted_model_and_opt(tmp_path)
+    path = tmp_path / "bare.ckpt"
+    save_checkpoint(path, model)
+    _, state = load_checkpoint(path, tables, kg)
+    before = opt.t, opt._m.tobytes(), opt._v.tobytes()
+    with pytest.raises(CheckpointError, match="no optimizer state"):
+        opt.load_state(state)
+    assert (opt.t, opt._m.tobytes(), opt._v.tobytes()) == before
+
+
+def test_checkpoint_with_bytes_after_the_last_block_is_a_checkpoint_error(tmp_path):
+    kg, tables, model, opt = fitted_model_and_opt(tmp_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, opt)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(CheckpointError, match="8 stray bytes after the last block") as error:
+        load_checkpoint(path, tables, kg)
+    assert str(error.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("with_adam", [False, True], ids=["params", "params-and-adam"])
+def test_checkpoint_header_naming_a_block_the_config_does_not_is_a_checkpoint_error(
+        tmp_path, with_adam):
+    # the stray block is in the file, after the others, with its CRC right
+    kg, tables, model, opt = fitted_model_and_opt(tmp_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, opt if with_adam else None)
+    stray = np.arange(2, dtype="<f4")
+    rewrite_header(path, lambda h: h["blocks"].update(
+        {"zzz.stray": {"shape": [2], "crc32": zlib.crc32(stray)}}))
+    path.write_bytes(path.read_bytes() + stray.tobytes())
+    with pytest.raises(CheckpointError, match=r"header names blocks .*: zzz\.stray$") as error:
+        load_checkpoint(path, tables, kg)
+    assert str(error.value).startswith(f"{path}: ")
 
 
 def test_corrupt_block_fails_crc(tmp_path):
