@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import weakref
 from collections.abc import Mapping
 from typing import Sequence
 
@@ -168,10 +167,27 @@ class StoreError(ValueError):
 
 class _StoreParam(Tensor):
     """A ParamStore's parameter: store elements lo .. hi - 1, whose view of
-    the parameter buffer is view; backward writes into store().grad_home(name).
-    store is a weak reference, so that a dropped model is freed at once."""
+    the parameter buffer is view; backward writes into grads.home(self)."""
 
-    __slots__ = ("store", "name", "lo", "hi", "view")
+    __slots__ = ("grads", "name", "lo", "hi", "view")
+
+
+class _GradBuffer:
+    """The gradient buffer a store and its parameters share, pointing back
+    to neither: flat, laid out like the parameter buffer, which the first
+    home allocates, and views, the parameters' views of it."""
+
+    def __init__(self, size, dtype):
+        self.size, self.dtype, self.flat, self.views = size, dtype, None, {}
+
+    def home(self, p):
+        """p's view of the buffer."""
+        if self.flat is None:
+            # np.zeros, not zeros_like: calloc'd, so no pass writes the zeros
+            self.flat = np.zeros(self.size, dtype=self.dtype)
+        if p.name not in self.views:
+            self.views[p.name] = self.flat[p.lo:p.hi].reshape(p.view.shape)
+        return self.views[p.name]
 
 
 def _write_back(what, array, home):
@@ -192,11 +208,10 @@ class ParamStore(Mapping):
     tensor whose data is a view of the buffer, so stacking the members
     copies nothing.  ``repoint`` moves every view to a new buffer of the
     same layout: the optimizer writes each update into a fresh buffer and
-    re-points the store at it.  The gradients have a buffer of the same
-    layout, ``grad_flat``: a parameter's ``.grad`` is its view of it, valid
-    until ``zero_grad`` drops the buffer; the next gradient allocates a new
-    one.  A parameter or gradient rebound from outside (``p.data = array``,
-    ``p.grad = array``) is written back into its buffer, cast to the
+    re-points the store at it.  A parameter's ``.grad`` is its view of
+    ``grad_flat``, a gradient buffer of the same layout, valid until
+    ``zero_grad`` drops it.  A parameter or gradient rebound from outside
+    (``p.data = array``, ``p.grad = array``) is written back, cast to the
     store's dtype, by ``sync``; a rebound array of another shape raises
     StoreError there.
     """
@@ -209,9 +224,9 @@ class ParamStore(Mapping):
         for (name, shape), lo, hi in zip(shapes.items(), ends, ends[1:]):
             p = self._params[name] = _StoreParam(self.flat[lo:hi].reshape(shape),
                                                  requires_grad=True)
-            p.store, p.name, p.lo, p.hi, p.view = weakref.ref(self), name, lo, hi, p.data
+            p.name, p.lo, p.hi, p.view = name, lo, hi, p.data
         self.blocks = tuple(self._params.values())
-        self.grad_flat = self._grads = None
+        self.zero_grad()
         self._banks = {}
         for key, names in (banks or {}).items():
             members = tuple(self._params[n] for n in names)
@@ -241,19 +256,17 @@ class ParamStore(Mapping):
         for p in self.blocks:
             p.view = p.data = flat[p.lo:p.hi].reshape(p.view.shape)
 
-    def grad_home(self, name):
-        """name's view of the gradient buffer, which a call after zero_grad allocates."""
-        if self.grad_flat is None:
-            # np.zeros, not zeros_like: calloc'd, so no pass writes the zeros
-            self.grad_flat = np.zeros(len(self.flat), dtype=self.flat.dtype)
-            self._grads = self.views(self.grad_flat)
-        return self._grads[name]
+    @property
+    def grad_flat(self):
+        """The gradient buffer, laid out like flat, or None until a gradient."""
+        return self._grads.flat
 
     def zero_grad(self):
-        """Drop every parameter's gradient and the gradient buffer."""
-        self.grad_flat = self._grads = None
+        """Drop every parameter's gradient and the gradient buffer: the
+        parameters share a new _GradBuffer, which allocates at a gradient."""
+        self._grads = _GradBuffer(len(self.flat), self.flat.dtype)
         for p in self.blocks:
-            p.zero_grad()
+            p.grad, p.grads = None, self._grads
 
     def sync(self):
         """Write every parameter and gradient rebound from outside back into
@@ -261,8 +274,8 @@ class ParamStore(Mapping):
         for p in self.blocks:
             if p.data is not p.view:
                 p.data = _write_back(f"parameter {p.name}", p.data, p.view)
-            if p.grad is not None and p.grad is not self.grad_home(p.name):
-                p.grad = _write_back(f"gradient of {p.name}", p.grad, self.grad_home(p.name))
+            if p.grad is not None and p.grad is not (home := self._grads.home(p)):
+                p.grad = _write_back(f"gradient of {p.name}", p.grad, home)
 
     def bank(self, key) -> Tensor:
         """The bank's members as one (k, ...) tensor on the buffer: one tape
@@ -313,8 +326,8 @@ def _wrap(out_data, parents: Sequence[Tensor], grad_fn) -> Tensor:
 def _accumulate(t: Tensor, g):
     if t.grad is not None:
         t.grad += g
-    elif isinstance(t, _StoreParam) and (store := t.store()) is not None:
-        t.grad = store.grad_home(t.name)
+    elif isinstance(t, _StoreParam):
+        t.grad = t.grads.home(t)
         t.grad[...] = g
     else:
         t.grad = np.array(g, dtype=t.data.dtype, copy=True)
@@ -325,9 +338,8 @@ def backward(loss: Tensor):
 
     Leaves are the tensors no tape node produced (parameters, inputs);
     interior tensors keep .grad None.  .grad accumulates across calls until
-    zeroed, so two forward and backward passes add their gradients.  The
-    .grad of a ParamStore parameter is its view of the store's gradient
-    buffer, in the store's dtype; any other leaf gets a copy in its own.
+    zeroed, so two forward and backward passes add their gradients.  A
+    ParamStore parameter's .grad is its view of the store's grad_flat.
 
     The call consumes the tape: every node on it is popped before its rule
     runs, so the arrays the rule read are freed as the walk goes, and the

@@ -200,8 +200,7 @@ class Adam:
     def load_state(self, state: dict):
         """Take adam_step and every block's moments (adam_m, adam_v) from
         state as load_checkpoint returns it, cast as they are copied into
-        the float64 buffers.  A state without them (adam_step None) raises
-        CheckpointError and changes nothing."""
+        the float64 buffers; a state without them raises CheckpointError."""
         if state.get("adam_step") is None:
             raise CheckpointError("the checkpoint holds no optimizer state")
         self.t = int(state["adam_step"])

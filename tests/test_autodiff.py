@@ -1,4 +1,3 @@
-import gc
 import inspect
 import itertools
 import pathlib
@@ -533,24 +532,6 @@ def test_store_writes_a_rebound_parameter_back_or_names_the_mismatch():
     store["a"].data = np.zeros((3, 2))
     with pytest.raises(ad.StoreError, match="parameter a was rebound to shape"):
         store.sync()
-
-
-def test_a_dropped_store_is_freed_at_once_and_its_parameters_still_differentiate():
-    # a parameter holds its store weakly: a cycle would keep a dropped
-    # model's buffers alive until a full collection, into the next training
-    store = small_store()
-    a = store["a"]
-    ad.backward((a * 1.0).sum())
-    refs = [weakref.ref(store), weakref.ref(store.grad_flat)]
-    gc.disable()
-    try:
-        a.zero_grad()
-        del store
-        assert all(ref() is None for ref in refs)
-    finally:
-        gc.enable()
-    ad.backward((a * 2.0).sum())
-    np.testing.assert_array_equal(a.grad, np.full(a.shape, 2.0, dtype=np.float32))
 
 
 def test_store_rejects_scattered_banks():
