@@ -58,6 +58,11 @@ def using_dtype(dtype):
         _DTYPE = prev
 
 
+def default_dtype() -> np.dtype:
+    """The dtype new tensors and parameter stores are created with."""
+    return np.dtype(_DTYPE)
+
+
 @contextlib.contextmanager
 def no_grad():
     """Disable tape recording inside the block (pure forward values)."""

@@ -50,6 +50,7 @@ from .trainer import (
     TrainingError,
     _mean_rank,
     _tie_counts,
+    check_memory,
     evaluate,
     load_checkpoint,
     mi_context_ids,
@@ -257,6 +258,8 @@ def cmd_train(cfg, args) -> int:
         # train validates again, and its warning is the run's one
         warnings.simplefilter("ignore", UnreachableHardClassWarning)
         sampling_cfg.validate()
+    check_memory(model_cfg, kg, tables, min(train_cfg.batch_size, len(kg.train)),
+                 sampling_cfg.negatives_per_positive)
     run_dir = make_run_dir(train_cfg.seed)
     # echo the fully resolved settings before any work happens
     with atomic_write(os.path.join(run_dir, "config.yaml"), mode="w", encoding="utf-8") as (fh,):
@@ -341,10 +344,14 @@ def cmd_sample_stats(cfg, args) -> int:
     model_cfg, train_cfg, sampling_cfg = section_configs(cfg)
     train_cfg.validate()
     sampling_cfg.validate()
+    n_pos = min(args.positives, len(kg.train))
     if args.checkpoint is not None:
         model, _ = load_checkpoint(args.checkpoint, tables, kg)
-    else:
-        model_cfg.validate()
+        model_cfg = model.cfg
+    model_cfg.validate(tables)
+    # one store, unless loaded, and the negatives of n_pos positives
+    check_memory(model_cfg, kg, tables, n_pos, sampling_cfg.negatives_per_positive, buffers=1)
+    if args.checkpoint is None:
         model = FusionModel(model_cfg, kg.n_entities, kg.n_relations, tables,
                             seed=train_cfg.seed)
 
@@ -352,7 +359,6 @@ def cmd_sample_stats(cfg, args) -> int:
     theta = np.asarray(model.relation_phases.data, dtype=np.float64)
     fi = build_filter_index(kg)
 
-    n_pos = min(args.positives, len(kg.train))
     # rows 0..n_pos-1 at epoch 0: the negatives training draws for them first
     negatives = corrupt(kg.train[:n_pos], sampling_cfg.negatives_per_positive, fi,
                         kg.n_entities, train_cfg.seed, epoch=0)

@@ -250,6 +250,18 @@ def param_shapes(cfg: ModelConfig, n_entities: int, n_relations: int, modality_d
                 (f"modal_dist.{STRUCTURE_MODALITY}.b", (c,)))
 
 
+def store_size(cfg: ModelConfig, n_entities: int, n_relations: int, modality_dims: dict) -> int:
+    """The parameter store's element count, the sum of param_shapes' sizes,
+    in closed form: it sizes a config before any block is named."""
+    d, k, c = cfg.embedding_dim, cfg.experts, cfg.mi_bins
+    head = d * c + c  # a distribution head
+    expert = 2 * d * d + 2 * d + head  # two dense layers and a view head
+    # per modality a projection, its experts and its head; structure's head
+    return (n_entities * d + n_relations * (d // 2) + head
+            + sum(modality_dims[m] * d + d * d + 2 * d + k * expert + head
+                  for m in cfg.modalities))
+
+
 class FusionModel:
     """All learnable blocks: structural table, relation phases, per-modality
     projection, expert bank, and distribution heads for the MI estimates."""

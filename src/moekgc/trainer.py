@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import struct
 import typing
 import zlib
@@ -42,7 +43,7 @@ from . import autodiff as ad
 from .autodiff import FiniteError
 from .config import ConfigError, check_finite
 from .files import atomic_write
-from .fusion import FusionModel, ModelConfig, param_shapes
+from .fusion import FusionModel, ModelConfig, param_shapes, store_size
 from .kgdata import DataError, KnowledgeGraph, build_filter_index
 from .parallel import group, ordered_map, spans
 from .sampling import NegativeSamplingConfig, batch_loss, corrupt, derived_rng, negative_weights
@@ -92,12 +93,13 @@ class TrainConfig:
             raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
 
 
-# elements per Adam update chunk: a chunk's three float64 scratch arrays
-# (512 kB each) stay in a core's L2 cache over the dozen operations of the
-# update.  Chunks this long also keep the GIL hand-offs between the block
-# map's threads rare.  The update of a 4.8M-element medium store took
-# 57.0 ms on one thread and 40.3 ms on two, against 68.5 and 71.7 ms with
-# chunks of 8192 (medians of 12, 2-vCPU Xeon, one BLAS thread)
+# elements per Adam update chunk: a chunk's three float64 scratch rows
+# (512 kB each) stay in a core's L2 cache over the twenty-odd operations
+# of the update.  Chunks this long also keep the GIL hand-offs between the
+# block map's threads rare.  The update of a 4.8M-element medium store took
+# 54.0 ms on one thread and 44.7 ms on two, against 59.1 and 72.7 ms with
+# chunks of 8192 (the middle of three runs' medians of 25 steps, 2-vCPU
+# Xeon, one BLAS thread)
 _ADAM_CHUNK = 65_536
 # Adam's decay rates of the two moments and the epsilon of its denominator
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -107,7 +109,7 @@ class Adam:
     """Adam with bias correction over a ParamStore; epsilon added outside the
     sqrt, with the module constants BETA1, BETA2 and EPS.
 
-    The moments are two float64 buffers laid out like the store's, with a
+    The moments are two buffers of the store's dtype and layout, with a
     named view per block in m and v; the gradients are the store's
     gradient buffer, of the same layout.  A step cuts each maximal run of
     consecutive blocks that have a gradient into parallel.group spans,
@@ -116,20 +118,25 @@ class Adam:
     raises TrainingError naming the first such block in store order, and
     leaves the parameters, the moments and the step count as they were.
     Then the spans are updated on the block map, _ADAM_CHUNK elements at a
-    time, each chunk cast to float64 and put through the per-block update's
-    elementwise operations, the moments in place, so the result is that
-    update's bit for bit on any number of workers; blocks without a
-    gradient keep their values and moments.  The new parameters go into a
-    fresh buffer that the store is then re-pointed at.
+    time: the gradient and both stored moments are cast to float64 and put
+    through the per-block update's elementwise operations.  The parameter
+    update reads the float64 moments just computed; they are then stored
+    rounded to the store's dtype, and the next step starts from the stored
+    values.  So the result is that update's bit for bit on any number of
+    workers, and the stored moments with the parameters and t are the whole
+    state: a step after load_state of a saved checkpoint is the step the
+    saved optimizer takes.  Blocks without a gradient keep their values and
+    moments.  The new parameters go into a fresh buffer that the store is
+    then re-pointed at.
     """
 
     def __init__(self, params: ad.ParamStore, learning_rate: float):
         self.params = params
         self.lr = float(learning_rate)
         self.t = 0
-        # moments kept in float64 regardless of the parameter dtype
-        self._m = np.zeros(self.params.flat.size, dtype=np.float64)
-        self._v = np.zeros(self.params.flat.size, dtype=np.float64)
+        # moments in the store's dtype: a float32 checkpoint holds them exactly
+        self._m = np.zeros_like(self.params.flat)
+        self._v = np.zeros_like(self.params.flat)
         self.m, self.v = self.params.views(self._m), self.params.views(self._v)
 
     def step(self):
@@ -171,27 +178,33 @@ class Adam:
         scratch = np.empty((3, min(_ADAM_CHUNK, hi - lo)))  # float64, sized to small spans
         for c0 in range(lo, hi, _ADAM_CHUNK):
             part = slice(c0, min(c0 + _ADAM_CHUNK, hi))
-            g, a, b = scratch[:, :part.stop - c0]
+            # each operand is cast into its row on its own: a ufunc that
+            # casts its inputs itself runs them through a slower buffered loop
+            g, m, v = scratch[:, :part.stop - c0]
             g[...] = grad[part]
-            m, v = self._m[part], self._v[part]
-            # m = BETA1 m + (1 - BETA1) g
+            # m = BETA1 m + (1 - BETA1) g; v's row holds the product
+            m[...] = self._m[part]
             m *= BETA1
-            np.multiply(g, 1.0 - BETA1, out=a)
-            m += a
+            np.multiply(g, 1.0 - BETA1, out=v)
+            m += v
+            self._m[part] = m
             # v = BETA2 v + (1 - BETA2) (g g)
-            np.multiply(g, g, out=a)
-            a *= 1.0 - BETA2
+            g *= g
+            g *= 1.0 - BETA2
+            v[...] = self._v[part]
             v *= BETA2
-            v += a
-            # x - lr (m / c1) / (sqrt(v / c2) + EPS), in float64
-            np.divide(m, c1, out=a)
-            a *= self.lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += EPS
-            a /= b
-            np.subtract(x[part], a, out=a)
-            out[part] = a
+            v += g
+            self._v[part] = v
+            # x - lr (m / c1) / (sqrt(v / c2) + EPS), from the float64 moments
+            m /= c1
+            m *= self.lr
+            v /= c2
+            np.sqrt(v, out=v)
+            v += EPS
+            m /= v
+            g[...] = x[part]
+            g -= m
+            out[part] = g
 
     def zero_grad(self):
         """Drop the gradients and the store's gradient buffer."""
@@ -199,8 +212,10 @@ class Adam:
 
     def load_state(self, state: dict):
         """Take adam_step and every block's moments (adam_m, adam_v) from
-        state as load_checkpoint returns it, cast as they are copied into
-        the float64 buffers; a state without them raises CheckpointError."""
+        state as load_checkpoint returns it, copied into the moment buffers:
+        a checkpoint's float32 moments exactly, so the next step is the one
+        the saved optimizer would take.  A state without them raises
+        CheckpointError."""
         if state.get("adam_step") is None:
             raise CheckpointError("the checkpoint holds no optimizer state")
         self.t = int(state["adam_step"])
@@ -450,8 +465,8 @@ def _check_header(path, header):
 def save_checkpoint(path, model: FusionModel, optimizer: Adam = None, extra: dict = None):
     """Write the model, and with optimizer Adam's step count and moments,
     atomically.  Each block is checksummed and written from its own <f4
-    array: a float32 store's blocks are views of it, so only the moments
-    are cast into copies."""
+    array: a float32 store's blocks and its optimizer's moments are views
+    of their buffers, so no block is copied."""
     blocks = {name: np.ascontiguousarray(p.data, dtype="<f4") for name, p in model.params.items()}
     if optimizer is not None:
         for name in model.params:
@@ -584,6 +599,37 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
 
 # ---------------------------------------------------------------- training
 
+# store-sized buffers a training step holds, each in the store's dtype: the
+# parameters, their gradient, the update's new parameters and Adam's moments
+_STEP_BUFFERS = 5
+
+
+def check_memory(model_cfg: ModelConfig, kg: KnowledgeGraph, tables: dict, positives: int,
+                 negatives_per_positive: int, buffers: int = _STEP_BUFFERS):
+    """Raise ConfigError, before any of it is allocated, when a config asks
+    for more than the host's physical memory: buffers arrays the size of
+    the parameter store model_cfg lays out for kg and tables (validated
+    against them), a training step's by default, or the int64 (head,
+    relation, tail) negatives that sampling.corrupt draws for positives
+    positives."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    dims = {m: tables[m].dim for m in model_cfg.modalities}
+    store = (store_size(model_cfg, kg.n_entities, kg.n_relations, dims)
+             * ad.default_dtype().itemsize)
+    negatives = positives * negatives_per_positive * 3 * np.dtype(np.int64).itemsize
+    for nbytes, what, why in (
+            (buffers * store,
+             f"model.embedding_dim {model_cfg.embedding_dim}, model.experts "
+             f"{model_cfg.experts} and model.mi_bins {model_cfg.mi_bins} on "
+             f"{kg.n_entities} entities need",
+             f"{buffers} x the parameter store's {store / 2 ** 30:.1f} GiB"),
+            (negatives, f"sampling.negatives_per_positive {negatives_per_positive} needs",
+             f"the int64 negatives of {positives} positives")):
+        if nbytes > physical:
+            raise ConfigError(f"{what} {nbytes / 2 ** 30:.1f} GiB ({why}), more than the "
+                              f"{physical / 2 ** 30:.1f} GiB of physical memory")
+
+
 @dataclass
 class TrainResult:
     model: FusionModel
@@ -603,11 +649,13 @@ def train(kg: KnowledgeGraph, tables: dict, model_cfg: ModelConfig,
     the valid split is empty, evaluation is skipped and the loop runs to
     max_epochs.
     """
-    model_cfg.validate()
+    model_cfg.validate(tables)
     train_cfg.validate()
     sampling_cfg.validate()
     if len(kg.train) == 0:
         raise DataError("the train split has no triples")
+    check_memory(model_cfg, kg, tables, min(train_cfg.batch_size, len(kg.train)),
+                 sampling_cfg.negatives_per_positive)
     model = FusionModel(model_cfg, kg.n_entities, kg.n_relations, tables, seed=train_cfg.seed)
     opt = Adam(model.params, train_cfg.learning_rate)
     fi = build_filter_index(kg)

@@ -295,15 +295,17 @@ class PerBlockAdam:
     it fits one chunk, else chunk by chunk with its moments in place.
 
     params maps name -> tensor; each step rebinds a block's data to a new
-    array.  Blocks without a gradient are skipped.
+    array.  Blocks without a gradient are skipped.  The moments are kept in
+    each block's dtype: an update widens them to float64, reads the float64
+    moments it computes, and stores them rounded back.
     """
 
     def __init__(self, params, learning_rate, chunk, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params, self.lr, self.chunk = params, float(learning_rate), chunk
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {n: np.zeros(p.data.shape, dtype=np.float64) for n, p in params.items()}
-        self.v = {n: np.zeros(p.data.shape, dtype=np.float64) for n, p in params.items()}
+        self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
 
     def step(self):
         self.t += 1
@@ -327,7 +329,8 @@ class PerBlockAdam:
 
     def _update(self, m, v, grad, x, c1, c2):
         g = np.asarray(grad, dtype=np.float64)
-        m = self.beta1 * m + (1.0 - self.beta1) * g
-        v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+        m = self.beta1 * m.astype(np.float64) + (1.0 - self.beta1) * g
+        v = self.beta2 * v.astype(np.float64) + (1.0 - self.beta2) * (g * g)
         update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        return m, v, (x.astype(np.float64) - update).astype(x.dtype)
+        return (m.astype(x.dtype), v.astype(x.dtype),
+                (x.astype(np.float64) - update).astype(x.dtype))

@@ -5,6 +5,8 @@ import errno
 import json
 import os
 import random
+import subprocess
+import sys
 import threading
 import typing
 import warnings
@@ -664,6 +666,41 @@ def test_rejected_train_settings_create_no_run_directory(workspace, capsys, flag
     tmp_path, cfg_path = workspace
     assert main(["train", "--config", cfg_path] + flags) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+# main in a child whose address space is capped at 3 GiB, so that an
+# allocation a config should have been refused fails at once, and not in
+# this process
+_CAPPED_MAIN = """
+import resource, sys
+cap, hard = 3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY:
+    cap = min(cap, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from moekgc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("setting", ["model.mi_bins", "model.experts", "model.embedding_dim",
+                                     "sampling.negatives_per_positive"])
+def test_a_config_larger_than_memory_is_a_config_error_before_any_allocation(workspace,
+                                                                             setting):
+    # at 10**9 each of these asks for over 100 GiB, a store, an Adam step's
+    # buffers or a batch's negatives; 10**12 exceeds any host's memory
+    tmp_path, cfg_path = workspace
+    flag = "--" + setting.replace(".", "-").replace("_", "-")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for command in ("train", "sample-stats"):
+        done = subprocess.run(
+            [sys.executable, "-c", _CAPPED_MAIN, command, "--config", cfg_path, flag,
+             str(10 ** 12)], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, (command, done.stderr)
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("config error: ") and f"{setting} {10 ** 12}" in line, line
+        assert "GiB of physical memory" in line, line
     assert not (tmp_path / "runs").exists()
 
 

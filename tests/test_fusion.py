@@ -565,6 +565,19 @@ def test_initial_values_do_not_depend_on_the_draw_chunk(monkeypatch):
     assert whole.params.flat.tobytes() == pieces.params.flat.tobytes()
 
 
+def test_store_size_is_the_sum_of_the_block_sizes():
+    # the closed form that sizes a config before any block is named
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        cfg = ModelConfig(embedding_dim=2 * int(rng.integers(1, 9)),
+                          experts=int(rng.integers(1, 5)), mi_bins=int(rng.integers(2, 9)),
+                          modalities=[f"m{i}" for i in range(int(rng.integers(0, 4)))])
+        dims = {m: int(rng.integers(1, 20)) for m in cfg.modalities}
+        n_ent, n_rel = int(rng.integers(1, 50)), int(rng.integers(1, 10))
+        want = sum(math.prod(s) for _, s in fusion.param_shapes(cfg, n_ent, n_rel, dims))
+        assert fusion.store_size(cfg, n_ent, n_rel, dims) == want, (cfg, dims, n_ent, n_rel)
+
+
 def test_config_validation_errors():
     rng = np.random.default_rng(0)
     tables = {"img": make_table("img", 4, 3, rng)}

@@ -146,23 +146,26 @@ def test_blocked_adam_matches_the_whole_block_update_bitwise():
     shapes = {"big": (3, chunk + 5), "one_chunk": (chunk,), "small": (4, 3)}
     params = store_of({n: rng.normal(size=s) for n, s in shapes.items()})
     opt = Adam(params, learning_rate=0.01)
-    # the unblocked update: whole-block float64 expressions, in this order
+    # the unblocked update: whole-block float64 expressions, in this order,
+    # from the float32 moments, which keep the float64 ones rounded
     want = {n: p.data.copy() for n, p in params.items()}
-    m = {n: np.zeros(s) for n, s in shapes.items()}
-    v = {n: np.zeros(s) for n, s in shapes.items()}
+    m = {n: np.zeros(s, dtype=np.float32) for n, s in shapes.items()}
+    v = {n: np.zeros(s, dtype=np.float32) for n, s in shapes.items()}
     for t in range(1, 6):
         c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
         for n, p in params.items():
             p.grad = rng.normal(size=shapes[n]).astype(np.float32)
             g = p.grad.astype(np.float64)
-            m[n] = 0.9 * m[n] + (1.0 - 0.9) * g
-            v[n] = 0.999 * v[n] + (1.0 - 0.999) * (g * g)
-            update = 0.01 * (m[n] / c1) / (np.sqrt(v[n] / c2) + 1e-8)
+            mt = 0.9 * m[n].astype(np.float64) + (1.0 - 0.9) * g
+            vt = 0.999 * v[n].astype(np.float64) + (1.0 - 0.999) * (g * g)
+            update = 0.01 * (mt / c1) / (np.sqrt(vt / c2) + 1e-8)
             want[n] = (want[n].astype(np.float64) - update).astype(np.float32)
+            m[n], v[n] = mt.astype(np.float32), vt.astype(np.float32)
         opt.step()
         opt.zero_grad()
     for n, p in params.items():
         assert p.data.dtype == np.float32 and p.data.tobytes() == want[n].tobytes(), n
+        assert opt.m[n].dtype == opt.v[n].dtype == np.float32, n
         assert opt.m[n].tobytes() == m[n].tobytes() and opt.v[n].tobytes() == v[n].tobytes(), n
 
 
@@ -1071,6 +1074,36 @@ def test_train_on_a_graph_with_no_train_triples_is_a_data_error():
               TrainConfig(max_epochs=1, seed=3), sampling_cfg())
 
 
+@pytest.mark.parametrize("over", ["step", "negatives"])
+def test_train_refuses_a_config_larger_than_physical_memory_before_any_model(monkeypatch,
+                                                                             over):
+    # a host with physical memory for the step's parameter-sized buffers to
+    # the byte, or one byte less; the negatives of a batch of two fit, or not
+    kg = make_kg([(0, 0, 1), (1, 0, 2)], n_entities=3)
+    cfg = ModelConfig(embedding_dim=8, experts=2, mi_bins=4, modalities=[])
+    step = trainer._STEP_BUFFERS * 4 * fusion.store_size(cfg, kg.n_entities, kg.n_relations, {})
+    physical, n_neg = (step - 1, 1) if over == "step" else (step, step // (2 * 3 * 8) + 1)
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical}.get)
+
+    def refuse(*args, **kw):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(trainer, "FusionModel", refuse)
+    setting = ("model.embedding_dim 8" if over == "step"
+               else f"sampling.negatives_per_positive {n_neg}")
+    with pytest.raises(ConfigError, match=rf"^{setting}\b.*, more than the .* physical memory$"):
+        train(kg, {}, cfg, TrainConfig(batch_size=2, max_epochs=1),
+              sampling_cfg(negatives_per_positive=n_neg))
+
+
+def test_train_of_a_modality_without_a_table_is_a_config_error():
+    # the memory check reads each modality's dimension from its table
+    kg = make_kg([(0, 0, 1), (1, 0, 2)], n_entities=3)
+    with pytest.raises(ConfigError, match="modality 'img' has no loaded feature table"):
+        train(kg, {}, ModelConfig(embedding_dim=8, experts=2, mi_bins=4, modalities=["img"]),
+              TrainConfig(max_epochs=1), sampling_cfg())
+
+
 def test_loss_decreases_on_a_tiny_graph():
     kg = make_kg([(0, 0, 1), (1, 0, 2), (2, 0, 0)], n_entities=3)
     result = train(
@@ -1247,9 +1280,10 @@ def test_checkpoint_round_trip_restores_parameters(tmp_path):
         np.testing.assert_array_equal(loaded.params[name].data, p.data)
     assert state["adam_step"] == opt.t
     assert state["header"]["extra"]["note"] == "round trip"
-    # moments survive the float32 narrowing within its precision
+    # the moments are kept in the store's float32, so the file holds them exactly
     for name in model.params:
-        np.testing.assert_allclose(state["adam_m"][name], opt.m[name], rtol=1e-6, atol=1e-9)
+        np.testing.assert_array_equal(state["adam_m"][name], opt.m[name])
+        np.testing.assert_array_equal(state["adam_v"][name], opt.v[name])
 
 
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
@@ -1260,12 +1294,33 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     opt2 = Adam(loaded.params, learning_rate=0.01)
     opt2.load_state(state)  # as load_checkpoint returns it
     assert opt2.t == opt.t
-    # the moments come back as the file's float32 values, widened exactly
+    # the moments come back in the store's dtype, the optimizer's own bytes
     for mine, restored in ((opt._m, opt2._m), (opt._v, opt2._v)):
-        assert restored.dtype == np.float64
-        assert restored.tobytes() == mine.astype("<f4").astype(np.float64).tobytes()
+        assert restored.dtype == loaded.params.flat.dtype == np.float32
+        assert restored.tobytes() == mine.tobytes()
     save_checkpoint(p2, loaded, opt2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_a_step_after_restoring_a_checkpoint_is_the_saved_optimizers_step(tmp_path):
+    # a resume by hand: save after k steps, load, restore Adam, and take one
+    # more step on both copies with the same gradient
+    kg, tables, model, opt = fitted_model_and_opt(tmp_path, with_modality=True)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, opt)
+    loaded, state = load_checkpoint(path, tables, kg)
+    opt2 = Adam(loaded.params, learning_rate=0.01)
+    opt2.load_state(state)
+    for m, o in ((model, opt), (loaded, opt2)):
+        ad.reset_tape()
+        joint, _ = m.fuse(np.array([0, 1, 2, 3]))
+        ad.backward(square(joint).sum())
+        o.step()
+        o.zero_grad()
+    ad.reset_tape()
+    assert opt2.t == opt.t == 4
+    assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+    assert opt2._m.tobytes() == opt._m.tobytes() and opt2._v.tobytes() == opt._v.tobytes()
 
 
 @pytest.mark.parametrize("with_adam", [False, True], ids=["params", "params-and-adam"])
@@ -1296,14 +1351,16 @@ def test_saved_checkpoint_is_the_version_1_layout_byte_for_byte(tmp_path, with_a
 
 
 def test_saving_a_float32_model_copies_no_parameter_block(tmp_path):
-    # the blocks are written and checksummed from the store itself: a file
-    # of a 2 MB entity table is written with well under one block's copy
+    # the blocks are written and checksummed from the store and Adam's
+    # moments themselves: a file of a 2 MB entity table and its two moments
+    # is written with well under one block's copy
     kg = make_kg([(0, 0, 1)], n_entities=32_768)
     cfg = ModelConfig(embedding_dim=16, experts=2, mi_bins=4)
     model = FusionModel(cfg, kg.n_entities, kg.n_relations, {}, seed=0)
-    assert model.params.flat.dtype == np.float32
+    opt = Adam(model.params, learning_rate=0.01)
+    assert model.params.flat.dtype == opt._m.dtype == opt._v.dtype == np.float32
     entities = model.params["entities"].data.nbytes
-    assert peak_bytes(lambda: save_checkpoint(tmp_path / "model.ckpt", model)) < entities // 8
+    assert peak_bytes(lambda: save_checkpoint(tmp_path / "model.ckpt", model, opt)) < entities // 8
 
 
 def test_checkpoint_load_draws_no_initial_values(tmp_path, monkeypatch):
