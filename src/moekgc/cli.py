@@ -337,6 +337,11 @@ def cmd_predict(cfg, args) -> int:
     return 0
 
 
+# bytes per negative and embedding coordinate that sample-stats scores with:
+# five float64 rows at most (40.0 measured under tracemalloc)
+_STATS_ROW_BYTES = 40
+
+
 def cmd_sample_stats(cfg, args) -> int:
     if args.positives < 1:
         raise ConfigError(f"--positives must be >= 1, got {args.positives}")
@@ -350,7 +355,8 @@ def cmd_sample_stats(cfg, args) -> int:
         model_cfg = model.cfg
     model_cfg.validate(tables)
     # one store, unless loaded, and the negatives of n_pos positives
-    check_memory(model_cfg, kg, tables, n_pos, sampling_cfg.negatives_per_positive, buffers=1)
+    check_memory(model_cfg, kg, tables, n_pos, sampling_cfg.negatives_per_positive, buffers=1,
+                 row_bytes=_STATS_ROW_BYTES)
     if args.checkpoint is None:
         model = FusionModel(model_cfg, kg.n_entities, kg.n_relations, tables,
                             seed=train_cfg.seed)

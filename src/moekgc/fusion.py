@@ -51,13 +51,13 @@ from .parallel import ordered_map, spans
 MI_EPS = 1e-12
 # softmax logit of an absent source: exp underflows to exactly 0
 ABSENT_LOGIT = -1e30
-# entities per fuse call of the calling thread in all_joint_embeddings (a
-# pool thread's calls take parallel.POOL_SHARE of that): at d=256 each
-# float32 intermediate of a block (projection, expert hiddens and views) is
-# 1 MB, in a core's cache, where one call over 15k entities walks 15 MB
-# arrays and holds over a hundred MB of them at once.  A pool thread keeps
-# its own malloc arena as large as the biggest block it ran, so this size
-# also bounds what fanning out adds to peak memory
+# entities per fuse call in all_joint_embeddings, on every thread of the
+# block map: at d=256 each float32 intermediate of a block (projection,
+# expert hiddens and views) is 1 MB, in a core's cache, where one call over
+# 15k entities walks 15 MB arrays and holds over a hundred MB of them at
+# once.  A pool thread keeps its own malloc arena as large as the biggest
+# block it ran, so this size also bounds what fanning out adds to peak
+# memory
 _EMBED_BLOCK = 1024
 # initial values drawn per call when a parameter block is filled
 _INIT_CHUNK = 1 << 16

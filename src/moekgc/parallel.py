@@ -11,21 +11,16 @@ pool thread is free; every pool item is submitted when the map starts.
 Every item is the same call whichever thread runs it, so the results are
 those of the plain loop, bit for bit.
 
-``spans(n, block)`` cuts n rows into such items: the calling thread's
-spans have `block` rows and the pool's POOL_SHARE of that.  The pool runs
-out of work first, so a map takes as long as the caller's own spans take
-on its own core, not as long as the slowest of w cores takes.  On a shared
-host, where each core's speed changes from one moment to the next, that
-keeps one call's time close to the next.  On a 2-vCPU Xeon KVM guest, over
-100 alternating calls of a 15k-entity evaluate (two sets), the quartile
-range of the host-paced rate read 144-151 queries/s with equal spans,
-87-97 with POOL_SHARE 0.5 and 39-46 on one thread, at medians of 813-854,
-651-652 and 432-442 queries/s.
-
-``group(n, least)`` cuts n rows into one such group, one span per worker,
-for work that is one call, such as one matrix product: training's dense
-layers and Adam's update.  It uses fewer workers where a span would be
-shorter than `least`.
+``spans(n, block)`` cuts n rows into such items of `block` rows, the last
+one of the rows left, and ``group(n, least)`` into one group of equal spans, one per
+worker, for work that is one call, such as one matrix product: training's
+dense layers and Adam's update; group uses fewer workers where a span would
+be shorter than `least`.  Every worker does the same share, so a map lasts
+as long as the slower core takes.  On a 2-vCPU Xeon KVM guest, over ten
+alternating perfbench pairs (seed 7331) against pool spans half the calling
+thread's, train-medium trained at a median of 1323 host-paced positives/s
+(quartiles 1271-1400) against 1064 (1036-1127), and eval-medium ranked
+1159 queries/s (1126-1185) against 829 (822-861).
 
 A map runs inline, starting no thread, when it has one item, when the
 process may use one CPU, or when BLAS is not pinned to one thread: numpy's
@@ -72,8 +67,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 # the variables numpy's BLAS libraries read their thread count from
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# a pool thread's span, as a share of the calling thread's (above)
-POOL_SHARE = 0.5
 
 # held by the one map that fans out (above)
 _FANNING = threading.Lock()
@@ -110,39 +103,24 @@ def workers() -> int:
 
 
 def spans(n, block):
-    """Cut range(n) into (start, stop) spans for ordered_map.  Each group
-    of workers() spans opens with `block` items for the calling thread and
-    goes on with POOL_SHARE of that for each pool thread."""
-    w = workers()
-    sizes = itertools.cycle([block] + [max(1, round(block * POOL_SHARE))] * (w - 1))
-    out, b0 = [], 0
-    while b0 < n:
-        b1 = min(b0 + next(sizes), n)
-        out.append((b0, b1))
-        b0 = b1
-    return out
+    """Cut range(n) into (start, stop) spans of `block` rows for ordered_map,
+    the last one of the rows left."""
+    return [(b0, min(b0 + block, n)) for b0 in range(0, n, block)]
 
 
 def group(n, least):
-    """Cut range(n) into one group of spans for ordered_map: the calling
-    thread's span, then POOL_SHARE of it for each pool thread, on as many
-    workers as leave every span at least `least` long.  The calling
-    thread's span takes the rows left over.  One span (0, n) when not even
-    two workers can."""
-    if n * POOL_SHARE < least * (1 + POOL_SHARE):
+    """Cut range(n) into one group of spans for ordered_map: equal spans,
+    differing by at most one row, the longer ones first, on as many
+    workers as leave every span at least `least` long.  One span (0, n)
+    when not even two workers can."""
+    if n < 2 * least:
         # most dense layers: found without workers(), which reads the
         # environment and the CPU set
         return [(0, n)]
-    w = workers()
-    while w > 1:
-        pool = int(n * POOL_SHARE / (1 + (w - 1) * POOL_SHARE))
-        if pool >= least:
-            break
-        w -= 1
-    else:
-        return [(0, n)]
-    own = n - (w - 1) * pool
-    return [(0, own)] + [(own + i * pool, own + (i + 1) * pool) for i in range(w - 1)]
+    w = min(workers(), n // least)
+    size, longer = divmod(n, w)
+    ends = [i * size + min(i, longer) for i in range(w + 1)]
+    return list(zip(ends, ends[1:]))
 
 
 def ordered_map(fn, items):

@@ -270,13 +270,12 @@ def _tie_counts(rows, gold, offsets, known):
     return np.count_nonzero(better, axis=1), np.count_nonzero(tied, axis=1)
 
 
-# elements (queries x n_entities) per ranking block of the calling thread;
-# a pool thread's blocks take parallel.POOL_SHARE of its queries.  A
-# running block holds at most two float64 arrays of that size, and returns
-# two ints per query, its tie counts: at 15k entities a block is 32
-# queries, and the map submits every pool block when it starts: the counts
-# held until it returns are 16 bytes a query.  A desk graph's split is one
-# block, ranked without a thread
+# elements (queries x n_entities) per ranking block, on every thread of
+# the block map.  A running block holds at most two float64 arrays of that
+# size, and returns two ints per query, its tie counts: at 15k entities a
+# block is 32 queries, and the map submits every pool block when it
+# starts: the counts held until it returns are 16 bytes a query.  A desk
+# graph's split is one block, ranked without a thread
 _RANK_BLOCK = 32 * 15_000
 
 
@@ -602,29 +601,39 @@ def load_checkpoint(path, tables: dict, kg: KnowledgeGraph = None):
 # store-sized buffers a training step holds, each in the store's dtype: the
 # parameters, their gradient, the update's new parameters and Adam's moments
 _STEP_BUFFERS = 5
+# bytes per negative and embedding coordinate a training step holds: six
+# float32 rows at most, what score_batch keeps and its backward's gradients
+# (22.8 measured under tracemalloc at d=64 and 128)
+_STEP_ROW_BYTES = 24
 
 
 def check_memory(model_cfg: ModelConfig, kg: KnowledgeGraph, tables: dict, positives: int,
-                 negatives_per_positive: int, buffers: int = _STEP_BUFFERS):
+                 negatives_per_positive: int, buffers: int = _STEP_BUFFERS,
+                 row_bytes: int = _STEP_ROW_BYTES):
     """Raise ConfigError, before any of it is allocated, when a config asks
     for more than the host's physical memory: buffers arrays the size of
     the parameter store model_cfg lays out for kg and tables (validated
-    against them), a training step's by default, or the int64 (head,
+    against them), a training step's by default; or the int64 (head,
     relation, tail) negatives that sampling.corrupt draws for positives
-    positives."""
+    positives with row_bytes per negative and coordinate of the rows scored
+    from them, a training step's by default."""
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     dims = {m: tables[m].dim for m in model_cfg.modalities}
     store = (store_size(model_cfg, kg.n_entities, kg.n_relations, dims)
              * ad.default_dtype().itemsize)
-    negatives = positives * negatives_per_positive * 3 * np.dtype(np.int64).itemsize
+    n_neg = positives * negatives_per_positive
+    drawn = n_neg * 3 * np.dtype(np.int64).itemsize
+    rows = n_neg * model_cfg.embedding_dim * row_bytes
     for nbytes, what, why in (
             (buffers * store,
              f"model.embedding_dim {model_cfg.embedding_dim}, model.experts "
              f"{model_cfg.experts} and model.mi_bins {model_cfg.mi_bins} on "
              f"{kg.n_entities} entities need",
              f"{buffers} x the parameter store's {store / 2 ** 30:.1f} GiB"),
-            (negatives, f"sampling.negatives_per_positive {negatives_per_positive} needs",
-             f"the int64 negatives of {positives} positives")):
+            (drawn + rows, f"sampling.negatives_per_positive {negatives_per_positive} needs",
+             f"the int64 negatives of {positives} positives, {drawn / 2 ** 30:.1f} GiB, and "
+             f"their rows of model.embedding_dim {model_cfg.embedding_dim}, "
+             f"{rows / 2 ** 30:.1f} GiB")):
         if nbytes > physical:
             raise ConfigError(f"{what} {nbytes / 2 ** 30:.1f} GiB ({why}), more than the "
                               f"{physical / 2 ** 30:.1f} GiB of physical memory")

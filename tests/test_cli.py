@@ -704,6 +704,27 @@ def test_a_config_larger_than_memory_is_a_config_error_before_any_allocation(wor
     assert not (tmp_path / "runs").exists()
 
 
+def test_negatives_whose_scored_rows_exceed_memory_are_a_config_error(workspace, capsys,
+                                                                        monkeypatch):
+    # a host with room for twice the int64 negatives of the six train
+    # triples: they fit, and so do the tiny model's store-sized buffers, but
+    # the rows of embedding_dim 8 that a step or sample-stats scores from
+    # them do not
+    tmp_path, cfg_path = workspace
+    n_neg = 100_000
+    physical = 2 * 6 * n_neg * 3 * 8
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical}.get)
+    for command in ("train", "sample-stats"):
+        flags = [command, "--config", cfg_path, "--sampling-negatives-per-positive", str(n_neg)]
+        assert main(flags) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: sampling.negatives_per_positive {n_neg} needs "), line
+        assert "the int64 negatives of 6 positives" in line, line
+        assert "their rows of model.embedding_dim 8" in line, line
+        assert line.endswith("GiB of physical memory"), line
+    assert not (tmp_path / "runs").exists()
+
+
 def test_sample_stats_draws_the_epoch_zero_training_negatives(workspace, capsys, monkeypatch):
     import moekgc.cli as cli
     import moekgc.trainer as trainer

@@ -207,15 +207,16 @@ def test_no_pool_thread_outlives_a_map(workers):
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 5, 16, 17, 100])
-def test_spans_give_the_pool_smaller_spans_and_cover_the_range(workers, n_workers, n):
+def test_spans_are_blocks_of_block_rows_on_any_worker_count(workers, n_workers, n):
+    # every worker runs blocks of one size: the cut does not read the count
+    workers(1)
+    alone = parallel.spans(n, 5)
     workers(n_workers)
     got = parallel.spans(n, 5)
+    assert got == alone
     assert got[0][0] == 0 and got[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
-    pool = round(5 * parallel.POOL_SHARE)
-    want = ([5] + [pool] * (n_workers - 1)) * n
-    assert [b - a for a, b in got[:-1]] == want[:len(got) - 1]
-    assert 0 < got[-1][1] - got[-1][0] <= want[len(got) - 1]
+    assert all(b - a == 5 for a, b in got[:-1]) and 0 < got[-1][1] - got[-1][0] <= 5
 
 
 def test_spans_on_one_worker_are_equal_blocks(workers):
@@ -395,16 +396,14 @@ def test_group_gives_each_worker_one_span_of_at_least_least(workers, n_workers, 
     assert got[0][0] == 0 and got[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
     sizes = [b - a for a, b in got]
-    if len(got) == 1:
-        # not even two workers could leave the pool `least` rows
-        assert n_workers == 1 or int(n * parallel.POOL_SHARE / (1 + parallel.POOL_SHARE)) < least
-        return
-    pool = sizes[1]
-    assert len(got) <= n_workers and set(sizes[1:]) == {pool} and pool >= least
-    # the pool's spans are POOL_SHARE of the calling thread's, rounded down:
-    # the calling thread takes what is left over
-    share = parallel.POOL_SHARE
-    assert pool == int(n * share / (1 + (len(got) - 1) * share)) and sizes[0] >= pool / share
+    # equal spans, the longer ones first, each at least `least` long, one
+    # per worker at most, on as many workers as can take one
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+    assert len(got) <= n_workers
+    assert len(got) == 1 or sizes[-1] >= least
+    assert len(got) == min(n_workers, max(1, n // least))
+    if n < 2 * least:
+        assert got == [(0, n)]
 
 
 # ------------------------------------------- dense layers on the block map
@@ -491,11 +490,11 @@ def test_a_desk_sized_layer_stays_on_the_calling_thread(monkeypatch, workers):
 @pytest.mark.parametrize("relu", [False, True])
 def test_a_non_finite_pool_block_raises_and_records_nothing(monkeypatch, workers, all_cpus,
                                                             relu):
-    # 12 rows on two workers: the calling thread takes rows 0-7 and the pool
-    # rows 8-11; only row 10 overflows, to -inf, which relu would clamp to 0
+    # 12 rows on two workers: the calling thread takes rows 0-5 and the pool
+    # rows 6-11; only row 10 overflows, to -inf, which relu would clamp to 0
     workers(2)
     monkeypatch.setattr(ad, "_BLOCK_WORK", 1)
-    assert parallel.group(12, 2) == [(0, 8), (8, 12)]
+    assert parallel.group(12, 2) == [(0, 6), (6, 12)]
     failed_on = []
     check_finite = ad._check_finite
 
@@ -522,13 +521,16 @@ def test_split_affine_on_more_workers_than_cores_with_fast_switches(monkeypatch,
                                                                     fast_switches):
     # eight workers, the interpreter switching threads every 10 us: blocks
     # write disjoint rows and columns of shared arrays, and a lost or
-    # misplaced write would change the bytes
+    # misplaced write would change the bytes.  Each block of 300 rows or 8
+    # columns does over 1e6 multiply-adds per matrix, as a production block
+    # does: below that OpenBLAS's small-matrix kernels sum in an order that
+    # depends on a block's row count
     workers(1)
-    shapes = ((5,), (3, 5, 32), (3, 1, 32))
-    want = affine_run(shapes, 40, relu=True, const_x=False)
+    shapes = ((64,), (3, 64, 64), (3, 1, 64))
+    want = affine_run(shapes, 2400, relu=True, const_x=False)
     monkeypatch.setattr(ad, "_BLOCK_WORK", 1)
     workers(8)
-    assert len(parallel.group(40, 2)) == len(parallel.group(32, 2)) == 8
+    assert len(parallel.group(2400, 2)) == len(parallel.group(64, 2)) == 8
     for _ in range(20):
-        assert affine_run(shapes, 40, relu=True, const_x=False) == want
+        assert affine_run(shapes, 2400, relu=True, const_x=False) == want
     assert block_threads() == []

@@ -1074,15 +1074,19 @@ def test_train_on_a_graph_with_no_train_triples_is_a_data_error():
               TrainConfig(max_epochs=1, seed=3), sampling_cfg())
 
 
-@pytest.mark.parametrize("over", ["step", "negatives"])
+@pytest.mark.parametrize("over", ["step", "negatives", "rows"])
 def test_train_refuses_a_config_larger_than_physical_memory_before_any_model(monkeypatch,
                                                                              over):
     # a host with physical memory for the step's parameter-sized buffers to
-    # the byte, or one byte less; the negatives of a batch of two fit, or not
+    # the byte, or one byte less; the int64 negatives of a batch of two fit,
+    # or not; or they fit in half of it, and the rows of embedding_dim 8
+    # that a step scores from them, eight times as large, do not
     kg = make_kg([(0, 0, 1), (1, 0, 2)], n_entities=3)
     cfg = ModelConfig(embedding_dim=8, experts=2, mi_bins=4, modalities=[])
     step = trainer._STEP_BUFFERS * 4 * fusion.store_size(cfg, kg.n_entities, kg.n_relations, {})
-    physical, n_neg = (step - 1, 1) if over == "step" else (step, step // (2 * 3 * 8) + 1)
+    physical, n_neg = {"step": (step - 1, 1),
+                       "negatives": (step, step // (2 * 3 * 8) + 1),
+                       "rows": (step, step // (2 * 3 * 8) // 2)}[over]
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical}.get)
 
     def refuse(*args, **kw):
