@@ -167,14 +167,27 @@ def ensure_tensor(x) -> Tensor:
 
 
 class StoreError(ValueError):
-    """A parameter was rebound to an array its store cannot hold."""
+    """A store's bank is not a run of equal-shape blocks."""
 
 
 class _StoreParam(Tensor):
-    """A ParamStore's parameter: store elements lo .. hi - 1, whose view of
-    the parameter buffer is view; backward writes into grads.home(self)."""
+    """A ParamStore's parameter: store elements lo .. hi - 1.  data is its
+    view of the parameter buffer, which repoint moves, and grad its view of
+    the gradient buffer grads, or None; neither can be rebound."""
 
-    __slots__ = ("grads", "name", "lo", "hi", "view")
+    __slots__ = ("grads", "name", "lo", "hi", "_view")
+
+    def __init__(self, view, grads, name, lo, hi):
+        self._view, self.grads, self.name, self.lo, self.hi = view, grads, name, lo, hi
+        self.requires_grad, self._key = True, None
+
+    @property
+    def data(self):
+        return self._view
+
+    @property
+    def grad(self):
+        return self.grads.views.get(self.name)
 
 
 class _GradBuffer:
@@ -191,17 +204,8 @@ class _GradBuffer:
             # np.zeros, not zeros_like: calloc'd, so no pass writes the zeros
             self.flat = np.zeros(self.size, dtype=self.dtype)
         if p.name not in self.views:
-            self.views[p.name] = self.flat[p.lo:p.hi].reshape(p.view.shape)
+            self.views[p.name] = self.flat[p.lo:p.hi].reshape(p.shape)
         return self.views[p.name]
-
-
-def _write_back(what, array, home):
-    """home, a parameter's view of a store buffer, with array written into it."""
-    if np.shape(array) != home.shape:
-        raise StoreError(f"{what} was rebound to shape {np.shape(array)}, "
-                         f"its block is {home.shape}")
-    home[...] = array
-    return home
 
 
 class ParamStore(Mapping):
@@ -215,10 +219,9 @@ class ParamStore(Mapping):
     same layout: the optimizer writes each update into a fresh buffer and
     re-points the store at it.  A parameter's ``.grad`` is its view of
     ``grad_flat``, a gradient buffer of the same layout, valid until
-    ``zero_grad`` drops it.  A parameter or gradient rebound from outside
-    (``p.data = array``, ``p.grad = array``) is written back, cast to the
-    store's dtype, by ``sync``; a rebound array of another shape raises
-    StoreError there.
+    ``zero_grad`` drops it.  Neither ``.data`` nor ``.grad`` can be
+    rebound: values are written in place (``p.data[...] = array``), and
+    gradients come from ``backward``.
     """
 
     def __init__(self, shapes: dict, banks: dict = None):
@@ -226,17 +229,16 @@ class ParamStore(Mapping):
         default dtype; banks maps a key to member names."""
         ends = list(itertools.accumulate((math.prod(s) for s in shapes.values()), initial=0))
         self.flat, self._params = np.zeros(ends[-1], dtype=_DTYPE), {}
+        self._grads = _GradBuffer(len(self.flat), self.flat.dtype)
         for (name, shape), lo, hi in zip(shapes.items(), ends, ends[1:]):
-            p = self._params[name] = _StoreParam(self.flat[lo:hi].reshape(shape),
-                                                 requires_grad=True)
-            p.name, p.lo, p.hi, p.view = name, lo, hi, p.data
+            self._params[name] = _StoreParam(self.flat[lo:hi].reshape(shape), self._grads,
+                                             name, lo, hi)
         self.blocks = tuple(self._params.values())
-        self.zero_grad()
         self._banks = {}
         for key, names in (banks or {}).items():
             members = tuple(self._params[n] for n in names)
-            shape = members[0].view.shape
-            if any(b.view.shape != shape or b.lo != a.hi for a, b in zip(members, members[1:])):
+            shape = members[0].shape
+            if any(b.shape != shape or b.lo != a.hi for a, b in zip(members, members[1:])):
                 raise StoreError(f"bank {key} is not a run of equal-shape blocks")
             # a (c,) bias serves as a (1, c) row, to broadcast over rows
             shape = (len(members),) + (shape if len(shape) > 1 else (1,) + shape)
@@ -253,13 +255,13 @@ class ParamStore(Mapping):
 
     def views(self, flat) -> dict:
         """name -> the parameter's view into flat, a buffer of the store's length."""
-        return {p.name: flat[p.lo:p.hi].reshape(p.view.shape) for p in self.blocks}
+        return {p.name: flat[p.lo:p.hi].reshape(p.shape) for p in self.blocks}
 
     def repoint(self, flat):
         """Make flat, a buffer of the store's length, the store's buffer."""
         self.flat = flat
         for p in self.blocks:
-            p.view = p.data = flat[p.lo:p.hi].reshape(p.view.shape)
+            p._view = flat[p.lo:p.hi].reshape(p.shape)
 
     @property
     def grad_flat(self):
@@ -267,20 +269,9 @@ class ParamStore(Mapping):
         return self._grads.flat
 
     def zero_grad(self):
-        """Drop every parameter's gradient and the gradient buffer: the
-        parameters share a new _GradBuffer, which allocates at a gradient."""
-        self._grads = _GradBuffer(len(self.flat), self.flat.dtype)
-        for p in self.blocks:
-            p.grad, p.grads = None, self._grads
-
-    def sync(self):
-        """Write every parameter and gradient rebound from outside back into
-        its buffer."""
-        for p in self.blocks:
-            if p.data is not p.view:
-                p.data = _write_back(f"parameter {p.name}", p.data, p.view)
-            if p.grad is not None and p.grad is not (home := self._grads.home(p)):
-                p.grad = _write_back(f"gradient of {p.name}", p.grad, home)
+        """Drop every parameter's gradient and the gradient buffer, which
+        the next gradient allocates anew."""
+        self._grads.flat, self._grads.views = None, {}
 
     def bank(self, key) -> Tensor:
         """The bank's members as one (k, ...) tensor on the buffer: one tape
@@ -329,11 +320,11 @@ def _wrap(out_data, parents: Sequence[Tensor], grad_fn) -> Tensor:
 
 
 def _accumulate(t: Tensor, g):
-    if t.grad is not None:
-        t.grad += g
+    grad = t.grad
+    if grad is not None:
+        grad += g  # in place: a store parameter's is its view of the buffer
     elif isinstance(t, _StoreParam):
-        t.grad = t.grads.home(t)
-        t.grad[...] = g
+        t.grads.home(t)[...] = g
     else:
         t.grad = np.array(g, dtype=t.data.dtype, copy=True)
 

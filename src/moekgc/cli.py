@@ -233,17 +233,19 @@ def _unwritable(e: OSError, path) -> ConfigError:
 
 
 def make_run_dir(seed: int) -> str:
+    """A new directory <stamp>-<seed>, or <stamp>-<seed>-<n> with the first
+    free n, under the runs root; created, not looked up, to claim the name."""
     root = os.environ.get(RUNS_ENV, "runs")
     base = os.path.join(root, f"{time.strftime('%Y%m%d-%H%M%S')}-{seed}")
     path, n = base, 1
-    while os.path.exists(path):
-        path = f"{base}-{n}"
-        n += 1
-    try:
-        os.makedirs(path)
-    except OSError as e:
-        raise _unwritable(e, path) from None
-    return path
+    while True:
+        try:
+            os.makedirs(path)
+            return path
+        except FileExistsError:
+            path, n = f"{base}-{n}", n + 1
+        except OSError as e:
+            raise _unwritable(e, path) from None
 
 
 # ---------------------------------------------------------------- commands

@@ -380,7 +380,6 @@ class FusionModel:
         if entity_ids.min() < 0 or entity_ids.max() >= self.n_entities:
             raise ValueError(f"entity indices must lie in [0, {self.n_entities})")
         k, d = self.cfg.experts, self.cfg.embedding_dim
-        self.params.sync()
         # the weights, and the heads and MI they come from, need a tape only
         # when gradients flow through them
         weighing = contextlib.nullcontext if self.cfg.grad_through_weights else ad.no_grad

@@ -141,7 +141,6 @@ class Adam:
 
     def step(self):
         store = self.params
-        store.sync()
         runs = []  # per run of blocks with a gradient, the spans of its elements
         for has_grad, run in itertools.groupby(store.blocks, key=lambda p: p.grad is not None):
             if has_grad:
@@ -616,8 +615,12 @@ def check_memory(model_cfg: ModelConfig, kg: KnowledgeGraph, tables: dict, posit
     against them), a training step's by default; or the int64 (head,
     relation, tail) negatives that sampling.corrupt draws for positives
     positives with row_bytes per negative and coordinate of the rows scored
-    from them, a training step's by default."""
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    from them, a training step's by default.  A host whose physical memory
+    cannot be read (os.sysconf is Unix-only) sets no bound."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        physical = math.inf
     dims = {m: tables[m].dim for m in model_cfg.modalities}
     store = (store_size(model_cfg, kg.n_entities, kg.n_relations, dims)
              * ad.default_dtype().itemsize)

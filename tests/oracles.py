@@ -290,12 +290,19 @@ def flat_scatter_rows(idx, g, shape, dtype):
     return buf
 
 
+def add_grad(p, g):
+    """Add g to p's gradient through one backward pass, which casts it to
+    p's dtype: a store parameter's gradient is its view of the store's
+    gradient buffer, which cannot be rebound.  After zero_grad this sets
+    the gradient.  The pass clears the tape."""
+    ad.backward(ad.record(np.zeros(()), (p,), lambda _: (g,), "add_grad"))
+
+
 class PerBlockAdam:
     """Adam as one update per parameter block: the whole block at once when
-    it fits one chunk, else chunk by chunk with its moments in place.
+    it fits one chunk, else chunk by chunk, its moments and data in place.
 
-    params maps name -> tensor; each step rebinds a block's data to a new
-    array.  Blocks without a gradient are skipped.  The moments are kept in
+    params maps name -> tensor.  Blocks without a gradient are skipped.  The moments are kept in
     each block's dtype: an update widens them to float64, reads the float64
     moments it computes, and stores them rounded back.
     """
@@ -315,17 +322,15 @@ class PerBlockAdam:
             if p.grad is None:
                 continue
             if p.data.size <= self.chunk:
-                self.m[name], self.v[name], p.data = self._update(
+                self.m[name], self.v[name], p.data[...] = self._update(
                     self.m[name], self.v[name], p.grad, p.data, c1, c2)
                 continue
             m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
             g, x = p.grad.reshape(-1), p.data.reshape(-1)
-            out = np.empty_like(x)
             for lo in range(0, x.size, self.chunk):
                 part = slice(lo, lo + self.chunk)
-                m[part], v[part], out[part] = self._update(m[part], v[part], g[part], x[part],
-                                                           c1, c2)
-            p.data = out.reshape(p.data.shape)
+                m[part], v[part], x[part] = self._update(m[part], v[part], g[part], x[part],
+                                                         c1, c2)
 
     def _update(self, m, v, grad, x, c1, c2):
         g = np.asarray(grad, dtype=np.float64)

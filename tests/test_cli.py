@@ -1,5 +1,6 @@
 """End-to-end tests for the command line, driven through main() in process."""
 
+import copy
 import dataclasses
 import errno
 import json
@@ -241,6 +242,45 @@ def test_two_runs_get_distinct_directories(workspace):
     assert len(list((tmp_path / "runs").iterdir())) == 2
 
 
+def test_a_run_directory_taken_after_the_check_goes_to_the_next_name(workspace, monkeypatch):
+    # another run of the seed, started in the same second, creates
+    # <stamp>-<seed> between this run's look and its create
+    tmp_path, _ = workspace
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    base = tmp_path / "runs" / "20260101-000000-3"
+    base.mkdir(parents=True)
+    exists = os.path.exists
+    monkeypatch.setattr(os.path, "exists", lambda path: path != str(base) and exists(path))
+    assert cli.make_run_dir(3) == f"{base}-1"
+    assert sorted(p.name for p in base.parent.iterdir()) == [base.name, f"{base.name}-1"]
+
+
+def _sysconf_raising(error):
+    def sysconf(name):
+        raise error
+    return sysconf
+
+
+@pytest.mark.parametrize("error", [None, ValueError("unrecognized configuration name"),
+                                   OSError(errno.EINVAL, "Invalid argument")],
+                         ids=["absent", "ValueError", "OSError"])
+def test_a_host_whose_physical_memory_cannot_be_read_still_trains(workspace, capsys,
+                                                                   monkeypatch, error):
+    # os.sysconf is Unix-only: without the physical size there is no memory
+    # bound, and every other check still runs
+    tmp_path, cfg_path = workspace
+    if error is None:
+        monkeypatch.delattr(os, "sysconf")
+    else:
+        monkeypatch.setattr(os, "sysconf", _sysconf_raising(error))
+    assert main(["train", "--config", cfg_path]) == 0
+    assert main(["sample-stats", "--config", cfg_path, "--positives", "3"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--model-embedding-dim", "5"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert len(list((tmp_path / "runs").iterdir())) == 1
+
+
 def test_flag_overrides_win_over_the_file(workspace):
     tmp_path, cfg_path = workspace
     assert main(["train", "--config", cfg_path, "--training-max-epochs", "0",
@@ -289,17 +329,27 @@ def test_eval_version_mismatch_exits_4(workspace, capsys):
     assert main(["eval", "--config", cfg_path, "--checkpoint", str(ckpt)]) == 4
 
 
+def checkpoint_header(blob: bytes) -> dict:
+    """The JSON header of a checkpoint's bytes."""
+    return json.loads(blob[16:16 + int.from_bytes(blob[8:16], "little")])
+
+
+def with_header(blob: bytes, header: dict) -> bytes:
+    """A checkpoint's bytes with its JSON header replaced by header."""
+    n = int.from_bytes(blob[8:16], "little")
+    hdr = json.dumps(header).encode("utf-8")
+    return blob[:8] + len(hdr).to_bytes(8, "little") + hdr + blob[16 + n:]
+
+
 def trained_checkpoint_with_header(workspace, edit):
     """The checkpoint of a fresh run, with edit applied to its JSON header."""
     tmp_path, cfg_path = workspace
     run_train(cfg_path)
     ckpt = latest_run(tmp_path) / "checkpoint.mkgc"
     blob = ckpt.read_bytes()
-    n = int.from_bytes(blob[8:16], "little")
-    header = json.loads(blob[16:16 + n])
+    header = checkpoint_header(blob)
     edit(header)
-    hdr = json.dumps(header).encode("utf-8")
-    ckpt.write_bytes(blob[:8] + len(hdr).to_bytes(8, "little") + hdr + blob[16 + n:])
+    ckpt.write_bytes(with_header(blob, header))
     return str(ckpt)
 
 
@@ -461,9 +511,8 @@ def tied_checkpoint(tmp_path, cfg_path):
     model = FusionModel(ModelConfig(embedding_dim=4, experts=2, mi_bins=4),
                         kg.n_entities, kg.n_relations, {}, seed=0)
     rows = {"a": [1, 0, 0, 0], "b": [2, 0, 0, 0], "c": [0, 0, 0, 0], "d": [1, 1, 0, 0]}
-    model.params["entities"].data = np.array(
-        [rows[name] for name in kg.entities], dtype=np.float32)
-    model.params["rel_phases"].data = np.zeros_like(model.params["rel_phases"].data)
+    model.params["entities"].data[...] = [rows[name] for name in kg.entities]
+    model.params["rel_phases"].data[...] = 0.0
     path = str(tmp_path / "tied.mkgc")
     save_checkpoint(path, model)
     return kg, model, path
@@ -672,15 +721,23 @@ def test_rejected_train_settings_create_no_run_directory(workspace, capsys, flag
 # main in a child whose address space is capped at 3 GiB, so that an
 # allocation a config should have been refused fails at once, and not in
 # this process
-_CAPPED_MAIN = """
+_CAP = """
 import resource, sys
 cap, hard = 3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]
 if hard != resource.RLIM_INFINITY:
     cap = min(cap, hard)
 resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+"""
+_CAPPED_MAIN = _CAP + """
 from moekgc.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def capped_env():
+    """The environment of a capped child: one BLAS thread, this moekgc."""
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
 
 
 @pytest.mark.parametrize("setting", ["model.mi_bins", "model.experts", "model.embedding_dim",
@@ -691,12 +748,10 @@ def test_a_config_larger_than_memory_is_a_config_error_before_any_allocation(wor
     # buffers or a batch's negatives; 10**12 exceeds any host's memory
     tmp_path, cfg_path = workspace
     flag = "--" + setting.replace(".", "-").replace("_", "-")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     for command in ("train", "sample-stats"):
         done = subprocess.run(
             [sys.executable, "-c", _CAPPED_MAIN, command, "--config", cfg_path, flag,
-             str(10 ** 12)], env=env, capture_output=True, text=True, timeout=120)
+             str(10 ** 12)], env=capped_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, (command, done.stderr)
         (line,) = done.stderr.splitlines()
         assert line.startswith("config error: ") and f"{setting} {10 ** 12}" in line, line
@@ -890,3 +945,103 @@ def test_malformed_inputs_end_in_an_exit_code_not_a_traceback(workspace, capsys)
         capsys.readouterr()
     # the mutations reach every kind of error, and some leave a usable input
     assert set(codes) >= {0, 1, 2, 3}
+
+
+# ---------------------------------------------------------------- boundary values
+
+_BOUNDARY_VALUES = (-1, 0, 1, 2 ** 31, 10 ** 9, 10 ** 20, 1.5, float("nan"), "", [], {}, True,
+                    None)
+# calls in the boundary-value fuzzer: 2.3 s in all on a 2-vCPU host
+_VALUE_TRIALS = 300
+# the start of the one stderr line of each failing exit code a value can
+# reach (README, CLI): the format version (4) is in the bytes before the header
+_ERROR_PREFIXES = {1: "error: ", 2: "config error: ", 3: "data error: "}
+# main over each argv of a JSON list read from stdin, in one child capped
+# as _CAPPED_MAIN is; per call: the exit code, the stderr text, and the
+# traceback of an exception that escaped main
+_CAPPED_CALLS = _CAP + """
+import contextlib, io, json, traceback, warnings
+import numpy as np
+from moekgc.cli import main
+warnings.simplefilter("ignore")
+np.seterr(all="ignore")
+results = []
+for argv in json.loads(sys.stdin.read()):
+    err, code, escaped = io.StringIO(), None, None
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except Exception:
+            escaped = traceback.format_exc()
+    results.append({"code": code, "err": err.getvalue(), "escaped": escaped})
+print(json.dumps(results))
+"""
+
+
+def value_paths(node, path=(), scalars_only=False):
+    """The key path of every value under node, a tree of dicts and lists;
+    with scalars_only, of every value that is neither."""
+    nested = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else None)
+    if path and (nested is None or not scalars_only):
+        yield path
+    for key, value in nested or ():
+        yield from value_paths(value, path + (key,), scalars_only)
+
+
+def replaced(tree, path, value):
+    """A copy of tree with the value at path replaced by value."""
+    out = copy.deepcopy(tree)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+def test_boundary_values_end_in_a_documented_exit_code_and_one_error_line(workspace):
+    # per call one config scalar, or one value of a checkpoint header, is a
+    # boundary value; every call runs in one capped child
+    tmp_path, cfg_path = workspace
+    run_train(cfg_path)
+    run = latest_run(tmp_path)
+    config = yaml.safe_load((run / "config.yaml").read_text())  # every key, resolved
+    blob = (run / "checkpoint.mkgc").read_bytes()
+    header = checkpoint_header(blob)
+    config_paths = list(value_paths(config, scalars_only=True))
+    header_paths = list(value_paths(header))
+    tail = {"train": [], "eval": [], "sample-stats": ["--positives", "3"],
+            "predict": ["--relation", "links", "--head", "a"]}
+    rng = random.Random(28)
+    labels, calls = [], []
+    for trial in range(_VALUE_TRIALS):
+        value = rng.choice(_BOUNDARY_VALUES)
+        config_file, ckpt = cfg_path, run / "checkpoint.mkgc"
+        if rng.random() < 0.5:
+            where, path = "config", rng.choice(config_paths)
+            config_file = tmp_path / f"config-{trial}.yaml"
+            config_file.write_text(yaml.safe_dump(replaced(config, path, value)))
+            command = rng.choice(sorted(tail))
+        else:
+            where, path = "header", rng.choice(header_paths)
+            ckpt = tmp_path / f"model-{trial}.mkgc"
+            ckpt.write_bytes(with_header(blob, replaced(header, path, value)))
+            command = rng.choice(["eval", "predict"])
+        flags = ["--checkpoint", str(ckpt)] if command in ("eval", "predict") else []
+        labels.append(f"{command} with {where} {'.'.join(map(str, path))} = {value!r}")
+        calls.append([command, "--config", str(config_file)] + flags + tail[command])
+    done = subprocess.run([sys.executable, "-c", _CAPPED_CALLS], input=json.dumps(calls),
+                          env=capped_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    assert len(results) == len(calls)
+    for label, result in zip(labels, results):
+        assert result["escaped"] is None, f"{label}:\n{result['escaped']}"
+        code, lines = result["code"], result["err"].splitlines()
+        assert code == 0 or code in _ERROR_PREFIXES, (label, code)
+        assert not any(line.startswith("Traceback") for line in lines), (label, lines)
+        if code:
+            assert len(lines) == 1 and lines[0].startswith(_ERROR_PREFIXES[code]), (label, lines)
+    # the values reach every failing exit code they can, and some leave a
+    # usable input
+    assert {r["code"] for r in results} == {0, *_ERROR_PREFIXES}
